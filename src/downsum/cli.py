@@ -8,8 +8,9 @@ error study on a CSV signal, and ``accelerate`` runs the series-acceleration
 demos.
 
 Exit codes: 0 success, 1 a verification found a nonzero residual, 2 bad
-input (unknown flags, malformed numbers, unreadable files, violated
-preconditions).  Output for a fixed seed is byte-identical across runs.
+input (unknown flags, malformed or non-finite numbers, unreadable files,
+violated preconditions, arithmetic overflow).  Output for a fixed seed is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -30,10 +31,15 @@ from .sumcalc import (
     fractional_sum,
     gregory_residual,
     random_polynomial,
-    scaled_difference_residual,
-    unit_difference_residual,
+    step_identity_reports,
 )
-from .timeseries import error_report, euler_mascheroni, euler_transform, load_series
+from .timeseries import (
+    error_report,
+    euler_mascheroni,
+    euler_transform,
+    load_series,
+    load_terms,
+)
 
 DEFAULT_X_GRID = "-2,-1,-1/2,1/3,1/2,1,2,3"
 
@@ -176,9 +182,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     for i in range(args.trials):
         f = random_polynomial(rng, args.degree)
         trial_ok = True
-        for x in grid:
-            step_form = scaled_difference_residual(f, x, family)
-            unit_form = unit_difference_residual(f, x, family)
+        for x, (step_form, unit_form) in zip(grid, step_identity_reports(f, grid, family)):
             ok = step_form.passed and unit_form.passed
             print(f"trial {i:03d} x={format_rational(x)}: {'pass' if ok else 'FAIL'}")
             if not ok:
@@ -239,10 +243,7 @@ def _run_accelerate(args: argparse.Namespace) -> int:
             raise ValueError("--terms-file and --target are mutually exclusive")
         if args.order is None:
             raise ValueError("--terms-file requires --order")
-        with open(args.terms_file) as handle:
-            tokens = handle.read().replace(",", " ").split()
-        terms = [float(token) for token in tokens]
-        value = euler_transform(terms, args.order)
+        value = euler_transform(load_terms(args.terms_file), args.order)
     elif args.target == "gamma":
         if args.terms is None:
             raise ValueError("--target gamma requires --terms")
@@ -270,7 +271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (DownsumError, OSError, ValueError) as exc:
+    except (DownsumError, OSError, ValueError, ArithmeticError) as exc:
         print(f"downsum: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -34,10 +34,6 @@ class InsufficientOrder(DownsumError):
     """The correction family is too short for the requested truncation."""
 
 
-class EndpointIsRoot(DownsumError):
-    """Root counting interval endpoint is a root even after perturbation."""
-
-
 class OutOfRange(DownsumError):
     """A sample index (or a trailing difference) falls outside the series."""
 

@@ -4,9 +4,14 @@ Scalars are :class:`fractions.Fraction` (arbitrary precision, always kept in
 lowest terms with a positive denominator, which is exactly the normalization
 the rest of the package relies on).
 
-A polynomial is a dense tuple of ascending coefficients: ``(c0, c1, c2)``
-represents ``c0 + c1*t + c2*t**2``.  Trailing zeros are trimmed, so the zero
-polynomial has an empty coefficient tuple and degree -1.
+A polynomial is stored as integer numerators over one common positive
+denominator, the layout of FLINT's ``fmpq_poly``: numerators ``(n0, n1, n2)``
+over ``d`` represent ``(n0 + n1*t + n2*t**2) / d``.  Trailing zero numerators
+are trimmed and the content ``gcd(d, n0, n1, ...)`` is divided out, so every
+polynomial has exactly one representation (the zero polynomial has no
+numerators and ``d = 1``).  Arithmetic runs on Python ints with one gcd per
+result; the ascending rational coefficients are exposed as ``coeffs``, a
+tuple of lowest-terms Fractions built only when it is read.
 
 A power series is a finite list of polynomial coefficients in a second,
 fully symbolic variable: ``coeffs[r]`` is a :class:`Polynomial` in ``x``
@@ -19,8 +24,8 @@ Everything here is an immutable value; operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     NonExactDivision,
@@ -51,6 +56,21 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _canonical(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Trim trailing zeros of num/den and divide out the content (den > 0)."""
+    while num and not num[-1]:
+        num.pop()
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return tuple(num), den
+
+
+def _as_fraction(value: Scalar) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 class Polynomial:
     """Dense univariate polynomial over exact rationals.
 
@@ -61,15 +81,23 @@ class Polynomial:
     3
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        # The identity check skips Fraction's costly re-validation on the
-        # hot path (arithmetic always feeds Fractions back in).
-        cleaned = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cleaned and not cleaned[-1]:
-            cleaned.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cleaned)
+        values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in values))
+        self._num, self._den = _canonical(
+            [c.numerator * (den // c.denominator) for c in values], den
+        )
+        self._coeffs: Optional[tuple[Fraction, ...]] = None
+
+    @classmethod
+    def _from_ints(cls, num: list[int], den: int) -> "Polynomial":
+        """The polynomial with integer numerators num over den > 0."""
+        p = object.__new__(cls)
+        p._num, p._den = _canonical(num, den)
+        p._coeffs = None
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -104,35 +132,39 @@ class Polynomial:
     # -- inspection ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Ascending coefficients as lowest-terms Fractions."""
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(c, den) for c in self._num)
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(len(self._num) - 1)
 
     @property
     def constant_term(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[0]
+        return self.coefficient(0)
 
     def coefficient(self, degree: int) -> Fraction:
         """Coefficient of t**degree (zero beyond the stored length)."""
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
+        if 0 <= degree < len(self._num):
+            return Fraction(self._num[degree], self._den)
         return Fraction(0)
 
     def text(self) -> str:
         """Comma-separated ascending coefficients; the CLI wire format."""
-        if not self.coeffs:
+        if not self._num:
             return "0"
         return ",".join(format_rational(c) for c in self.coeffs)
 
@@ -141,7 +173,7 @@ class Polynomial:
 
     def pretty(self, var: str = "t") -> str:
         """Human-oriented rendering, highest degree first."""
-        if not self.coeffs:
+        if not self._num:
             return "0"
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
@@ -162,49 +194,61 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self._num == other._num and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     # -- arithmetic ----------------------------------------------------
+
+    def _plus(self, num: Sequence[int], den: int) -> "Polynomial":
+        """self + num/den, over the least common denominator."""
+        a = self._num
+        g = gcd(self._den, den)
+        to_a, to_b = den // g, self._den // g
+        if to_a != 1:
+            a = [c * to_a for c in a]
+        if to_b != 1:
+            num = [c * to_b for c in num]
+        if len(a) < len(num):
+            a, num = num, a
+        out = [x + y for x, y in zip(a, num)]
+        out.extend(a[len(num):])
+        return Polynomial._from_ints(out, self._den * to_a)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return self._plus(other._num, other._den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial._from_ints([-c for c in self._num], self._den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return self._plus([-c for c in other._num], other._den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
+            a, b = self._num, other._num
+            if not a or not b:
                 return Polynomial.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            width = len(b)
+            out = [0] * (len(a) + width - 1)
+            for i, x in enumerate(a):
+                if x:
+                    out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
+            return Polynomial._from_ints(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
+            factor = other.numerator
+            return Polynomial._from_ints(
+                [c * factor for c in self._num], self._den * other.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -212,7 +256,7 @@ class Polynomial:
     def __truediv__(self, scalar: Scalar) -> "Polynomial":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return self * (Fraction(1) / Fraction(scalar))
+        return self * (1 / Fraction(scalar))
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -228,15 +272,16 @@ class Polynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quotient: list[Fraction] = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        divisor = other.coeffs
+        quotient: list[Fraction] = [Fraction(0)] * max(len(self._num) - len(divisor) + 1, 0)
         rem = list(self.coeffs)
-        dlead = other.leading_coefficient
+        dlead = divisor[-1]
         dd = other.degree
         while len(rem) - 1 >= dd and rem:
             shift = len(rem) - 1 - dd
             factor = rem[-1] / dlead
             quotient[shift] = factor
-            for i, c in enumerate(other.coeffs):
+            for i, c in enumerate(divisor):
                 rem[shift + i] -= factor * c
             while rem and rem[-1] == 0:
                 rem.pop()
@@ -260,49 +305,77 @@ class Polynomial:
     # -- evaluation and calculus ----------------------------------------
 
     def __call__(self, at: Scalar) -> Fraction:
-        """Exact Horner evaluation."""
-        value = Fraction(0)
-        for c in reversed(self.coeffs):
-            value = value * at + c
-        return value
+        """Exact Horner evaluation at p/q on integers, sum n_i p^i q^(deg-i)."""
+        num = self._num
+        if not num:
+            return Fraction(0)
+        at = _as_fraction(at)
+        p, q = at.numerator, at.denominator
+        value = num[-1]
+        if q == 1:
+            for c in num[-2::-1]:
+                value = value * p + c
+            return Fraction(value, self._den)
+        q_power = 1
+        for c in num[-2::-1]:
+            q_power *= q
+            value = value * p + c * q_power
+        return Fraction(value, self._den * q_power)
 
     def shift(self, step: Scalar) -> "Polynomial":
         """The polynomial q(t) = p(t + step), expanded exactly.
 
-        Binomial expansion, accumulated row by row:
-        q_j = sum_{i >= j} c_i * C(i, j) * step^(i-j).
+        With step = a/b, P(s) = b^deg * p(s/b) has integer coefficients
+        n_i * b^(deg-i); an integer Taylor shift gives R(s) = P(s + a), and
+        q(t) = R(b*t) / (d * b^deg).
         """
-        step = Fraction(step)
-        if not self.coeffs or step == 0:
+        step = _as_fraction(step)
+        if not self._num or not step:
             return self
-        top = len(self.coeffs) - 1
-        powers = [Fraction(1)]
-        for _ in range(top):
-            powers.append(powers[-1] * step)
-        out = [Fraction(0)] * (top + 1)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j in range(i + 1):
-                out[j] += c * comb(i, j) * powers[i - j]
-        return Polynomial(out)
+        a, b = step.numerator, step.denominator
+        top = len(self._num) - 1
+        c = list(self._num)
+        if b != 1:
+            power = 1
+            for i in range(top, -1, -1):
+                c[i] *= power
+                power *= b
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                c[j] += a * c[j + 1]
+        if b != 1:
+            power = 1
+            for j in range(top + 1):
+                c[j] *= power
+                power *= b
+        return Polynomial._from_ints(c, self._den * b**top)
 
     def scale_argument(self, factor: Scalar) -> "Polynomial":
         """The polynomial q(t) = p(factor * t)."""
-        f = Fraction(factor)
-        power = Fraction(1)
+        factor = _as_fraction(factor)
+        if not self._num:
+            return self
+        p, q = factor.numerator, factor.denominator
         out = []
-        for c in self.coeffs:
+        power = 1
+        for c in self._num:
             out.append(c * power)
-            power *= f
-        return Polynomial(out)
+            power *= p
+        top = len(out) - 1
+        power = 1
+        for i in range(top, -1, -1):
+            out[i] *= power
+            power *= q
+        return Polynomial._from_ints(out, self._den * q**top)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return Polynomial._from_ints([i * c for i, c in enumerate(self._num)][1:], self._den)
 
     def antiderivative(self) -> "Polynomial":
         """Antiderivative with zero constant term."""
-        return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        scale = lcm(*range(1, len(self._num) + 1))
+        out = [0] + [c * (scale // (i + 1)) for i, c in enumerate(self._num)]
+        return Polynomial._from_ints(out, self._den * scale)
 
 
 class PowerSeries:

@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
-from .errors import EndpointIsRoot
+from .errors import NonUnitConstantTerm
 from .exact import Polynomial, PowerSeries, Scalar
 
 
@@ -131,14 +131,19 @@ def coefficient_table(max_order: int) -> CoefficientTable:
 
 
 def _scalar_reciprocal(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Multiplicative inverse of a scalar series with constant term 1."""
-    assert coeffs[0] == 1
+    """Multiplicative inverse of a scalar series with constant term 1.
+
+    Each output coefficient is summed as one integer numerator over the lcm
+    of its terms' denominators, so every row builds a single Fraction.
+    """
+    if coeffs[0] != 1:
+        raise NonUnitConstantTerm(f"constant term is {coeffs[0]}, expected 1")
     out = [Fraction(1)]
     for n in range(1, len(coeffs)):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += coeffs[k] * out[n - k]
-        out.append(-acc)
+        nums = [coeffs[k].numerator * out[n - k].numerator for k in range(1, n + 1)]
+        dens = [coeffs[k].denominator * out[n - k].denominator for k in range(1, n + 1)]
+        den = lcm(*dens)
+        out.append(Fraction(-sum(a * (den // d) for a, d in zip(nums, dens)), den))
     return out
 
 
@@ -217,10 +222,6 @@ def special_value(family: CorrectionFamily, r: int, which: str) -> Fraction:
 # Real-root counting (Sturm chains over exact rationals)
 # ---------------------------------------------------------------------------
 
-#: How far an endpoint is nudged outward when the polynomial vanishes there.
-ENDPOINT_EPSILON = Fraction(1, 1024)
-
-
 def _squarefree_part(p: Polynomial) -> Polynomial:
     gcd = _poly_gcd(p, p.derivative())
     return p.divide_exactly(gcd)
@@ -253,24 +254,19 @@ def _sign_changes(chain: Sequence[Polynomial], at: Fraction) -> int:
 
 
 def count_real_roots(p: Polynomial, lo: Scalar, hi: Scalar) -> int:
-    """Count distinct real roots of p in (lo, hi), exactly.
+    """Count distinct real roots of p in the closed interval [lo, hi], exactly.
 
-    Uses the classical Sturm sign-change count on the squarefree part of p,
-    so multiple roots are counted once.  If p vanishes at an endpoint the
-    endpoint is moved outward by ENDPOINT_EPSILON; if it still vanishes,
-    EndpointIsRoot is raised rather than guessing.
+    Sturm's theorem on the squarefree part of p, so multiple roots are
+    counted once: with zero values skipped in the sign-change count V,
+    V(lo) - V(hi) is the number of distinct roots in (lo, hi], and a root
+    at lo adds one.
     """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
+        raise ValueError(f"interval [{lo}, {hi}] needs lo < hi")
     reduced = _squarefree_part(p)
-    if reduced(lo) == 0:
-        lo -= ENDPOINT_EPSILON
-    if reduced(hi) == 0:
-        hi += ENDPOINT_EPSILON
-    if reduced(lo) == 0 or reduced(hi) == 0:
-        raise EndpointIsRoot(f"root at interval endpoint even after nudging by {ENDPOINT_EPSILON}")
     chain = _sturm_chain(reduced)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    at_lo = 1 if reduced(lo) == 0 else 0
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi) + at_lo

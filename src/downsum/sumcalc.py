@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Sequence
 
 from .errors import InsufficientOrder, ZeroStep
 from .exact import Polynomial, Scalar
@@ -66,16 +67,16 @@ def indefinite_sum(f: Polynomial) -> Polynomial:
     forward-difference formula: S(n) = sum_m D^m f(0) * binom(n, m+1),
     with the differences read off a value table of f at 0..deg f.
     """
-    if f.is_zero:
-        return Polynomial.zero()
-    table = [f(Fraction(k)) for k in range(f.degree + 1)]
-    result = Polynomial.zero()
-    binomial = Polynomial.variable()  # binom(n, 1) = n
-    for m in range(f.degree + 1):
-        result = result + table[0] * binomial
-        # binom(n, m+2) = binom(n, m+1) * (n - (m+1)) / (m+2)
-        binomial = binomial * Polynomial((-(m + 1), 1)) / (m + 2)
+    table = [f(k) for k in range(f.degree + 1)]
+    differences = []  # D^m f(0) for m = 0..deg f
+    while table:
+        differences.append(table[0])
         table = [b - a for a, b in zip(table, table[1:])]
+    # Horner in the Newton basis: binom(n, m+1) = binom(n, m) * (n - m)/(m + 1).
+    result = Polynomial.zero()
+    for m in range(f.degree, -1, -1):
+        step = Polynomial((Fraction(-m, m + 1), Fraction(1, m + 1)))
+        result = (result + Polynomial.constant(differences[m])) * step
     return result
 
 
@@ -110,7 +111,56 @@ def _require_order(family: CorrectionFamily, needed: int) -> None:
 
 def _difference_span(d: Polynomial) -> Polynomial:
     """d(n) - d(0) as a polynomial in n."""
-    return d - Polynomial.constant(d(Fraction(0)))
+    return d - Polynomial.constant(d.constant_term)
+
+
+def _difference_spans(f: Polynomial, step: Scalar, count: int) -> list[Polynomial]:
+    """D^{r-1} f(n) - D^{r-1} f(0) for r = 1..count, D the step difference."""
+    spans = []
+    diff = f
+    for _ in range(count):
+        spans.append(_difference_span(diff))
+        diff = diff.shift(step) - diff
+    return spans
+
+
+def step_identity_reports(
+    f: Polynomial, grid: Sequence[Scalar], family: CorrectionFamily
+) -> list[tuple[SumIdentityReport, SumIdentityReport]]:
+    """Both step-x identity residuals at every x of the grid, in grid order.
+
+    Each entry is (scaled-difference report, unit-difference report); see
+    scaled_difference_residual and unit_difference_residual.  The two
+    identities share the gap indefinite_sum(f) - downsampled_sum(f, x) up
+    to sign, and the unit-step difference spans do not depend on x, so the
+    unit sum and those spans are built once per call and the downsampled
+    sum once per x.
+    """
+    steps = [Fraction(x) for x in grid]
+    if any(x == 0 for x in steps):
+        raise ZeroStep("step must be nonzero; use euler_maclaurin_residual for the limit")
+    terms = f.degree + 1
+    _require_order(family, terms)
+    unit_sum = indefinite_sum(f)
+    unit_spans = _difference_spans(f, 1, terms)
+    reports = []
+    for x in steps:
+        gap = unit_sum - downsampled_sum(f, x)
+        step_residual = gap
+        for r, span in enumerate(_difference_spans(f, x, terms), start=1):
+            weight = family.weights[r](x) / (factorial(r) * x ** (r - 1))
+            step_residual = step_residual - weight * span
+        unit_residual = -gap
+        for r, span in enumerate(unit_spans, start=1):
+            weight = family.unit_weights[r](x) / factorial(r)
+            unit_residual = unit_residual - weight * span
+        reports.append(
+            (
+                SumIdentityReport(step_residual, terms, x),
+                SumIdentityReport(unit_residual, terms, x),
+            )
+        )
+    return reports
 
 
 def scaled_difference_residual(
@@ -121,20 +171,7 @@ def scaled_difference_residual(
     LHS is the unit-step indefinite sum; RHS is the downsampled sum plus
     sum_{r=1}^{deg f + 1} w_r(x)/r! * (D_x^{r-1} f(n) - D_x^{r-1} f(0)) / x^{r-1}.
     """
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroStep("step must be nonzero; use euler_maclaurin_residual for the limit")
-    terms = f.degree + 1
-    _require_order(family, terms)
-    residual = indefinite_sum(f) - downsampled_sum(f, x)
-    diff = f  # D_x^{r-1} f, advanced incrementally
-    step_power = Fraction(1)  # x^(r-1)
-    for r in range(1, terms + 1):
-        weight = family.weights[r](x) / (factorial(r) * step_power)
-        residual = residual - weight * _difference_span(diff)
-        diff = diff.shift(x) - diff
-        step_power *= x
-    return SumIdentityReport(residual, terms, x)
+    return step_identity_reports(f, [x], family)[0][0]
 
 
 def unit_difference_residual(
@@ -145,18 +182,7 @@ def unit_difference_residual(
     x * sum_{k<n/x} f(kx) = sum_{k<n} f(k)
                             + sum_r u_r(x)/r! * (D^{r-1} f(n) - D^{r-1} f(0)).
     """
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroStep("step must be nonzero")
-    terms = f.degree + 1
-    _require_order(family, terms)
-    residual = downsampled_sum(f, x) - indefinite_sum(f)
-    diff = f  # D^{r-1} f with unit step, advanced incrementally
-    for r in range(1, terms + 1):
-        weight = family.unit_weights[r](x) / factorial(r)
-        residual = residual - weight * _difference_span(diff)
-        diff = diff.shift(1) - diff
-    return SumIdentityReport(residual, terms, x)
+    return step_identity_reports(f, [x], family)[0][1]
 
 
 def euler_maclaurin_residual(f: Polynomial) -> SumIdentityReport:
@@ -184,10 +210,8 @@ def gregory_residual(f: Polynomial) -> SumIdentityReport:
     terms = f.degree + 1
     gregory = classical_numbers(correction_family(max(terms, 1))).gregory
     residual = f.antiderivative() - indefinite_sum(f)
-    diff = f
-    for r in range(1, terms + 1):
-        residual = residual - gregory[r] * _difference_span(diff)
-        diff = diff.shift(1) - diff
+    for r, span in enumerate(_difference_spans(f, 1, terms), start=1):
+        residual = residual - gregory[r] * span
     return SumIdentityReport(residual, terms, Fraction(1))
 
 
@@ -203,11 +227,8 @@ def alternating_residual(f: Polynomial) -> SumIdentityReport:
     terms = f.degree + 1
     paired = f.scale_argument(2) - f.shift(1).scale_argument(2)
     residual = indefinite_sum(paired)
-    diff = f
-    for r in range(0, terms + 1):
-        span_at_2m = _difference_span(diff).scale_argument(2)
-        residual = residual - Fraction((-1) ** (r + 1), 2 ** (r + 1)) * span_at_2m
-        diff = diff.shift(1) - diff
+    for r, span in enumerate(_difference_spans(f, 1, terms + 1)):
+        residual = residual - Fraction((-1) ** (r + 1), 2 ** (r + 1)) * span.scale_argument(2)
     return SumIdentityReport(residual, terms, Fraction(2))
 
 

@@ -50,8 +50,8 @@ def load_series(path: str, column: int, has_header: bool = False) -> TimeSeries:
     """Read one column of a CSV file as a float time series.
 
     Rows and columns are 0-based; row numbers in errors count physical file
-    rows, header included.  Short rows and unparseable fields raise
-    ParseError with the offending location; an empty result raises
+    rows, header included.  Short rows and unparseable or non-finite fields
+    raise ParseError with the offending location; an empty result raises
     EmptySeries.  I/O problems propagate as OSError.
     """
     values: list[float] = []
@@ -65,17 +65,36 @@ def load_series(path: str, column: int, has_header: bool = False) -> TimeSeries:
                 raise ParseError(
                     f"row has only {len(row)} fields", row=row_index, column=column
                 )
-            text = row[column].strip()
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ParseError(
-                    f"not a number: {text!r}", row=row_index, column=column
-                ) from None
+            values.append(_parse_sample(row[column].strip(), row_index, column))
     if not values:
         raise EmptySeries(f"no data rows in {path}")
     name = os.path.splitext(os.path.basename(path))[0]
     return TimeSeries(tuple(values), name)
+
+
+def load_terms(path: str) -> list[float]:
+    """Read series terms separated by whitespace or commas.
+
+    A field that is not a finite number raises ParseError with its 0-based
+    line and field; I/O problems propagate as OSError.
+    """
+    terms: list[float] = []
+    with open(path) as handle:
+        for row_index, line in enumerate(handle):
+            for column, text in enumerate(line.replace(",", " ").split()):
+                terms.append(_parse_sample(text, row_index, column))
+    return terms
+
+
+def _parse_sample(text: str, row: int, column: int) -> float:
+    """A finite float, or ParseError naming the location of text."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"not a number: {text!r}", row=row, column=column) from None
+    if not math.isfinite(value):
+        raise ParseError(f"not a finite number: {text!r}", row=row, column=column)
+    return value
 
 
 def forward_difference(s: TimeSeries, t: int, step: int, order: int) -> float:
@@ -202,12 +221,17 @@ def euler_transform(terms: Sequence[float], order: int) -> float:
         raise InsufficientTerms(
             f"order {order} needs {order + 1} terms, got {len(terms)}"
         )
-    diffs = [float(t) for t in terms]
+    # row holds D^r terms / 2^r.  Scaling each row as it is differenced keeps
+    # it in the float range: D^r of rounded terms grows like 2^r, and
+    # 2.0 ** (r + 1) itself overflows past r = 1022.  Halving is exact.
+    row = [float(t) for t in terms]
     total = 0.0
     for r in range(order + 1):
-        contribution = diffs[0] / 2.0 ** (r + 1)
+        contribution = row[0] * 0.5
         total += contribution if r % 2 == 0 else -contribution
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        row = [(b - a) * 0.5 for a, b in zip(row, row[1:])]
+    if not math.isfinite(total):
+        raise OverflowError(f"Euler transform of order {order} left the float range")
     return total
 
 

@@ -4,11 +4,14 @@ Everything goes through cli.main(argv) so exit codes and output can be
 asserted without spawning subprocesses.
 """
 
+import contextlib
 import csv
 import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downsum.cli import main
 
@@ -219,6 +222,22 @@ class TestDownsample:
         assert code == 2
         assert "NonDivisibleWindow" in err
 
+    def test_non_finite_sample(self, capsys, tmp_path):
+        source = tmp_path / "bump.csv"
+        target = tmp_path / "errs.csv"
+        write_bump_csv(source)
+        with source.open("a") as handle:
+            handle.write("121,nan\n")
+        code, _, err = run(
+            capsys,
+            "downsample", "--input", str(source), "--col", "1",
+            "--window", "60", "--factors", "2", "--max-order", "1",
+            "--output", str(target),
+        )
+        assert code == 2
+        assert "ParseError" in err and "row 121" in err
+        assert not target.exists()
+
 
 class TestAccelerate:
     def test_ln2(self, capsys):
@@ -239,6 +258,29 @@ class TestAccelerate:
         )
         assert code == 0
         assert abs(float(out) - math.log(2.0)) < 1e-6
+
+    def test_ln2_past_float_exponent_range(self, capsys):
+        code, out, err = run(capsys, "accelerate", "--target", "ln2", "--order", "1100")
+        assert (code, err) == (0, "")
+        assert abs(float(out) - math.log(2.0)) < 1e-10
+
+    def test_terms_file_non_finite(self, capsys, tmp_path):
+        path = tmp_path / "terms.txt"
+        path.write_text("1, 0.5\n0.25 inf\n")
+        code, out, err = run(
+            capsys, "accelerate", "--terms-file", str(path), "--order", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "ParseError" in err and "row 1, column 1" in err
+
+    def test_overflow_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "terms.txt"
+        path.write_text("1e308 -1e308 1e308\n")
+        code, out, err = run(
+            capsys, "accelerate", "--terms-file", str(path), "--order", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "OverflowError" in err
 
     def test_mutually_exclusive(self, capsys, tmp_path):
         path = tmp_path / "terms.txt"
@@ -286,3 +328,96 @@ class TestParsing:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "coeffs" in out and "accelerate" in out
+
+
+# Bounded argument vectors: every subcommand with in-range, out-of-range and
+# malformed values, plus stray flags and tokens, so that the runs stay short.
+RATIONAL_TEXT = st.sampled_from(
+    ["0", "1", "-1", "2", "1/2", "-3/4", "7/3", "2/4", "1/0", "x", "nan", "inf", ""]
+)
+SMALL_INT_TEXT = st.integers(-3, 12).map(str) | st.sampled_from(["", "1.5", "ten"])
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), values).map(list)
+
+
+def _argv(command, *options):
+    return st.tuples(*options).map(
+        lambda chosen: [command] + [token for option in chosen for token in option]
+    )
+
+
+def _optional(name, values):
+    return st.just([]) | _flag(name, values)
+
+
+COEFFS_ARGV = _argv(
+    "coeffs",
+    _flag("--max-order", SMALL_INT_TEXT),
+    st.sampled_from([[], ["--star"]]),
+    _optional("--eval", RATIONAL_TEXT),
+    _optional("--format", st.sampled_from(["table", "csv", "json"])),
+)
+VERIFY_ARGV = _argv(
+    "verify",
+    _flag("--degree", st.integers(-1, 5).map(str)),
+    _flag("--trials", st.integers(0, 2).map(str)),
+    _flag("--seed", st.integers(0, 99).map(str)),
+    _optional("--x-grid", st.lists(RATIONAL_TEXT, min_size=1, max_size=4).map(",".join)),
+    st.sampled_from([[], ["--classical"]]),
+)
+SUM_ARGV = _argv(
+    "sum",
+    _flag("--poly", st.lists(RATIONAL_TEXT, min_size=1, max_size=6).map(",".join)),
+    _flag("--n", RATIONAL_TEXT),
+    _optional("--downsample-x", RATIONAL_TEXT),
+)
+ACCELERATE_ARGV = _argv(
+    "accelerate",
+    _optional("--target", st.sampled_from(["gamma", "ln2", "pi"])),
+    _optional("--terms", st.integers(-2, 60).map(str)),
+    _optional("--order", st.integers(-2, 60).map(str)),
+)
+DOWNSAMPLE_ARGV = _argv(
+    "downsample",
+    _flag("--col", st.integers(0, 2).map(str)),
+    st.sampled_from([[], ["--header"]]),
+    _flag("--window", st.integers(0, 80).map(str)),
+    _flag("--factors", st.lists(st.integers(0, 9).map(str), min_size=1, max_size=3).map(",".join)),
+    _flag("--max-order", st.integers(-1, 6).map(str)),
+    _optional("--t0", st.integers(-5, 70).map(str)),
+)
+STRAY = st.lists(st.sampled_from(["--bogus", "-h", "--star", "7", "--seed", "--"]), max_size=2)
+
+
+@pytest.fixture(scope="module")
+def bump_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    source = folder / "bump.csv"
+    write_bump_csv(source)
+    return str(source), str(folder / "out.csv")
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvProperties:
+    @given(
+        argv=st.one_of(COEFFS_ARGV, VERIFY_ARGV, SUM_ARGV, ACCELERATE_ARGV, DOWNSAMPLE_ARGV),
+        stray=STRAY,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exit_codes_and_determinism(self, bump_paths, argv, stray):
+        source, target = bump_paths
+        if argv[0] == "downsample":
+            argv = argv + ["--input", source, "--output", target]
+        argv = argv + stray
+        first = _run_in_process(argv)
+        assert first[0] in (0, 1, 2)
+        assert "Traceback" not in first[2]
+        assert _run_in_process(argv) == first

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +211,121 @@ class TestPolynomialAlgebra:
         assert p * Fr(1, 2) == P([Fr(1, 2), 1])
         assert p / 2 == P([Fr(1, 2), 1])
         assert -p == P([-1, -2])
+
+
+# A plain list-of-Fraction polynomial, ascending and trimmed: the oracle the
+# integer-numerator core is checked against.
+
+
+def _trim(coeffs):
+    coeffs = [Fr(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _ref_add(a, b):
+    width = max(len(a), len(b))
+    a, b = a + [Fr(0)] * (width - len(a)), b + [Fr(0)] * (width - len(b))
+    return _trim(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [Fr(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_eval(a, at):
+    return sum((c * at**i for i, c in enumerate(a)), Fr(0))
+
+
+def _ref_shift(a, step):
+    out = [Fr(0)] * len(a)
+    for i, c in enumerate(a):
+        for j in range(i + 1):
+            out[j] += c * comb(i, j) * step ** (i - j)
+    return _trim(out)
+
+
+def _ref_scale_argument(a, factor):
+    return _trim(c * factor**i for i, c in enumerate(a))
+
+
+def coefficient_lists(max_degree=7):
+    # Wider denominators than poly_strategy, so common denominators and
+    # content gcds are exercised; trailing zeros are left in on purpose.
+    rationals = st.builds(Fr, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+    return st.lists(rationals | st.just(Fr(0)), max_size=max_degree + 1)
+
+
+WIDE_RATIONAL = st.builds(Fr, st.integers(-1000, 1000), st.integers(1, 1000))
+
+
+class TestAgainstFractionOracle:
+    @given(coefficient_lists(), coefficient_lists())
+    def test_ring_operations(self, a, b):
+        p, q = P(a), P(b)
+        a, b = _trim(a), _trim(b)
+        assert list((p + q).coeffs) == _ref_add(a, b)
+        assert list((p - q).coeffs) == _ref_add(a, [-c for c in b])
+        assert list((p * q).coeffs) == _ref_mul(a, b)
+        assert list((-p).coeffs) == [-c for c in a]
+
+    @given(coefficient_lists(), WIDE_RATIONAL)
+    def test_scalar_operations(self, a, s):
+        p, a = P(a), _trim(a)
+        assert list((p * s).coeffs) == _trim(c * s for c in a)
+        assert list((s * p).coeffs) == _trim(c * s for c in a)
+        assert list((p * int(s)).coeffs) == _trim(c * int(s) for c in a)
+        if s:
+            assert list((p / s).coeffs) == [c / s for c in a]
+
+    @given(coefficient_lists(), WIDE_RATIONAL)
+    def test_shift_scale_and_evaluation(self, a, s):
+        p, a = P(a), _trim(a)
+        assert list(p.shift(s).coeffs) == _ref_shift(a, s)
+        assert list(p.scale_argument(s).coeffs) == _ref_scale_argument(a, s)
+        assert p(s) == _ref_eval(a, s)
+        assert p(int(s)) == _ref_eval(a, int(s))
+
+    @given(coefficient_lists())
+    def test_calculus(self, a):
+        p, a = P(a), _trim(a)
+        assert list(p.derivative().coeffs) == _trim(i * c for i, c in enumerate(a))[1:]
+        assert list(p.antiderivative().coeffs) == _trim([0] + [c / (i + 1) for i, c in enumerate(a)])
+
+    @given(coefficient_lists(), coefficient_lists(max_degree=4))
+    def test_divmod(self, a, b):
+        b = _trim(b)
+        if not b:
+            return
+        quotient, remainder = divmod(P(a), P(b))
+        q, r = list(quotient.coeffs), list(remainder.coeffs)
+        assert _ref_add(_ref_mul(q, b), r) == _trim(a)
+        assert len(r) < len(b)
+
+    @given(coefficient_lists())
+    def test_coeffs_in_lowest_terms(self, a):
+        p = P(a)
+        assert list(p.coeffs) == _trim(a)
+        for c in p.coeffs:
+            assert type(c) is Fr
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        assert p.degree == len(p.coeffs) - 1
+        assert p.leading_coefficient == (p.coeffs[-1] if p.coeffs else 0)
+        assert p.constant_term == (p.coeffs[0] if p.coeffs else 0)
+
+    @given(coefficient_lists(max_degree=3), coefficient_lists(max_degree=3), WIDE_RATIONAL)
+    def test_equality_agrees_with_hash(self, a, b, s):
+        # Equal values built along different routes share one representation.
+        for p, q in ((P(a), P(b)), (P(a) * s * 2 / 2, P(a) * s), (P(a) + P(b) - P(b), P(a))):
+            assert (p == q) == (_trim(p.coeffs) == _trim(q.coeffs))
+            if p == q:
+                assert hash(p) == hash(q)
+        assert hash(P(a)) == hash(tuple(_trim(a)))
 
 
 def _random_series(rng, order, unit_constant=False, zero_constant=False):

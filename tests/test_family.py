@@ -13,7 +13,7 @@ import pytest
 
 from downsum import (
     CorrectionFamily,
-    EndpointIsRoot,
+    NonUnitConstantTerm,
     Polynomial,
     classical_numbers,
     coefficient_table,
@@ -25,6 +25,7 @@ from downsum import (
     unit_weight_recurrence_residual,
     weight_recurrence_residual,
 )
+from downsum.family import _scalar_reciprocal
 
 P = Polynomial
 
@@ -165,6 +166,11 @@ class TestClassicalNumbers:
         with pytest.raises(ValueError):
             coefficient_table(-1)
 
+    def test_scalar_reciprocal_needs_unit_constant_term(self):
+        assert _scalar_reciprocal([Fr(1), Fr(1)]) == [Fr(1), Fr(-1)]
+        with pytest.raises(NonUnitConstantTerm):
+            _scalar_reciprocal([Fr(2), Fr(1)])
+
 
 class TestFactorialPolynomials:
     def test_falling_factorial(self):
@@ -285,15 +291,16 @@ class TestRootCounting:
         assert count_real_roots(family20.weights[2], Fr(-9, 8), Fr(9, 8)) == 2
 
     def test_endpoint_root_nudged(self):
-        # Roots exactly at the endpoints are captured by the outward nudge.
+        # The interval is closed: roots exactly at the endpoints count.
         p = P([-1, 0, 1])
         assert count_real_roots(p, Fr(-1), Fr(1)) == 2
 
-    def test_endpoint_root_unresolvable(self):
-        nudge = Fr(1, 1024)
-        p = P([-1, 1]) * P([-(1 + nudge), 1])  # roots at 1 and 1 + nudge
-        with pytest.raises(EndpointIsRoot):
-            count_real_roots(p, Fr(0), Fr(1))
+    def test_root_just_past_endpoint(self):
+        p = P([-1, 1]) * P([-(1 + Fr(1, 2048)), 1])  # roots at 1 and 1 + 1/2048
+        assert count_real_roots(p, Fr(0), Fr(1)) == 1
+        assert count_real_roots(p, Fr(1), Fr(2)) == 2
+        assert count_real_roots(p, 1 + Fr(1, 2048), Fr(2)) == 1
+        assert count_real_roots(p, Fr(-1), Fr(1, 2)) == 0
 
     def test_multiple_roots_counted_once(self):
         p = P([Fr(-1, 2), 1]) ** 2 * P([2, 1])

@@ -67,6 +67,14 @@ class TestLoadSeries:
         assert excinfo.value.column == 1
         assert "row 1" in str(excinfo.value)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_field_rejected(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(f"0,1.5\n1,{text}\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_series(str(path), 1)
+        assert (excinfo.value.row, excinfo.value.column) == (1, 1)
+
     def test_short_row(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("0,1.5\n1\n")
@@ -231,6 +239,16 @@ class TestEulerTransform:
     def test_insufficient_terms(self):
         with pytest.raises(InsufficientTerms):
             euler_transform([1.0, 0.5], 2)
+
+    def test_order_past_float_exponent_range(self):
+        # Past order 1022 neither 2.0 ** (order + 1) nor the unscaled
+        # differences of the rounded terms fit in a float.
+        terms = [1.0 / (k + 1) for k in range(1101)]
+        assert abs(euler_transform(terms, 1100) - LN2) < 1e-10
+
+    def test_overflowing_differences_raise(self):
+        with pytest.raises(OverflowError):
+            euler_transform([1e308, -1e308, 1e308], 2)
 
     def test_geometric_convergence(self):
         terms = [1.0 / (k + 1) for k in range(25)]
