@@ -16,7 +16,9 @@ tuple of lowest-terms Fractions built only when it is read.
 A power series is a finite list of polynomial coefficients in a second,
 fully symbolic variable: ``coeffs[r]`` is a :class:`Polynomial` in ``x``
 multiplying ``z**r``, truncated at an explicit order.  Mixing truncation
-orders is an error, never a silent truncation.
+orders is an error, never a silent truncation.  :mod:`downsum.family` builds
+the weights from a closed form instead; power series remain the independent
+route that expands the generating function term by term.
 
 Everything here is an immutable value; operations are pure.
 """

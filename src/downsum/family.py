@@ -12,15 +12,18 @@ coefficients at x = 0 via G_r = u_r(0)/r!.  The u_r are the weights that
 multiply unit-step differences when a coarse step-x sum is corrected against
 a fine unit-step sum.
 
-Generation is pure series algebra over exact rationals:
+Every coefficient of w_r is a Bernoulli number times a sum of Gregory
+numbers and signed Stirling numbers of the first kind s(n, k):
 
-    L(z) = log(1 + x*z)/x  truncated at order R+1   (coefficients in x)
-    E(z) = exp(L(z))       = (1 + x*z)**(1/x)
-    D(z) = (E(z) - 1)/z    constant term 1
-    sum_r w_r(x) z^r / r!  = 1/D(z)
+    [x^m] w_r  =  B_{r-m} * sum_{j<=m} (r)_j * G_j * s(r-j, r-m)
 
-so w_r = r! * [z^r] reciprocal(D), and u_r is the coefficient reversal of
-w_r padded to degree r.
+so the family and the classical constants are all read off one set of
+integer rows: the Stirling rows, the Bernoulli numerators b_n = B_n * D with
+D = 2 * (product of the primes p <= R+1), which is an integer by von
+Staudt-Clausen, and the Gregory numerators g_n = sum_k s(n,k) * L/(k+1)
+with L = lcm(1..R+1), so that G_n = g_n / (n! * L).  Since
+(r)_j * G_j = C(r,j) * g_j / L, every w_r has integer numerators over the
+single denominator L * D.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from typing import Sequence
+from math import comb, factorial, isqrt, lcm, prod
+from operator import mul
+from typing import Iterator, Sequence
 
-from .errors import NonUnitConstantTerm
-from .exact import Polynomial, PowerSeries, Scalar
+from .exact import Polynomial, Scalar
 
 
 @dataclass(frozen=True)
@@ -66,38 +69,78 @@ class CoefficientTable:
         return len(self.bernoulli) - 1
 
 
-def _reverse_to_degree(p: Polynomial, degree: int) -> Polynomial:
-    """Coefficient reversal of p padded to the given degree.
+def _stirling_rows(max_order: int) -> Iterator[list[int]]:
+    """Rows s(n, 0..n) of signed Stirling numbers of the first kind, n = 0..R.
 
-    Realizes x**degree * p(1/x); trailing zeros of the result are trimmed
-    by the Polynomial constructor, so the reversal of an odd-order weight
-    drops a degree (its own leading coefficient sits at x**0... of p).
+    s(n+1, k) = s(n, k-1) - n * s(n, k); only one row is alive at a time.
     """
-    padded = list(p.coeffs) + [Fraction(0)] * (degree + 1 - len(p.coeffs))
-    return Polynomial(reversed(padded))
+    row = [1]
+    yield row
+    for n in range(max_order):
+        row = [a - n * b for a, b in zip([0] + row, row + [0])]
+        yield row
+
+
+def _bernoulli_denominator(max_order: int) -> int:
+    """D = 2 * (product of the primes p <= R+1); D * B_n is an integer for n <= R."""
+    primes = (
+        p for p in range(2, max_order + 2) if all(p % q for q in range(2, isqrt(p) + 1))
+    )
+    return 2 * prod(primes)
+
+
+def _bernoulli_numerators(max_order: int, den: int) -> list[int]:
+    """b_n = B_n * den for n <= R, from sum_{k<=n} C(n+1, k) * B_k = 0.
+
+    den must make every b_n an integer; B_n = 0 for odd n >= 3 is skipped.
+    """
+    b = [den]
+    for n in range(1, max_order + 1):
+        if n % 2 and n > 1:
+            b.append(0)
+            continue
+        acc = sum(comb(n + 1, k) * b[k] for k in range(n) if b[k])
+        b.append(-acc // (n + 1))
+    return b
+
+
+def _stirling_gregory_rows(max_order: int, scale: int) -> Iterator[tuple[list[int], int]]:
+    """(s(n, 0..n), g_n) for n = 0..R, with g_n = sum_k s(n, k) * scale/(k+1).
+
+    scale must be divisible by 1..R+1; then G_n = g_n / (n! * scale).
+    """
+    quotients = [scale // (k + 1) for k in range(max_order + 1)]
+    for row in _stirling_rows(max_order):
+        yield row, sum(map(mul, row, quotients))
 
 
 @lru_cache(maxsize=None)
 def correction_family(max_order: int) -> CorrectionFamily:
     """Generate weights w_0..w_R and reversals u_0..u_R, exactly.
 
-    The log series is written down directly (log(1+x*z)/x has the z^m
-    coefficient (-1)^(m+1) * x^(m-1) / m), exponentiated, shifted down one
-    power of z, and inverted.
+    The x^m numerator of w_r is b_{r-m} * sum_{j<=m} C(r,j) * g_j * s(r-j, r-m)
+    over the common denominator L * D (see the module docstring); u_r has
+    the same numerators in reverse order.  The coefficient vanishes wherever
+    r-m is odd and at least 3, with B_{r-m}.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    log_coeffs = [Polynomial.zero()]
-    for m in range(1, max_order + 2):
-        sign = 1 if m % 2 == 1 else -1
-        log_coeffs.append(Polynomial.monomial(m - 1, Fraction(sign, m)))
-    exponential = PowerSeries(log_coeffs).exp()
-    # (E(z) - 1)/z : drop the constant 1 and shift every power down by one.
-    denominator = PowerSeries(exponential.coeffs[1:])
-    inverse = denominator.reciprocal()
-    weights = tuple(factorial(r) * inverse.coeffs[r] for r in range(max_order + 1))
-    unit_weights = tuple(_reverse_to_degree(w, r) for r, w in enumerate(weights))
-    return CorrectionFamily(max_order, weights, unit_weights)
+    scale = lcm(*range(1, max_order + 2))
+    den = _bernoulli_denominator(max_order)
+    b = _bernoulli_numerators(max_order, den)
+    stirling, g = zip(*_stirling_gregory_rows(max_order, scale))
+    weights, unit_weights = [], []
+    for r in range(max_order + 1):
+        weighted_g = [comb(r, j) * g[j] for j in range(r + 1)]
+        num = [
+            b[r - m] * sum(weighted_g[j] * stirling[r - j][r - m] for j in range(m + 1))
+            if b[r - m] else 0
+            for m in range(r + 1)
+        ]
+        # Reverse before _from_ints, which trims num in place.
+        unit_weights.append(Polynomial._from_ints(num[::-1], scale * den))
+        weights.append(Polynomial._from_ints(num, scale * den))
+    return CorrectionFamily(max_order, tuple(weights), tuple(unit_weights))
 
 
 def classical_numbers(family: CorrectionFamily) -> CoefficientTable:
@@ -110,41 +153,23 @@ def classical_numbers(family: CorrectionFamily) -> CoefficientTable:
 
 
 def coefficient_table(max_order: int) -> CoefficientTable:
-    """Bernoulli and Gregory numbers by direct scalar series inversion.
+    """Bernoulli and Gregory numbers B_0..B_R and G_0..G_R, without the family.
 
-    This is the cheap route when only the numbers are needed (the full
-    polynomial family costs O(R^4) rational operations, prohibitive at the
-    R = 200 scale the Euler-Mascheroni series wants).  B_r/r! are the
-    coefficients of the reciprocal of (e^z - 1)/z, and G_r those of the
-    reciprocal of log(1+z)/z.  Cross-checked against the family route in
-    the test suite.
+    The same integer rows as :func:`correction_family`, with B_n = b_n/D and
+    G_n = g_n/(n! * L).  The Stirling rows are streamed, so memory stays at
+    one row rather than the whole triangle (about 24k big ints at R = 220).
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    exp_based = [Fraction(1, factorial(m + 1)) for m in range(max_order + 1)]
-    log_based = [Fraction((-1) ** m, m + 1) for m in range(max_order + 1)]
-    bernoulli = tuple(
-        factorial(r) * c for r, c in enumerate(_scalar_reciprocal(exp_based))
-    )
-    gregory = tuple(_scalar_reciprocal(log_based))
-    return CoefficientTable(bernoulli, gregory)
-
-
-def _scalar_reciprocal(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Multiplicative inverse of a scalar series with constant term 1.
-
-    Each output coefficient is summed as one integer numerator over the lcm
-    of its terms' denominators, so every row builds a single Fraction.
-    """
-    if coeffs[0] != 1:
-        raise NonUnitConstantTerm(f"constant term is {coeffs[0]}, expected 1")
-    out = [Fraction(1)]
-    for n in range(1, len(coeffs)):
-        nums = [coeffs[k].numerator * out[n - k].numerator for k in range(1, n + 1)]
-        dens = [coeffs[k].denominator * out[n - k].denominator for k in range(1, n + 1)]
-        den = lcm(*dens)
-        out.append(Fraction(-sum(a * (den // d) for a, d in zip(nums, dens)), den))
-    return out
+    scale = lcm(*range(1, max_order + 2))
+    den = _bernoulli_denominator(max_order)
+    bernoulli = tuple(Fraction(b, den) for b in _bernoulli_numerators(max_order, den))
+    gregory = []
+    n_factorial = 1
+    for n, (_, g) in enumerate(_stirling_gregory_rows(max_order, scale)):
+        n_factorial *= n or 1
+        gregory.append(Fraction(g, n_factorial * scale))
+    return CoefficientTable(bernoulli, tuple(gregory))
 
 
 def falling_factorial(m: int) -> Polynomial:

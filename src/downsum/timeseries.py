@@ -50,10 +50,12 @@ def load_series(path: str, column: int, has_header: bool = False) -> TimeSeries:
     """Read one column of a CSV file as a float time series.
 
     Rows and columns are 0-based; row numbers in errors count physical file
-    rows, header included.  Short rows and unparseable or non-finite fields
-    raise ParseError with the offending location; an empty result raises
-    EmptySeries.  I/O problems propagate as OSError.
+    rows, header included.  A negative column, short rows and unparseable or
+    non-finite fields raise ParseError with the offending location; an empty
+    result raises EmptySeries.  I/O problems propagate as OSError.
     """
+    if column < 0:
+        raise ParseError("column index must be >= 0", row=0, column=column)
     values: list[float] = []
     with open(path, newline="") as handle:
         for row_index, row in enumerate(csv.reader(handle)):
@@ -121,8 +123,18 @@ def forward_difference(s: TimeSeries, t: int, step: int, order: int) -> float:
     return total
 
 
+def _finite(value: float, what: str) -> float:
+    """value, or OverflowError when it left the float range (inf or nan)."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} is not finite: {value}")
+    return value
+
+
 def windowed_sum(s: TimeSeries, t0: int, n: int, x: int) -> float:
-    """x * sum_{k=0}^{n/x-1} s[t0 + k*x] — the coarse surrogate for the window sum."""
+    """x * sum_{k=0}^{n/x-1} s[t0 + k*x] — the coarse surrogate for the window sum.
+
+    A sum that leaves the float range raises OverflowError.
+    """
     if x < 1:
         raise ValueError("downsampling factor must be a positive integer")
     if n % x != 0:
@@ -132,7 +144,7 @@ def windowed_sum(s: TimeSeries, t0: int, n: int, x: int) -> float:
     total = 0.0
     for k in range(n // x):
         total += s[t0 + k * x]
-    return x * total
+    return _finite(x * total, f"window sum at t0={t0}, n={n}, x={x}")
 
 
 def corrected_sum(
@@ -143,7 +155,8 @@ def corrected_sum(
     Each term is w_r(x)/r! * (D_x^{r-1} s at t0+n minus at t0) / x^{r-1};
     the exact rational weight is converted to float once per term.  Trailing
     differences need samples beyond the window (up to t0+n+(order-1)*x) and
-    their absence is an error, never an extrapolation.
+    their absence is an error, never an extrapolation.  A corrected sum that
+    leaves the float range raises OverflowError.
     """
     base = windowed_sum(s, t0, n, x)
     if order == 0:
@@ -165,7 +178,7 @@ def corrected_sum(
         weight = float(family.weights[r](Fraction(x)) / factorial(r) / Fraction(x) ** (r - 1))
         span = forward_difference(s, t0 + n, x, r - 1) - forward_difference(s, t0, x, r - 1)
         total += weight * span
-    return total
+    return _finite(total, f"order-{order} corrected sum at t0={t0}, n={n}, x={x}")
 
 
 @dataclass(frozen=True)
@@ -201,7 +214,10 @@ def error_report(
     baseline: dict[int, float] = {}
     for x in sorted(set(xs)):
         for order in range(max_correction + 1):
-            err = abs(truth - corrected_sum(s, t0, n, x, order, family))
+            err = _finite(
+                abs(truth - corrected_sum(s, t0, n, x, order, family)),
+                f"error at x={x}, R={order}",
+            )
             rows.append((x, order, err))
             if order == 0:
                 baseline[x] = err

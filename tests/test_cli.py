@@ -238,6 +238,34 @@ class TestDownsample:
         assert "ParseError" in err and "row 121" in err
         assert not target.exists()
 
+    def test_overflowing_samples(self, capsys, tmp_path):
+        source = tmp_path / "huge.csv"
+        target = tmp_path / "errs.csv"
+        source.write_text("1e308\n" * 10)
+        code, out, err = run(
+            capsys,
+            "downsample", "--input", str(source), "--col", "0",
+            "--window", "4", "--factors", "2", "--max-order", "1",
+            "--output", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert "OverflowError" in err and "Traceback" not in err
+        assert not target.exists()
+
+    def test_negative_column(self, capsys, tmp_path):
+        source = tmp_path / "bump.csv"
+        target = tmp_path / "errs.csv"
+        write_bump_csv(source)
+        code, out, err = run(
+            capsys,
+            "downsample", "--input", str(source), "--col", "-1",
+            "--window", "60", "--factors", "2", "--max-order", "1",
+            "--output", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert "ParseError" in err and "column -1" in err
+        assert not target.exists()
+
 
 class TestAccelerate:
     def test_ln2(self, capsys):

@@ -1,9 +1,10 @@
 """Tests for the weight family: generation, structure, constants, roots.
 
-The hardcoded expectations below are the independent oracles: the first
-seven weights written out longhand, the Bernoulli recurrence, and the
-series expansion of z/log(1+z), none of which share code with the
-generating-function pipeline under test.
+The library builds the family and the constants from one closed form over
+integer Bernoulli, Gregory and Stirling rows.  The oracles below share no
+code with it: the first seven weights written out longhand, the Bernoulli
+recurrence, the series expansion of z/log(1+z), and the generating function
+itself expanded as power series (log, then exp, then reciprocal).
 """
 
 from fractions import Fraction as Fr
@@ -13,8 +14,8 @@ import pytest
 
 from downsum import (
     CorrectionFamily,
-    NonUnitConstantTerm,
     Polynomial,
+    PowerSeries,
     classical_numbers,
     coefficient_table,
     correction_family,
@@ -25,7 +26,6 @@ from downsum import (
     unit_weight_recurrence_residual,
     weight_recurrence_residual,
 )
-from downsum.family import _scalar_reciprocal
 
 P = Polynomial
 
@@ -66,6 +66,26 @@ def gregory_by_expansion(count):
     return values
 
 
+def family_by_series(max_order):
+    """w_0..w_R and their reversals u_0..u_R from the generating function.
+
+    log(1+x*z)/x has the z^m coefficient (-1)^(m+1) * x^(m-1) / m; its
+    exponential is (1+x*z)^(1/x), which shifted down one power of z and
+    inverted gives sum_r w_r z^r / r!.  u_r is w_r reversed at degree r.
+    """
+    log_coeffs = [P()] + [
+        P.monomial(m - 1, Fr((-1) ** (m + 1), m)) for m in range(1, max_order + 2)
+    ]
+    exponential = PowerSeries(log_coeffs).exp()
+    inverse = PowerSeries(exponential.coeffs[1:]).reciprocal()
+    weights = [factorial(r) * inverse.coeffs[r] for r in range(max_order + 1)]
+    unit_weights = []
+    for r, w in enumerate(weights):
+        padded = list(w.coeffs) + [Fr(0)] * (r + 1 - len(w.coeffs))
+        unit_weights.append(P(reversed(padded)))
+    return weights, unit_weights
+
+
 class TestGeneration:
     def test_first_six_weights(self, family20):
         for r, expected in enumerate(KNOWN_WEIGHTS):
@@ -88,6 +108,21 @@ class TestGeneration:
         assert w6.constant_term == bernoulli_by_recurrence(6)[6] == Fr(1, 42)
         assert w6(Fr(2)) == Fr((-1) ** 6 * factorial(12), (1 - 12) * factorial(6) * 2 ** 7)
         assert w6.leading_coefficient == factorial(6) * gregory_by_expansion(6)[6]
+
+    def test_matches_series_expansion(self):
+        weights, unit_weights = family_by_series(30)
+        for max_order in range(31):
+            family = correction_family(max_order)
+            assert list(family.weights) == weights[: max_order + 1], max_order
+            assert list(family.unit_weights) == unit_weights[: max_order + 1], max_order
+
+    def test_odd_bernoulli_zeros(self):
+        # [x^m] F_r carries the factor B_{r-m}, which is 0 for odd r-m >= 3.
+        family = correction_family(40)
+        for r, w in enumerate(family.weights):
+            for m in range(r - 2):
+                if (r - m) % 2:
+                    assert w.coefficient(m) == 0, (r, m)
 
     def test_order_zero(self):
         family = correction_family(0)
@@ -154,7 +189,12 @@ class TestClassicalNumbers:
         assert constants20.gregory[3] == Fr(1, 24)
 
     def test_scalar_route_agrees_with_family_route(self, family20):
-        # Two independent productions of the same constants.
+        """The table and the family's constant terms agree.
+
+        Both routes read the same integer Bernoulli and Gregory rows, so
+        this checks the read-off (B_r = w_r(0), G_r = u_r(0)/r!), not the
+        rows; test_table_against_recurrences checks those independently.
+        """
         scalar = coefficient_table(20)
         via_family = classical_numbers(family20)
         assert scalar.bernoulli == via_family.bernoulli
@@ -166,10 +206,10 @@ class TestClassicalNumbers:
         with pytest.raises(ValueError):
             coefficient_table(-1)
 
-    def test_scalar_reciprocal_needs_unit_constant_term(self):
-        assert _scalar_reciprocal([Fr(1), Fr(1)]) == [Fr(1), Fr(-1)]
-        with pytest.raises(NonUnitConstantTerm):
-            _scalar_reciprocal([Fr(2), Fr(1)])
+    def test_table_against_recurrences(self):
+        table = coefficient_table(120)
+        assert list(table.bernoulli) == bernoulli_by_recurrence(120)
+        assert list(table.gregory) == gregory_by_expansion(120)
 
 
 class TestFactorialPolynomials:

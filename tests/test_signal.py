@@ -97,6 +97,13 @@ class TestLoadSeries:
         path.write_text("0,1.0\n\n1,2.0\n")
         assert load_series(str(path), 1).values == (1.0, 2.0)
 
+    def test_negative_column_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("0,1.0,2.0\n1,3.0,4.0\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_series(str(path), -1)
+        assert excinfo.value.column == -1
+
 
 class TestSampleDifferences:
     def test_step_two_on_squares(self):
@@ -146,6 +153,11 @@ class TestWindowedSum:
         with pytest.raises(ValueError):
             windowed_sum(ramp(8), 0, 4, 0)
 
+    def test_overflow_raises(self):
+        huge = TimeSeries((1e308,) * 10)
+        with pytest.raises(OverflowError):
+            windowed_sum(huge, 0, 4, 2)
+
 
 class TestCorrectedSum:
     def test_linear_samples_corrected_exactly(self):
@@ -163,6 +175,14 @@ class TestCorrectedSum:
     def test_family_too_short(self):
         with pytest.raises(InsufficientOrder):
             corrected_sum(ramp(20), 0, 4, 2, 3, correction_family(2))
+
+    def test_overflowing_correction_raises(self):
+        # The window sum 2 * (s[0] + s[2]) is 0, but the order-1 span
+        # s[4] - s[0] = 3.4e308 leaves the float range.
+        s = TimeSeries((-1.7e308, 0.0, 1.7e308, 0.0, 1.7e308, 0.0))
+        assert windowed_sum(s, 0, 4, 2) == 0.0
+        with pytest.raises(OverflowError):
+            corrected_sum(s, 0, 4, 2, 1, correction_family(1))
 
     def test_deterministic(self):
         bump = gaussian_bump()
@@ -191,6 +211,12 @@ class TestErrorReport:
         assert [row[0] for row in report.rows] == sorted(row[0] for row in report.rows)
         xs = [row[:2] for row in report.rows]
         assert xs == sorted(xs)
+
+    def test_overflowing_error_raises(self):
+        # Both sums are finite (1.6e308 and -1.6e308); their distance is not.
+        s = TimeSeries((-4e307, 1.2e308, -4e307, 1.2e308))
+        with pytest.raises(OverflowError):
+            error_report(s, 0, 4, [2], 0, correction_family(0))
 
     def test_identity_factor_is_exact(self):
         bump = gaussian_bump()
