@@ -44,13 +44,31 @@ from .timeseries import (
 DEFAULT_X_GRID = "-2,-1,-1/2,1/3,1/2,1,2,3"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser; only the subparser of ``command`` when it names one.
+
+    A request names its subcommand first, so building the other four
+    subparsers is wasted work.  Without a known command (``--help``, an empty
+    or unknown argv) every subparser is built.  The one-subparser parser pins
+    the subcommand metavar so that its top-level usage line (printed, e.g.,
+    for stray arguments) reads as the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="downsum",
         description="Exact summation-correction weights and their applications.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    known = command in SUBCOMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(SUBCOMMANDS) + "}" if known else None,
+    )
+    for name, add_subparser in SUBCOMMANDS.items():
+        if not known or name == command:
+            add_subparser(sub)
+    return parser
 
+
+def _add_coeffs(sub) -> None:
     coeffs = sub.add_parser(
         "coeffs", help="print the correction-weight polynomials and constants"
     )
@@ -66,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.add_argument("--format", choices=("table", "csv"), default="table")
     coeffs.set_defaults(handler=_run_coeffs)
 
+
+def _add_verify(sub) -> None:
     verify = sub.add_parser(
         "verify", help="check the summation identities on random polynomials"
     )
@@ -79,6 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.set_defaults(handler=_run_verify)
 
+
+def _add_sum(sub) -> None:
     sum_cmd = sub.add_parser(
         "sum", help="evaluate the fractional (or downsampled) sum of a polynomial"
     )
@@ -87,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     sum_cmd.add_argument("--downsample-x", metavar="p/q")
     sum_cmd.set_defaults(handler=_run_sum)
 
+
+def _add_downsample(sub) -> None:
     down = sub.add_parser(
         "downsample", help="error study of corrected downsampled sums on a CSV column"
     )
@@ -100,6 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     down.add_argument("--output", required=True, metavar="FILE")
     down.set_defaults(handler=_run_downsample)
 
+
+def _add_accelerate(sub) -> None:
     accel = sub.add_parser("accelerate", help="series acceleration demos")
     accel.add_argument("--target", choices=("gamma", "ln2"))
     accel.add_argument("--terms", type=int, metavar="N")
@@ -107,7 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     accel.add_argument("--terms-file", metavar="FILE")
     accel.set_defaults(handler=_run_accelerate)
 
-    return parser
+
+#: Subcommand name -> the function adding its subparser, in ``--help`` order.
+SUBCOMMANDS = {
+    "coeffs": _add_coeffs,
+    "verify": _add_verify,
+    "sum": _add_sum,
+    "downsample": _add_downsample,
+    "accelerate": _add_accelerate,
+}
 
 
 def _print_aligned(rows: Sequence[Sequence[str]]) -> None:
@@ -264,7 +298,8 @@ def _run_accelerate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

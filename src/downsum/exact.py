@@ -73,6 +73,18 @@ def _as_fraction(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def _linear_combination(terms: Iterable[tuple[Scalar, "Polynomial"]]) -> "Polynomial":
+    """sum c * p over (c, p) pairs: one lcm of the denominators, one gcd."""
+    terms = [(c, p) for c, p in terms if c and p._num]
+    den = lcm(*(c.denominator * p._den for c, p in terms))
+    out: list[int] = []
+    for c, p in terms:
+        factor, num = c.numerator * (den // (c.denominator * p._den)), p._num
+        out.extend([0] * (len(num) - len(out)))
+        out[:len(num)] = [o + factor * n for o, n in zip(out, num)]
+    return Polynomial._from_ints(out, den)
+
+
 class Polynomial:
     """Dense univariate polynomial over exact rationals.
 

@@ -14,6 +14,12 @@ series is finite: D_x^{r-1} f vanishes identically once r-1 > deg f.
 Each ``*_residual`` function builds LHS - RHS as an explicit Polynomial and
 reports it verbatim; checks are structural (all coefficients zero), never
 sampled, so a pass cannot be a coincidence of evaluation points.
+
+Everything runs on the integer-numerator layout of :mod:`downsum.exact`.
+``indefinite_sum`` does its Newton-basis arithmetic on int lists over one
+denominator, and each residual is assembled as a single linear combination
+sum c_i * p_i of its polynomial pieces: one common denominator, integer
+accumulation and one normalisation per residual.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import InsufficientOrder, ZeroStep
-from .exact import Polynomial, Scalar
+from .exact import Polynomial, Scalar, _linear_combination
 from .family import CorrectionFamily, classical_numbers, correction_family
 
 
@@ -64,20 +70,27 @@ def indefinite_sum(f: Polynomial) -> Polynomial:
     """The unique polynomial S with S(n+1) - S(n) = f(n) and S(0) = 0.
 
     At integer n >= 0 this is sum_{k=0}^{n-1} f(k).  Built by Newton's
-    forward-difference formula: S(n) = sum_m D^m f(0) * binom(n, m+1),
-    with the differences read off a value table of f at 0..deg f.
+    forward-difference formula, S(n) = sum_m D^m f(0) * binom(n, m+1), on
+    integers: with f = (n_0 + n_1 t + ...)/d, the value table
+    sum_i n_i k^i at k = 0..deg f and its differences are ints over d, and
+    Horner in the Newton basis multiplies by (n - m) on int lists while the
+    1/(m+1) factors collect into the one denominator d * (deg f + 1)!.
     """
-    table = [f(k) for k in range(f.degree + 1)]
-    differences = []  # D^m f(0) for m = 0..deg f
+    num, top = f._num, f.degree
+    # Numerators of f(0), ..., f(top) over f's denominator, then D^m f(0).
+    table = [sum(c * k**i for i, c in enumerate(num)) for k in range(top + 1)]
+    differences = []
     while table:
         differences.append(table[0])
         table = [b - a for a, b in zip(table, table[1:])]
-    # Horner in the Newton basis: binom(n, m+1) = binom(n, m) * (n - m)/(m + 1).
-    result = Polynomial.zero()
-    for m in range(f.degree, -1, -1):
-        step = Polynomial((Fraction(-m, m + 1), Fraction(1, m + 1)))
-        result = (result + Polynomial.constant(differences[m])) * step
-    return result
+    # (top+1)! * S(n) = sum_m c_m * n(n-1)...(n-m) with c_m = D^m f(0) *
+    # (top+1)!/(m+1)!, by Horner from m = top down; scale is (top+1)!/(m+1)!.
+    acc, scale = [0], 1
+    for m in range(top, -1, -1):
+        acc[0] += differences[m] * scale
+        acc = [a - m * b for a, b in zip([0, *acc], [*acc, 0])]  # times (n - m)
+        scale *= m + 1
+    return Polynomial._from_ints(acc, f._den * scale)
 
 
 def fractional_sum(f: Polynomial, n: Scalar) -> Fraction:
@@ -111,7 +124,7 @@ def _require_order(family: CorrectionFamily, needed: int) -> None:
 
 def _difference_span(d: Polynomial) -> Polynomial:
     """d(n) - d(0) as a polynomial in n."""
-    return d - Polynomial.constant(d.constant_term)
+    return Polynomial._from_ints([0, *d._num[1:]], d._den)
 
 
 def _difference_spans(f: Polynomial, step: Scalar, count: int) -> list[Polynomial]:
@@ -134,7 +147,9 @@ def step_identity_reports(
     identities share the gap indefinite_sum(f) - downsampled_sum(f, x) up
     to sign, and the unit-step difference spans do not depend on x, so the
     unit sum and those spans are built once per call and the downsampled
-    sum once per x.
+    sum once per x.  Each residual is one linear combination of the two sums
+    and the deg f + 1 spans, weighted by the exact rational weight values at
+    x, accumulated on integers over the lcm of their denominators.
     """
     steps = [Fraction(x) for x in grid]
     if any(x == 0 for x in steps):
@@ -145,15 +160,21 @@ def step_identity_reports(
     unit_spans = _difference_spans(f, 1, terms)
     reports = []
     for x in steps:
-        gap = unit_sum - downsampled_sum(f, x)
-        step_residual = gap
-        for r, span in enumerate(_difference_spans(f, x, terms), start=1):
-            weight = family.weights[r](x) / (factorial(r) * x ** (r - 1))
-            step_residual = step_residual - weight * span
-        unit_residual = -gap
-        for r, span in enumerate(unit_spans, start=1):
-            weight = family.unit_weights[r](x) / factorial(r)
-            unit_residual = unit_residual - weight * span
+        coarse_sum = downsampled_sum(f, x)
+        step_residual = _linear_combination(
+            [(1, unit_sum), (-1, coarse_sum)]
+            + [
+                (-family.weights[r](x) / (factorial(r) * x ** (r - 1)), span)
+                for r, span in enumerate(_difference_spans(f, x, terms), start=1)
+            ]
+        )
+        unit_residual = _linear_combination(
+            [(1, coarse_sum), (-1, unit_sum)]
+            + [
+                (-family.unit_weights[r](x) / factorial(r), span)
+                for r, span in enumerate(unit_spans, start=1)
+            ]
+        )
         reports.append(
             (
                 SumIdentityReport(step_residual, terms, x),
@@ -193,13 +214,13 @@ def euler_maclaurin_residual(f: Polynomial) -> SumIdentityReport:
     """
     terms = f.degree + 1
     family = correction_family(max(terms, 1))
-    residual = indefinite_sum(f) - f.antiderivative()
+    combination = [(1, indefinite_sum(f)), (-1, f.antiderivative())]
     derivative = f
     for r in range(1, terms + 1):
         bernoulli = family.weights[r].constant_term
-        residual = residual - bernoulli / factorial(r) * _difference_span(derivative)
+        combination.append((-bernoulli / factorial(r), _difference_span(derivative)))
         derivative = derivative.derivative()
-    return SumIdentityReport(residual, terms, Fraction(0))
+    return SumIdentityReport(_linear_combination(combination), terms, Fraction(0))
 
 
 def gregory_residual(f: Polynomial) -> SumIdentityReport:
@@ -209,9 +230,10 @@ def gregory_residual(f: Polynomial) -> SumIdentityReport:
     """
     terms = f.degree + 1
     gregory = classical_numbers(correction_family(max(terms, 1))).gregory
-    residual = f.antiderivative() - indefinite_sum(f)
-    for r, span in enumerate(_difference_spans(f, 1, terms), start=1):
-        residual = residual - gregory[r] * span
+    residual = _linear_combination(
+        [(1, f.antiderivative()), (-1, indefinite_sum(f))]
+        + [(-gregory[r], span) for r, span in enumerate(_difference_spans(f, 1, terms), start=1)]
+    )
     return SumIdentityReport(residual, terms, Fraction(1))
 
 
@@ -226,9 +248,13 @@ def alternating_residual(f: Polynomial) -> SumIdentityReport:
     """
     terms = f.degree + 1
     paired = f.scale_argument(2) - f.shift(1).scale_argument(2)
-    residual = indefinite_sum(paired)
-    for r, span in enumerate(_difference_spans(f, 1, terms + 1)):
-        residual = residual - Fraction((-1) ** (r + 1), 2 ** (r + 1)) * span.scale_argument(2)
+    residual = _linear_combination(
+        [(1, indefinite_sum(paired))]
+        + [
+            (Fraction((-1) ** r, 2 ** (r + 1)), span.scale_argument(2))
+            for r, span in enumerate(_difference_spans(f, 1, terms + 1))
+        ]
+    )
     return SumIdentityReport(residual, terms, Fraction(2))
 
 

@@ -163,6 +163,17 @@ def corrected_sum(
         return base
     if order < 0:
         raise ValueError("correction order must be >= 0")
+    _check_correction(s, t0, n, x, order, family)
+    total = base
+    for r in range(1, order + 1):
+        total += _correction_term(s, t0, n, x, r, family)
+    return _finite(total, f"order-{order} corrected sum at t0={t0}, n={n}, x={x}")
+
+
+def _check_correction(
+    s: TimeSeries, t0: int, n: int, x: int, order: int, family: CorrectionFamily
+) -> None:
+    """The family and the samples past the window must reach the given order."""
     if family.max_order < order:
         raise InsufficientOrder(
             f"family has max_order {family.max_order}, correction needs {order}"
@@ -173,12 +184,15 @@ def corrected_sum(
             f"order-{order} correction at window end {t0 + n} needs sample "
             f"{last_needed}, series has {len(s)}"
         )
-    total = base
-    for r in range(1, order + 1):
-        weight = float(family.weights[r](Fraction(x)) / factorial(r) / Fraction(x) ** (r - 1))
-        span = forward_difference(s, t0 + n, x, r - 1) - forward_difference(s, t0, x, r - 1)
-        total += weight * span
-    return _finite(total, f"order-{order} corrected sum at t0={t0}, n={n}, x={x}")
+
+
+def _correction_term(
+    s: TimeSeries, t0: int, n: int, x: int, r: int, family: CorrectionFamily
+) -> float:
+    """w_r(x)/r! * (D_x^{r-1} s at t0+n minus at t0) / x^{r-1}, as a float."""
+    weight = float(family.weights[r](Fraction(x)) / factorial(r) / Fraction(x) ** (r - 1))
+    span = forward_difference(s, t0 + n, x, r - 1) - forward_difference(s, t0, x, r - 1)
+    return weight * span
 
 
 @dataclass(frozen=True)
@@ -214,10 +228,17 @@ def error_report(
     baseline: dict[int, float] = {}
     for x in sorted(set(xs)):
         for order in range(max_correction + 1):
-            err = _finite(
-                abs(truth - corrected_sum(s, t0, n, x, order, family)),
-                f"error at x={x}, R={order}",
-            )
+            # The order-R corrected sum is the order-(R-1) one plus one term,
+            # added in the same float order as corrected_sum adds it.
+            if order == 0:
+                total = windowed_sum(s, t0, n, x)
+            else:
+                _check_correction(s, t0, n, x, order, family)
+                total = _finite(
+                    total + _correction_term(s, t0, n, x, order, family),
+                    f"order-{order} corrected sum at t0={t0}, n={n}, x={x}",
+                )
+            err = _finite(abs(truth - total), f"error at x={x}, R={order}")
             rows.append((x, order, err))
             if order == 0:
                 baseline[x] = err

@@ -8,12 +8,17 @@ import contextlib
 import csv
 import io
 import math
+from fractions import Fraction as Fr
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from downsum.cli import main
+import downsum.cli
+import downsum.sumcalc
+from downsum import CorrectionFamily, Polynomial, correction_family
+from downsum.cli import SUBCOMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -135,6 +140,91 @@ class TestVerify:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "verify", "--degree", "2", "--trials", "1")
         assert code == 2
+
+
+def _text_value(text, at):
+    """Value at `at` of a polynomial printed as ascending coefficients."""
+    return sum((Fr(c) * at**i for i, c in enumerate(text.split(","))), Fr(0))
+
+
+def _literal_span(f_text, step, order, n):
+    """D^order f(n) - D^order f(0) for the step difference, from the binomial sum."""
+
+    def difference(t):
+        return sum(
+            (
+                (-1) ** (order - i) * comb(order, i) * _text_value(f_text, t + i * step)
+                for i in range(order + 1)
+            ),
+            Fr(0),
+        )
+
+    return difference(Fr(n)) - difference(Fr(0))
+
+
+class TestVerifyFailure:
+    """A corrupted weight family must make verify fail and print its residual.
+
+    The family is perturbed by delta * x^m in weights[r] and in unit_weights[r],
+    which leaves residuals of exactly -delta x^m/(r! x^(r-1)) * span (step
+    form) and -delta x^m/r! * span (unit form).
+    """
+
+    R, M, DELTA = 2, 1, Fr(3, 7)
+    GRID = (Fr(1, 2), Fr(-3))
+
+    @pytest.fixture
+    def corrupt(self, monkeypatch):
+        def install(r, m, delta):
+            def perturbed(max_order):
+                family = correction_family(max_order)
+                if r > max_order:
+                    return family
+                weights, unit_weights = list(family.weights), list(family.unit_weights)
+                weights[r] = weights[r] + Polynomial.monomial(m, delta)
+                unit_weights[r] = unit_weights[r] + Polynomial.monomial(m, delta)
+                return CorrectionFamily(max_order, tuple(weights), tuple(unit_weights))
+
+            monkeypatch.setattr(downsum.cli, "correction_family", perturbed)
+            monkeypatch.setattr(downsum.sumcalc, "correction_family", perturbed)
+
+        return install
+
+    def test_prints_exact_residuals(self, capsys, corrupt):
+        r, m, delta = self.R, self.M, self.DELTA
+        corrupt(r, m, delta)
+        code, out, _ = run(
+            capsys, "verify", "--degree", "4", "--trials", "1", "--seed", "3",
+            "--x-grid", ",".join(str(x) for x in self.GRID),
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "0/1 passed"
+        for x in self.GRID:
+            at = lines.index(f"trial 000 x={x}: FAIL")
+            f_line, step_line, unit_line = lines[at + 1:at + 4]
+            f_text = f_line.removeprefix("  f = ")
+            step_text = step_line.removeprefix("  step-weight residual = ")
+            unit_text = unit_line.removeprefix("  unit-weight residual = ")
+            assert len(f_text.split(",")) == 5  # degree 4, so spans up to r = 4 are nonzero
+            # Both residuals have degree <= deg f, so deg f + 2 points pin them down.
+            for n in range(6):
+                step_span = _literal_span(f_text, x, r - 1, n)
+                unit_span = _literal_span(f_text, 1, r - 1, n)
+                assert _text_value(step_text, n) == -delta * x**m / (factorial(r) * x ** (r - 1)) * step_span
+                assert _text_value(unit_text, n) == -delta * x**m / factorial(r) * unit_span
+
+    def test_corrupted_constants_fail_classical(self, capsys, corrupt):
+        # m = 0 moves B_r = weights[r](0) and G_r = unit_weights[r](0)/r!.
+        corrupt(self.R, 0, self.DELTA)
+        code, out, _ = run(
+            capsys, "verify", "--degree", "3", "--trials", "1", "--seed", "5",
+            "--x-grid", "2", "--classical",
+        )
+        assert code == 1
+        assert "trial 000 euler-maclaurin: FAIL" in out
+        assert "trial 000 gregory: FAIL" in out
+        assert "trial 000 alternating: pass" in out
 
 
 class TestSum:
@@ -356,6 +446,42 @@ class TestParsing:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "coeffs" in out and "accelerate" in out
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+PARSER_ARGV = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["frobnicate"],
+    ["frobnicate", "--max-order", "2"],
+    *([name, "--help"] for name in SUBCOMMANDS),
+    ["verify", "--degree", "1", "--trials", "1", "--seed", "1", "extra"],
+    ["verify", "--degree", "1", "--trials", "1", "--seed", "1", "--classical"],
+    ["verify", "--degree", "x", "--trials", "1", "--seed", "1"],
+    ["coeffs", "--max-order", "2", "--bogus"],
+    ["coeffs", "--max-order", "3", "--format", "xml"],
+    ["sum", "--poly", "1"],
+    ["downsample"],
+    ["accelerate", "--target", "pi"],
+    ["accelerate", "--target", "ln2", "--order", "5", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "<none>")
+def test_lazy_parser_matches_full_parser(argv):
+    """The parser built for argv[0] alone answers exactly as the full parser."""
+    lazy = build_parser(argv[0] if argv else None)
+    assert _parse(lazy, argv) == _parse(build_parser(), argv)
 
 
 # Bounded argument vectors: every subcommand with in-range, out-of-range and

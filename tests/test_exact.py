@@ -18,6 +18,7 @@ from downsum import (
     format_rational,
     parse_rational,
 )
+from downsum.exact import _linear_combination
 
 P = Polynomial
 
@@ -317,6 +318,23 @@ class TestAgainstFractionOracle:
         assert p.degree == len(p.coeffs) - 1
         assert p.leading_coefficient == (p.coeffs[-1] if p.coeffs else 0)
         assert p.constant_term == (p.coeffs[0] if p.coeffs else 0)
+
+    @given(
+        st.lists(
+            st.tuples(WIDE_RATIONAL | st.integers(-5, 5) | st.just(Fr(0)), coefficient_lists()),
+            max_size=6,
+        )
+    )
+    def test_linear_combination(self, pairs):
+        expected = []
+        for c, a in pairs:
+            expected = _ref_add(expected, [c * x for x in _trim(a)])
+        combination = _linear_combination([(c, P(a)) for c, a in pairs])
+        assert list(combination.coeffs) == expected
+        assert combination == P(expected)  # one canonical representation
+        cancelled = [(c, P(a)) for c, a in pairs] + [(-c, P(a)) for c, a in pairs]
+        assert _linear_combination(cancelled) == P()
+        assert _linear_combination([(0, P(a)) for _, a in pairs]) == P()
 
     @given(coefficient_lists(max_degree=3), coefficient_lists(max_degree=3), WIDE_RATIONAL)
     def test_equality_agrees_with_hash(self, a, b, s):

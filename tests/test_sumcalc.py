@@ -5,6 +5,8 @@ from fractions import Fraction as Fr
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downsum import (
     InsufficientOrder,
@@ -27,6 +29,14 @@ from downsum import (
 P = Polynomial
 
 X_GRID = [Fr(-2), Fr(-1), Fr(-1, 2), Fr(1, 3), Fr(1, 2), Fr(1), Fr(2), Fr(3)]
+
+WIDE_RATIONAL = st.builds(Fr, st.integers(-1000, 1000), st.integers(1, 1000))
+NONZERO_STEP = st.builds(Fr, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+
+
+def _value(coeffs, at):
+    """f(at) for ascending coefficients, summed term by term."""
+    return sum((c * at**i for i, c in enumerate(coeffs)), Fr(0))
 
 
 class TestForwardDifference:
@@ -96,6 +106,27 @@ class TestIndefiniteSum:
             for n in (0, 1, 2, 7, 50):
                 literal = sum((f(Fr(k)) for k in range(n)), Fr(0))
                 assert s(Fr(n)) == literal
+
+
+class TestAgainstLiteralSums:
+    """Both sums against literal summation at deg f + 2 points, enough to fix
+    polynomials of degree <= deg f + 1."""
+
+    @given(st.lists(WIDE_RATIONAL, min_size=1, max_size=13))
+    @settings(deadline=None)
+    def test_indefinite_sum(self, coeffs):
+        s = indefinite_sum(P(coeffs))
+        for n in range(len(coeffs) + 1):
+            literal = sum((_value(coeffs, Fr(k)) for k in range(n)), Fr(0))
+            assert s(Fr(n)) == literal
+
+    @given(st.lists(WIDE_RATIONAL, min_size=1, max_size=13), NONZERO_STEP)
+    @settings(deadline=None)
+    def test_downsampled_sum(self, coeffs, x):
+        coarse = downsampled_sum(P(coeffs), x)
+        for j in range(len(coeffs) + 1):
+            literal = x * sum((_value(coeffs, k * x) for k in range(j)), Fr(0))
+            assert coarse(j * x) == literal
 
 
 class TestFractionalSum:
