@@ -73,16 +73,63 @@ def _as_fraction(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _linear_combination(terms: Iterable[tuple[Scalar, "Polynomial"]]) -> "Polynomial":
-    """sum c * p over (c, p) pairs: one lcm of the denominators, one gcd."""
-    terms = [(c, p) for c, p in terms if c and p._num]
-    den = lcm(*(c.denominator * p._den for c, p in terms))
+def _linear_combination(terms: Iterable[tuple[int, int, Sequence[int]]]) -> "Polynomial":
+    """sum (m/d) * (n_0 + n_1 t + ...) over (m, d, n) terms, d > 0.
+
+    Each term is an integer coefficient pair m/d and a list of integer
+    numerators; a Polynomial p enters as (m, d * p._den, p._num).  The
+    numerators accumulate over the one lcm of the d, with one gcd at the end.
+    """
+    terms = [(m, d, n) for m, d, n in terms if m and n]
+    den = lcm(*(d for _, d, _ in terms))
     out: list[int] = []
-    for c, p in terms:
-        factor, num = c.numerator * (den // (c.denominator * p._den)), p._num
+    for m, d, num in terms:
+        factor = m * (den // d)
         out.extend([0] * (len(num) - len(out)))
         out[:len(num)] = [o + factor * n for o, n in zip(out, num)]
     return Polynomial._from_ints(out, den)
+
+
+def _horner(num: Sequence[int], p: int, q: int) -> tuple[int, int]:
+    """(h, q^deg) with h = sum n_i p^i q^(deg-i): num evaluated at p/q is h / q^deg."""
+    if not num:
+        return 0, 1
+    value, q_power = num[-1], 1
+    for c in num[-2::-1]:
+        q_power *= q
+        value = value * p + c * q_power
+    return value, q_power
+
+
+def _taylor_shift(coeffs: Sequence[int], a: int) -> list[int]:
+    """Coefficients of c(s + a) for integer coefficients c and integer a."""
+    c = list(coeffs)
+    top = len(c) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def _forward_differences(p: "Polynomial", step: Scalar, count: int) -> tuple[list[list[int]], int]:
+    """Numerators of D^k p for k = 0..count-1 over one denominator.
+
+    D is the forward difference with step a/b.  Q(s) = d * b^deg * p(s/b)
+    has integer coefficients and D^k p(t) = (Δ^k Q)(b*t) / (d * b^deg) with
+    Δ Q(s) = Q(s + a) - Q(s), so each order is one integer Taylor shift and
+    a subtraction, normalised nowhere: the numerators of D^k p are the
+    coefficients q_j of Δ^k Q times b^j.  Orders past deg p are empty lists.
+    """
+    step = _as_fraction(step)
+    a, b = step.numerator, step.denominator
+    top = max(len(p._num) - 1, 0)
+    q = [c * b ** (top - i) for i, c in enumerate(p._num)]
+    powers = [b**j for j in range(top + 1)]
+    out = []
+    for _ in range(count):
+        out.append([c * w for c, w in zip(q, powers)])
+        q = [s - c for s, c in zip(_taylor_shift(q, a), q)][:-1]
+    return out, p._den * b**top
 
 
 class Polynomial:
@@ -320,20 +367,8 @@ class Polynomial:
 
     def __call__(self, at: Scalar) -> Fraction:
         """Exact Horner evaluation at p/q on integers, sum n_i p^i q^(deg-i)."""
-        num = self._num
-        if not num:
-            return Fraction(0)
         at = _as_fraction(at)
-        p, q = at.numerator, at.denominator
-        value = num[-1]
-        if q == 1:
-            for c in num[-2::-1]:
-                value = value * p + c
-            return Fraction(value, self._den)
-        q_power = 1
-        for c in num[-2::-1]:
-            q_power *= q
-            value = value * p + c * q_power
+        value, q_power = _horner(self._num, at.numerator, at.denominator)
         return Fraction(value, self._den * q_power)
 
     def shift(self, step: Scalar) -> "Polynomial":
@@ -348,21 +383,8 @@ class Polynomial:
             return self
         a, b = step.numerator, step.denominator
         top = len(self._num) - 1
-        c = list(self._num)
-        if b != 1:
-            power = 1
-            for i in range(top, -1, -1):
-                c[i] *= power
-                power *= b
-        for i in range(top):
-            for j in range(top - 1, i - 1, -1):
-                c[j] += a * c[j + 1]
-        if b != 1:
-            power = 1
-            for j in range(top + 1):
-                c[j] *= power
-                power *= b
-        return Polynomial._from_ints(c, self._den * b**top)
+        c = _taylor_shift([n * b ** (top - i) for i, n in enumerate(self._num)], a)
+        return Polynomial._from_ints([x * b**j for j, x in enumerate(c)], self._den * b**top)
 
     def scale_argument(self, factor: Scalar) -> "Polynomial":
         """The polynomial q(t) = p(factor * t)."""

@@ -17,9 +17,11 @@ sampled, so a pass cannot be a coincidence of evaluation points.
 
 Everything runs on the integer-numerator layout of :mod:`downsum.exact`.
 ``indefinite_sum`` does its Newton-basis arithmetic on int lists over one
-denominator, and each residual is assembled as a single linear combination
-sum c_i * p_i of its polynomial pieces: one common denominator, integer
-accumulation and one normalisation per residual.
+denominator; the step-x differences are integer Taylor shifts and
+subtractions over one denominator (see ``forward_difference``); a weight
+value at x is one integer Horner pass, kept as a numerator/denominator pair.
+Each residual is a single linear combination of these integer pieces: one
+common denominator, integer accumulation and one normalisation.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import InsufficientOrder, ZeroStep
-from .exact import Polynomial, Scalar, _linear_combination
+from .exact import Polynomial, Scalar, _forward_differences, _horner, _linear_combination
 from .family import CorrectionFamily, classical_numbers, correction_family
 
 
@@ -57,13 +59,17 @@ def forward_difference(f: Polynomial, step: Scalar, order: int) -> Polynomial:
 
     D_x f(t) = f(t+x) - f(t); order 0 is the identity.  Each application
     drops the degree by one, so the result is zero once order > deg f.
+    For step x = a/b and f = (n_0 + n_1 t + ...)/d the orders run on
+    integers: Q(s) = d*b^deg*f(s/b) has integer coefficients, and
+    D_x^k f(t) = (Δ^k Q)(b*t) / (d*b^deg) where Δ Q(s) = Q(s+a) - Q(s) is an
+    integer Taylor shift and a subtraction.  Only the result is normalised.
     """
     if order < 0:
         raise ValueError("difference order must be >= 0")
-    result = f
-    for _ in range(order):
-        result = result.shift(step) - result
-    return result
+    if order > f.degree:
+        return Polynomial.zero()
+    differences, den = _forward_differences(f, step, order + 1)
+    return Polynomial._from_ints(differences[order], den)
 
 
 def indefinite_sum(f: Polynomial) -> Polynomial:
@@ -122,19 +128,14 @@ def _require_order(family: CorrectionFamily, needed: int) -> None:
         )
 
 
-def _difference_span(d: Polynomial) -> Polynomial:
-    """d(n) - d(0) as a polynomial in n."""
-    return Polynomial._from_ints([0, *d._num[1:]], d._den)
+def _difference_spans(f: Polynomial, step: Scalar, count: int) -> tuple[list[list[int]], int]:
+    """Numerators of D^{r-1} f(n) - D^{r-1} f(0) for r = 1..count over one denominator.
 
-
-def _difference_spans(f: Polynomial, step: Scalar, count: int) -> list[Polynomial]:
-    """D^{r-1} f(n) - D^{r-1} f(0) for r = 1..count, D the step difference."""
-    spans = []
-    diff = f
-    for _ in range(count):
-        spans.append(_difference_span(diff))
-        diff = diff.shift(step) - diff
-    return spans
+    D is the step difference; the span of a polynomial is the polynomial
+    without its constant term.
+    """
+    differences, den = _forward_differences(f, step, count)
+    return [[0, *d[1:]] for d in differences], den
 
 
 def step_identity_reports(
@@ -147,9 +148,17 @@ def step_identity_reports(
     identities share the gap indefinite_sum(f) - downsampled_sum(f, x) up
     to sign, and the unit-step difference spans do not depend on x, so the
     unit sum and those spans are built once per call and the downsampled
-    sum once per x.  Each residual is one linear combination of the two sums
-    and the deg f + 1 spans, weighted by the exact rational weight values at
-    x, accumulated on integers over the lcm of their denominators.
+    sum once per x.
+
+    Everything between the two sums stays on integers.  For x = a/b the
+    spans are integer numerators over one denominator (see
+    forward_difference), and the weight values come from integer Horner on
+    the weight numerators: w_r(x) = h_r / (e_r * b^deg), so the step
+    coefficient -w_r(x) / (r! * x^(r-1)) is the integer pair
+    -h_r * b^(r-1) / (e_r * b^deg * r! * a^(r-1)), the sign of a^(r-1) moved
+    into the numerator; the unit coefficient -u_r(x) / r! is likewise
+    -h / (e * b^deg * r!) from Horner on u_r.  Each residual is one linear
+    combination of the two sums and the deg f + 1 spans, normalised once.
     """
     steps = [Fraction(x) for x in grid]
     if any(x == 0 for x in steps):
@@ -157,28 +166,31 @@ def step_identity_reports(
     terms = f.degree + 1
     _require_order(family, terms)
     unit_sum = indefinite_sum(f)
-    unit_spans = _difference_spans(f, 1, terms)
+    unit_spans, unit_den = _difference_spans(f, 1, terms)
     reports = []
     for x in steps:
+        a, b = x.numerator, x.denominator
         coarse_sum = downsampled_sum(f, x)
-        step_residual = _linear_combination(
-            [(1, unit_sum), (-1, coarse_sum)]
-            + [
-                (-family.weights[r](x) / (factorial(r) * x ** (r - 1)), span)
-                for r, span in enumerate(_difference_spans(f, x, terms), start=1)
-            ]
-        )
-        unit_residual = _linear_combination(
-            [(1, coarse_sum), (-1, unit_sum)]
-            + [
-                (-family.unit_weights[r](x) / factorial(r), span)
-                for r, span in enumerate(unit_spans, start=1)
-            ]
-        )
+        step_spans, step_den = _difference_spans(f, x, terms)
+        step_terms = [(1, unit_sum._den, unit_sum._num), (-1, coarse_sum._den, coarse_sum._num)]
+        unit_terms = [(1, coarse_sum._den, coarse_sum._num), (-1, unit_sum._den, unit_sum._num)]
+        for r, (step_span, unit_span) in enumerate(zip(step_spans, unit_spans), start=1):
+            weight, unit_weight = family.weights[r], family.unit_weights[r]
+            h, b_power = _horner(weight._num, a, b)
+            a_power = a ** (r - 1)
+            step_terms.append(
+                (
+                    -h * b ** (r - 1) * (1 if a_power > 0 else -1),
+                    weight._den * b_power * factorial(r) * abs(a_power) * step_den,
+                    step_span,
+                )
+            )
+            h, b_power = _horner(unit_weight._num, a, b)
+            unit_terms.append((-h, unit_weight._den * b_power * factorial(r) * unit_den, unit_span))
         reports.append(
             (
-                SumIdentityReport(step_residual, terms, x),
-                SumIdentityReport(unit_residual, terms, x),
+                SumIdentityReport(_linear_combination(step_terms), terms, x),
+                SumIdentityReport(_linear_combination(unit_terms), terms, x),
             )
         )
     return reports
@@ -214,11 +226,18 @@ def euler_maclaurin_residual(f: Polynomial) -> SumIdentityReport:
     """
     terms = f.degree + 1
     family = correction_family(max(terms, 1))
-    combination = [(1, indefinite_sum(f)), (-1, f.antiderivative())]
+    unit_sum, integral = indefinite_sum(f), f.antiderivative()
+    combination = [(1, unit_sum._den, unit_sum._num), (-1, integral._den, integral._num)]
     derivative = f
     for r in range(1, terms + 1):
         bernoulli = family.weights[r].constant_term
-        combination.append((-bernoulli / factorial(r), _difference_span(derivative)))
+        combination.append(
+            (
+                -bernoulli.numerator,
+                bernoulli.denominator * factorial(r) * derivative._den,
+                [0, *derivative._num[1:]],
+            )
+        )
         derivative = derivative.derivative()
     return SumIdentityReport(_linear_combination(combination), terms, Fraction(0))
 
@@ -230,9 +249,14 @@ def gregory_residual(f: Polynomial) -> SumIdentityReport:
     """
     terms = f.degree + 1
     gregory = classical_numbers(correction_family(max(terms, 1))).gregory
+    spans, den = _difference_spans(f, 1, terms)
+    integral, unit_sum = f.antiderivative(), indefinite_sum(f)
     residual = _linear_combination(
-        [(1, f.antiderivative()), (-1, indefinite_sum(f))]
-        + [(-gregory[r], span) for r, span in enumerate(_difference_spans(f, 1, terms), start=1)]
+        [(1, integral._den, integral._num), (-1, unit_sum._den, unit_sum._num)]
+        + [
+            (-gregory[r].numerator, gregory[r].denominator * den, span)
+            for r, span in enumerate(spans, start=1)
+        ]
     )
     return SumIdentityReport(residual, terms, Fraction(1))
 
@@ -245,14 +269,16 @@ def alternating_residual(f: Polynomial) -> SumIdentityReport:
     honestly as the indefinite sum of h(j) = f(2j) - f(2j+1), which equals
     the signed sum pairwise; the right side is the x = 2 instance of the
     reversed identity, whose weights collapse to u_r(2)/r! = (-1)^r/2^r.
+    A span s(n) becomes s(2m) by scaling its j-th numerator by 2^j.
     """
     terms = f.degree + 1
-    paired = f.scale_argument(2) - f.shift(1).scale_argument(2)
+    paired = indefinite_sum(f.scale_argument(2) - f.shift(1).scale_argument(2))
+    spans, den = _difference_spans(f, 1, terms + 1)
     residual = _linear_combination(
-        [(1, indefinite_sum(paired))]
+        [(1, paired._den, paired._num)]
         + [
-            (Fraction((-1) ** r, 2 ** (r + 1)), span.scale_argument(2))
-            for r, span in enumerate(_difference_spans(f, 1, terms + 1))
+            ((-1) ** r, 2 ** (r + 1) * den, [c << j for j, c in enumerate(span)])
+            for r, span in enumerate(spans)
         ]
     )
     return SumIdentityReport(residual, terms, Fraction(2))

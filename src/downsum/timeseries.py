@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     EmptySeries,
@@ -51,14 +51,16 @@ def load_series(path: str, column: int, has_header: bool = False) -> TimeSeries:
 
     Rows and columns are 0-based; row numbers in errors count physical file
     rows, header included.  A negative column, short rows and unparseable or
-    non-finite fields raise ParseError with the offending location; an empty
-    result raises EmptySeries.  I/O problems propagate as OSError.
+    non-finite fields raise ParseError with the offending location, and so
+    does a row the CSV reader rejects (a field over the reader's field size
+    limit, say); an empty result raises EmptySeries.  I/O problems propagate
+    as OSError.
     """
     if column < 0:
         raise ParseError("column index must be >= 0", row=0, column=column)
     values: list[float] = []
     with open(path, newline="") as handle:
-        for row_index, row in enumerate(csv.reader(handle)):
+        for row_index, row in enumerate(_csv_rows(handle, column)):
             if has_header and row_index == 0:
                 continue
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -72,6 +74,16 @@ def load_series(path: str, column: int, has_header: bool = False) -> TimeSeries:
         raise EmptySeries(f"no data rows in {path}")
     name = os.path.splitext(os.path.basename(path))[0]
     return TimeSeries(tuple(values), name)
+
+
+def _csv_rows(handle, column: int) -> Iterator[list[str]]:
+    """The rows of csv.reader(handle); a row the reader rejects is a ParseError."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        # line_num counts the physical lines read, the rejected one included.
+        raise ParseError(f"unreadable CSV row: {exc}", row=reader.line_num - 1, column=column) from None
 
 
 def load_terms(path: str) -> list[float]:
@@ -261,7 +273,8 @@ def euler_transform(terms: Sequence[float], order: int) -> float:
     # row holds D^r terms / 2^r.  Scaling each row as it is differenced keeps
     # it in the float range: D^r of rounded terms grows like 2^r, and
     # 2.0 ** (r + 1) itself overflows past r = 1022.  Halving is exact.
-    row = [float(t) for t in terms]
+    # row[0] at step r depends only on terms[0..r], so later terms are unused.
+    row = [float(t) for t in terms[:order + 1]]
     total = 0.0
     for r in range(order + 1):
         contribution = row[0] * 0.5

@@ -171,7 +171,9 @@ class TestVerifyFailure:
     """
 
     R, M, DELTA = 2, 1, Fr(3, 7)
-    GRID = (Fr(1, 2), Fr(-3))
+    # Negative numerators and denominators != 1 exercise the sign of a^(r-1)
+    # and the powers of b in the integer weight coefficients.
+    GRID = (Fr(-2, 3), Fr(5, 2), Fr(-3))
 
     @pytest.fixture
     def corrupt(self, monkeypatch):
@@ -191,28 +193,29 @@ class TestVerifyFailure:
         return install
 
     def test_prints_exact_residuals(self, capsys, corrupt):
-        r, m, delta = self.R, self.M, self.DELTA
-        corrupt(r, m, delta)
-        code, out, _ = run(
-            capsys, "verify", "--degree", "4", "--trials", "1", "--seed", "3",
-            "--x-grid", ",".join(str(x) for x in self.GRID),
-        )
-        assert code == 1
-        lines = out.splitlines()
-        assert lines[-1] == "0/1 passed"
-        for x in self.GRID:
-            at = lines.index(f"trial 000 x={x}: FAIL")
-            f_line, step_line, unit_line = lines[at + 1:at + 4]
-            f_text = f_line.removeprefix("  f = ")
-            step_text = step_line.removeprefix("  step-weight residual = ")
-            unit_text = unit_line.removeprefix("  unit-weight residual = ")
-            assert len(f_text.split(",")) == 5  # degree 4, so spans up to r = 4 are nonzero
-            # Both residuals have degree <= deg f, so deg f + 2 points pin them down.
-            for n in range(6):
-                step_span = _literal_span(f_text, x, r - 1, n)
-                unit_span = _literal_span(f_text, 1, r - 1, n)
-                assert _text_value(step_text, n) == -delta * x**m / (factorial(r) * x ** (r - 1)) * step_span
-                assert _text_value(unit_text, n) == -delta * x**m / factorial(r) * unit_span
+        m, delta = self.M, self.DELTA
+        for r in range(2, 6):  # odd and even powers x^(r-1)
+            corrupt(r, m, delta)
+            code, out, _ = run(
+                capsys, "verify", "--degree", "5", "--trials", "1", "--seed", "3",
+                "--x-grid=" + ",".join(str(x) for x in self.GRID),
+            )
+            assert code == 1, r
+            lines = out.splitlines()
+            assert lines[-1] == "0/1 passed"
+            for x in self.GRID:
+                at = lines.index(f"trial 000 x={x}: FAIL")
+                f_line, step_line, unit_line = lines[at + 1:at + 4]
+                f_text = f_line.removeprefix("  f = ")
+                step_text = step_line.removeprefix("  step-weight residual = ")
+                unit_text = unit_line.removeprefix("  unit-weight residual = ")
+                assert len(f_text.split(",")) == 6  # degree 5, so spans up to r = 5 are nonzero
+                # Both residuals have degree <= deg f, so deg f + 2 points pin them down.
+                for n in range(7):
+                    step_span = _literal_span(f_text, x, r - 1, n)
+                    unit_span = _literal_span(f_text, 1, r - 1, n)
+                    assert _text_value(step_text, n) == -delta * x**m / (factorial(r) * x ** (r - 1)) * step_span, (r, x)
+                    assert _text_value(unit_text, n) == -delta * x**m / factorial(r) * unit_span, (r, x)
 
     def test_corrupted_constants_fail_classical(self, capsys, corrupt):
         # m = 0 moves B_r = weights[r](0) and G_r = unit_weights[r](0)/r!.
@@ -270,7 +273,8 @@ class TestDownsample:
             "--output", str(target),
         )
         assert code == 0
-        rows = list(csv.reader(target.open()))
+        with target.open() as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["x", "R", "err"]
         assert len(rows) == 1 + 2 * 3
         assert [row[0] for row in rows[1:]] == ["2", "2", "2", "3", "3", "3"]
@@ -288,7 +292,8 @@ class TestDownsample:
             "--output", str(target),
         )
         assert code == 0
-        assert len(list(csv.reader(target.open()))) == 3
+        with target.open() as handle:
+            assert len(list(csv.reader(handle))) == 3
 
     def test_missing_input(self, capsys, tmp_path):
         code, _, err = run(
@@ -326,6 +331,22 @@ class TestDownsample:
         )
         assert code == 2
         assert "ParseError" in err and "row 121" in err
+        assert not target.exists()
+
+    def test_over_long_field(self, capsys, tmp_path):
+        source = tmp_path / "big.csv"
+        target = tmp_path / "o.csv"
+        source.write_text(f"0\n{'7' * 200_000}\n2\n")
+        code, out, err = run(
+            capsys,
+            "downsample", "--input", str(source), "--col", "0",
+            "--window", "1", "--factors", "1", "--max-order", "0",
+            "--output", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert "ParseError" in err and "row 1" in err
+        assert "Traceback" not in err
         assert not target.exists()
 
     def test_overflowing_samples(self, capsys, tmp_path):

@@ -329,12 +329,17 @@ class TestAgainstFractionOracle:
         expected = []
         for c, a in pairs:
             expected = _ref_add(expected, [c * x for x in _trim(a)])
-        combination = _linear_combination([(c, P(a)) for c, a in pairs])
+        terms = [(Fr(c), P(a)) for c, a in pairs]
+        combination = _linear_combination(
+            [(c.numerator, c.denominator * p._den, p._num) for c, p in terms]
+        )
         assert list(combination.coeffs) == expected
         assert combination == P(expected)  # one canonical representation
-        cancelled = [(c, P(a)) for c, a in pairs] + [(-c, P(a)) for c, a in pairs]
+        cancelled = [
+            (sign * c.numerator, c.denominator * p._den, p._num) for c, p in terms for sign in (1, -1)
+        ]
         assert _linear_combination(cancelled) == P()
-        assert _linear_combination([(0, P(a)) for _, a in pairs]) == P()
+        assert _linear_combination([(0, 1, p._num) for _, p in terms]) == P()
 
     @given(coefficient_lists(max_degree=3), coefficient_lists(max_degree=3), WIDE_RATIONAL)
     def test_equality_agrees_with_hash(self, a, b, s):

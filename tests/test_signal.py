@@ -104,6 +104,15 @@ class TestLoadSeries:
             load_series(str(path), -1)
         assert excinfo.value.column == -1
 
+    def test_over_long_field_reports_location(self, tmp_path):
+        # csv.reader refuses fields past its 131072-character limit.
+        path = tmp_path / "data.csv"
+        path.write_text(f"0,1.0\n1,{'7' * 200_000}\n2,3.0\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_series(str(path), 1)
+        assert (excinfo.value.row, excinfo.value.column) == (1, 1)
+        assert "field larger than field limit" in str(excinfo.value)
+
 
 class TestSampleDifferences:
     def test_step_two_on_squares(self):
@@ -275,6 +284,13 @@ class TestEulerTransform:
     def test_overflowing_differences_raise(self):
         with pytest.raises(OverflowError):
             euler_transform([1e308, -1e308, 1e308], 2)
+
+    def test_terms_past_order_are_unused(self):
+        terms = [1.0 / (k + 1) for k in range(8)]
+        # Differencing these trailing terms would overflow to inf and nan.
+        tail = [1e308, -1e308, float("inf"), 1e308] * 50
+        for order in range(8):
+            assert euler_transform(terms + tail, order) == euler_transform(terms[:order + 1], order)
 
     def test_geometric_convergence(self):
         terms = [1.0 / (k + 1) for k in range(25)]

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -58,13 +58,24 @@ class TestForwardDifference:
             forward_difference(P([1]), 1, -1)
 
     def test_matches_pointwise_definition(self):
+        # D^k f(t) = sum_j (-1)^(k-j) C(k,j) f(t + j*step), with f evaluated
+        # term by term, at every order up to one past the degree.
         rng = random.Random(5)
+        steps = [Fr(-3), Fr(-2, 3), Fr(5, 4), Fr(7)]
         for _ in range(20):
             f = random_polynomial(rng, 6)
-            step = Fr(rng.randint(-5, 5) or 1, rng.randint(1, 4))
-            d = forward_difference(f, step, 1)
-            at = Fr(rng.randint(-10, 10), rng.randint(1, 5))
-            assert d(at) == f(at + step) - f(at)
+            for step in steps + [Fr(rng.randint(-5, 5) or 1, rng.randint(1, 4))]:
+                at = Fr(rng.randint(-10, 10), rng.randint(1, 5))
+                for order in range(f.degree + 2):
+                    literal = sum(
+                        (
+                            (-1) ** (order - j) * comb(order, j) * _value(f.coeffs, at + j * step)
+                            for j in range(order + 1)
+                        ),
+                        Fr(0),
+                    )
+                    difference = forward_difference(f, step, order)
+                    assert _value(difference.coeffs, at) == literal, (f, step, order)
 
 
 class TestIndefiniteSum:
