@@ -31,7 +31,7 @@ class ZeroStep(DownsumError):
 
 
 class InsufficientOrder(DownsumError):
-    """The correction family is too short for the requested truncation."""
+    """A correction family, coefficient table or term list is too short for the requested order."""
 
 
 class OutOfRange(DownsumError):
@@ -40,14 +40,6 @@ class OutOfRange(DownsumError):
 
 class NonDivisibleWindow(DownsumError):
     """The window length is not a multiple of the downsampling factor."""
-
-
-class InsufficientTerms(DownsumError):
-    """Not enough series terms supplied for the requested transform order."""
-
-
-class InsufficientTable(DownsumError):
-    """The coefficient table does not cover the requested order."""
 
 
 class ParseError(DownsumError):

@@ -54,8 +54,29 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+# str() of an int of at most this many bits (about 600 digits) stays under
+# any int->str digit limit the interpreter accepts (640 digits or more).
+_STR_BITS = 2000
+
+
+def _decimal(value: int, width: int = 0) -> str:
+    """str(value), zero-padded to width, for an int of any size.
+
+    Past _STR_BITS, value >= 0 splits by 10**h, h a power of two below its
+    digit count, into a high part and a low part of exactly h digits, so an
+    exact result is printed whatever the interpreter's int->str digit limit.
+    """
+    if value.bit_length() <= _STR_BITS:
+        return str(value).zfill(width)
+    if value < 0:
+        return "-" + _decimal(-value)
+    h = 1 << ((value.bit_length() * 3 // 10).bit_length() - 1)
+    high, low = divmod(value, 10**h)
+    return _decimal(high, width - h) + _decimal(low, h)
 
 
 def _canonical(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -169,15 +190,6 @@ class Polynomial:
     @classmethod
     def one(cls) -> "Polynomial":
         return cls((1,))
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The identity polynomial t."""
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, degree: int, c: Scalar = 1) -> "Polynomial":
@@ -347,9 +359,6 @@ class Polynomial:
             while rem and rem[-1] == 0:
                 rem.pop()
         return Polynomial(quotient), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]

@@ -219,30 +219,6 @@ def weight_recurrence_residual(family: CorrectionFamily, r: int) -> Polynomial:
     return acc
 
 
-_SPECIAL_POINTS = {
-    "half": Fraction(1, 2),
-    "two": Fraction(2),
-    "one": Fraction(1),
-    "minus_one": Fraction(-1),
-}
-
-
-def special_value(family: CorrectionFamily, r: int, which: str) -> Fraction:
-    """Evaluate weights[r] at one of the four distinguished points.
-
-    At "half" the value collapses to (-1)^r r!/4^r, at "two" to the
-    central-binomial closed form (-1)^r (2r)!/((1-2r) r! 2^(r+1)) for r >= 1,
-    and "one"/"minus_one" are roots (for r >= 1 resp. r >= 2).
-    """
-    if r > family.max_order:
-        raise ValueError(f"order {r} exceeds family max_order {family.max_order}")
-    try:
-        at = _SPECIAL_POINTS[which]
-    except KeyError:
-        raise ValueError(f"unknown special point {which!r}") from None
-    return family.weights[r](at)
-
-
 # ---------------------------------------------------------------------------
 # Real-root counting (Sturm chains over exact rationals)
 # ---------------------------------------------------------------------------

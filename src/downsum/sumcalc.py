@@ -16,11 +16,12 @@ reports it verbatim; checks are structural (all coefficients zero), never
 sampled, so a pass cannot be a coincidence of evaluation points.
 
 Everything runs on the integer-numerator layout of :mod:`downsum.exact`.
-``indefinite_sum`` does its Newton-basis arithmetic on int lists over one
-denominator; the step-x differences are integer Taylor shifts and
-subtractions over one denominator (see ``forward_difference``); a weight
-value at x is one integer Horner pass, kept as a numerator/denominator pair.
-Each residual is a single linear combination of these integer pieces: one
+The indefinite and the downsampled sum are both Newton's forward-difference
+formula, at steps 1 and x, read off one table of integer step-x
+differences over one denominator (see ``forward_difference``); the same
+table gives the difference spans of the identities.  A weight value at x
+is one integer Horner pass, kept as a numerator/denominator pair.  Each
+residual is a single linear combination of these integer pieces: one
 common denominator, integer accumulation and one normalisation.
 """
 
@@ -72,31 +73,40 @@ def forward_difference(f: Polynomial, step: Scalar, order: int) -> Polynomial:
     return Polynomial._from_ints(differences[order], den)
 
 
+def _newton_sum(
+    differences: Sequence[Sequence[int]], den: int, step: Scalar
+) -> tuple[list[int], int]:
+    """Numerators over one positive denominator of x * sum_{k<n/x} f(kx), in n.
+
+    differences and den are _forward_differences(f, x, deg f + 1), whose
+    rows are all nonempty.  For x = a/b, Newton's forward-difference formula
+    reads
+
+        x * sum_{k<n/x} f(kx) = sum_m D_x^m f(0) * prod_{j<=m} (b*n - j*a) / (b * a^m * (m+1)!)
+
+    With top = deg f and Q = prod_{j<=top} (j+1)*a, this is a * N(n) / (b * Q) where
+    N = sum_m D_x^m f(0) * prod_{m<j<=top} (j+1)*a * prod_{j<=m} (b*n - j*a),
+    built by Horner from the top order down on int lists.  The sign of Q
+    moves into the numerators.
+    """
+    a, b = step.numerator, step.denominator
+    acc, scale = [0], 1
+    for m in range(len(differences) - 1, -1, -1):
+        acc[0] += differences[m][0] * scale
+        acc = [b * lo - m * a * hi for lo, hi in zip([0, *acc], [*acc, 0])]  # times (b*n - m*a)
+        scale *= (m + 1) * a
+    a = -a if scale < 0 else a
+    return [a * c for c in acc], den * b * abs(scale)
+
+
 def indefinite_sum(f: Polynomial) -> Polynomial:
     """The unique polynomial S with S(n+1) - S(n) = f(n) and S(0) = 0.
 
-    At integer n >= 0 this is sum_{k=0}^{n-1} f(k).  Built by Newton's
-    forward-difference formula, S(n) = sum_m D^m f(0) * binom(n, m+1), on
-    integers: with f = (n_0 + n_1 t + ...)/d, the value table
-    sum_i n_i k^i at k = 0..deg f and its differences are ints over d, and
-    Horner in the Newton basis multiplies by (n - m) on int lists while the
-    1/(m+1) factors collect into the one denominator d * (deg f + 1)!.
+    At integer n >= 0 this is sum_{k=0}^{n-1} f(k): Newton's
+    forward-difference formula S(n) = sum_m D^m f(0) * binom(n, m+1), the
+    step-1 case of downsampled_sum.
     """
-    num, top = f._num, f.degree
-    # Numerators of f(0), ..., f(top) over f's denominator, then D^m f(0).
-    table = [sum(c * k**i for i, c in enumerate(num)) for k in range(top + 1)]
-    differences = []
-    while table:
-        differences.append(table[0])
-        table = [b - a for a, b in zip(table, table[1:])]
-    # (top+1)! * S(n) = sum_m c_m * n(n-1)...(n-m) with c_m = D^m f(0) *
-    # (top+1)!/(m+1)!, by Horner from m = top down; scale is (top+1)!/(m+1)!.
-    acc, scale = [0], 1
-    for m in range(top, -1, -1):
-        acc[0] += differences[m] * scale
-        acc = [a - m * b for a, b in zip([0, *acc], [*acc, 0])]  # times (n - m)
-        scale *= m + 1
-    return Polynomial._from_ints(acc, f._den * scale)
+    return Polynomial._from_ints(*_newton_sum(*_forward_differences(f, 1, f.degree + 1), 1))
 
 
 def fractional_sum(f: Polynomial, n: Scalar) -> Fraction:
@@ -111,31 +121,14 @@ def fractional_sum(f: Polynomial, n: Scalar) -> Fraction:
 def downsampled_sum(f: Polynomial, x: Scalar) -> Polynomial:
     """The polynomial in n equal to x * sum_{k=0}^{n/x-1} f(kx).
 
-    Computed as x * S_g(n/x) where g(k) = f(xk); both the argument scaling
-    and the n/x composition are exact.
+    Newton's forward-difference formula at step x,
+    sum_m D_x^m f(0) * x * binom(n/x, m+1), on the integer step-x
+    differences of f.
     """
     x = Fraction(x)
     if x == 0:
         raise ZeroStep("downsampling step must be nonzero (the 0 limit is the derivative form)")
-    coarse = indefinite_sum(f.scale_argument(x))
-    return x * coarse.scale_argument(1 / x)
-
-
-def _require_order(family: CorrectionFamily, needed: int) -> None:
-    if family.max_order < needed:
-        raise InsufficientOrder(
-            f"family has max_order {family.max_order}, identity needs {needed}"
-        )
-
-
-def _difference_spans(f: Polynomial, step: Scalar, count: int) -> tuple[list[list[int]], int]:
-    """Numerators of D^{r-1} f(n) - D^{r-1} f(0) for r = 1..count over one denominator.
-
-    D is the step difference; the span of a polynomial is the polynomial
-    without its constant term.
-    """
-    differences, den = _forward_differences(f, step, count)
-    return [[0, *d[1:]] for d in differences], den
+    return Polynomial._from_ints(*_newton_sum(*_forward_differences(f, x, f.degree + 1), x))
 
 
 def step_identity_reports(
@@ -146,15 +139,14 @@ def step_identity_reports(
     Each entry is (scaled-difference report, unit-difference report); see
     scaled_difference_residual and unit_difference_residual.  The two
     identities share the gap indefinite_sum(f) - downsampled_sum(f, x) up
-    to sign, and the unit-step difference spans do not depend on x, so the
-    unit sum and those spans are built once per call and the downsampled
-    sum once per x.
+    to sign.  One table of step-x differences per step (see
+    forward_difference), the unit one built once per call, gives both the
+    sum (Newton's formula, D^m f(0)) and the spans D^{r-1} f(n) - D^{r-1} f(0)
+    (the differences without their constant terms).
 
-    Everything between the two sums stays on integers.  For x = a/b the
-    spans are integer numerators over one denominator (see
-    forward_difference), and the weight values come from integer Horner on
-    the weight numerators: w_r(x) = h_r / (e_r * b^deg), so the step
-    coefficient -w_r(x) / (r! * x^(r-1)) is the integer pair
+    Everything stays on integers.  The weight values come from integer
+    Horner on the weight numerators: for x = a/b, w_r(x) = h_r / (e_r * b^deg),
+    so the step coefficient -w_r(x) / (r! * x^(r-1)) is the integer pair
     -h_r * b^(r-1) / (e_r * b^deg * r! * a^(r-1)), the sign of a^(r-1) moved
     into the numerator; the unit coefficient -u_r(x) / r! is likewise
     -h / (e * b^deg * r!) from Horner on u_r.  Each residual is one linear
@@ -164,17 +156,18 @@ def step_identity_reports(
     if any(x == 0 for x in steps):
         raise ZeroStep("step must be nonzero; use euler_maclaurin_residual for the limit")
     terms = f.degree + 1
-    _require_order(family, terms)
-    unit_sum = indefinite_sum(f)
-    unit_spans, unit_den = _difference_spans(f, 1, terms)
+    if family.max_order < terms:
+        raise InsufficientOrder(f"family has max_order {family.max_order}, identity needs {terms}")
+    unit_differences, unit_den = _forward_differences(f, 1, terms)
+    unit_sum, unit_sum_den = _newton_sum(unit_differences, unit_den, 1)
     reports = []
     for x in steps:
         a, b = x.numerator, x.denominator
-        coarse_sum = downsampled_sum(f, x)
-        step_spans, step_den = _difference_spans(f, x, terms)
-        step_terms = [(1, unit_sum._den, unit_sum._num), (-1, coarse_sum._den, coarse_sum._num)]
-        unit_terms = [(1, coarse_sum._den, coarse_sum._num), (-1, unit_sum._den, unit_sum._num)]
-        for r, (step_span, unit_span) in enumerate(zip(step_spans, unit_spans), start=1):
+        step_differences, step_den = _forward_differences(f, x, terms)
+        coarse_sum, coarse_den = _newton_sum(step_differences, step_den, x)
+        step_terms = [(1, unit_sum_den, unit_sum), (-1, coarse_den, coarse_sum)]
+        unit_terms = [(1, coarse_den, coarse_sum), (-1, unit_sum_den, unit_sum)]
+        for r, (step_d, unit_d) in enumerate(zip(step_differences, unit_differences), start=1):
             weight, unit_weight = family.weights[r], family.unit_weights[r]
             h, b_power = _horner(weight._num, a, b)
             a_power = a ** (r - 1)
@@ -182,11 +175,13 @@ def step_identity_reports(
                 (
                     -h * b ** (r - 1) * (1 if a_power > 0 else -1),
                     weight._den * b_power * factorial(r) * abs(a_power) * step_den,
-                    step_span,
+                    [0, *step_d[1:]],
                 )
             )
             h, b_power = _horner(unit_weight._num, a, b)
-            unit_terms.append((-h, unit_weight._den * b_power * factorial(r) * unit_den, unit_span))
+            unit_terms.append(
+                (-h, unit_weight._den * b_power * factorial(r) * unit_den, [0, *unit_d[1:]])
+            )
         reports.append(
             (
                 SumIdentityReport(_linear_combination(step_terms), terms, x),
@@ -249,13 +244,14 @@ def gregory_residual(f: Polynomial) -> SumIdentityReport:
     """
     terms = f.degree + 1
     gregory = classical_numbers(correction_family(max(terms, 1))).gregory
-    spans, den = _difference_spans(f, 1, terms)
-    integral, unit_sum = f.antiderivative(), indefinite_sum(f)
+    differences, den = _forward_differences(f, 1, terms)
+    unit_sum, unit_sum_den = _newton_sum(differences, den, 1)
+    integral = f.antiderivative()
     residual = _linear_combination(
-        [(1, integral._den, integral._num), (-1, unit_sum._den, unit_sum._num)]
+        [(1, integral._den, integral._num), (-1, unit_sum_den, unit_sum)]
         + [
-            (-gregory[r].numerator, gregory[r].denominator * den, span)
-            for r, span in enumerate(spans, start=1)
+            (-gregory[r].numerator, gregory[r].denominator * den, [0, *d[1:]])
+            for r, d in enumerate(differences, start=1)
         ]
     )
     return SumIdentityReport(residual, terms, Fraction(1))
@@ -273,12 +269,12 @@ def alternating_residual(f: Polynomial) -> SumIdentityReport:
     """
     terms = f.degree + 1
     paired = indefinite_sum(f.scale_argument(2) - f.shift(1).scale_argument(2))
-    spans, den = _difference_spans(f, 1, terms + 1)
+    differences, den = _forward_differences(f, 1, terms)
     residual = _linear_combination(
         [(1, paired._den, paired._num)]
         + [
-            ((-1) ** r, 2 ** (r + 1) * den, [c << j for j, c in enumerate(span)])
-            for r, span in enumerate(spans)
+            ((-1) ** r, 2 ** (r + 1) * den, [c << j for j, c in enumerate([0, *d[1:]])])
+            for r, d in enumerate(differences)
         ]
     )
     return SumIdentityReport(residual, terms, Fraction(2))

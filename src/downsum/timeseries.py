@@ -19,8 +19,6 @@ from typing import Iterator, Sequence
 from .errors import (
     EmptySeries,
     InsufficientOrder,
-    InsufficientTable,
-    InsufficientTerms,
     NonDivisibleWindow,
     OutOfRange,
     ParseError,
@@ -267,7 +265,7 @@ def euler_transform(terms: Sequence[float], order: int) -> float:
     if order < 0:
         raise ValueError("order must be >= 0")
     if len(terms) < order + 1:
-        raise InsufficientTerms(
+        raise InsufficientOrder(
             f"order {order} needs {order + 1} terms, got {len(terms)}"
         )
     # row holds D^r terms / 2^r.  Scaling each row as it is differenced keeps
@@ -292,7 +290,7 @@ def euler_mascheroni(n_terms: int, table: CoefficientTable) -> float:
     slowly; a couple hundred terms give three correct digits.
     """
     if table.max_order < n_terms:
-        raise InsufficientTable(
+        raise InsufficientOrder(
             f"table covers r <= {table.max_order}, requested {n_terms} terms"
         )
     total = 0.0
@@ -312,7 +310,7 @@ def gregory_integral(s: TimeSeries, n: int, order: int, table: CoefficientTable)
     if order < 0:
         raise ValueError("order must be >= 0")
     if table.max_order < order:
-        raise InsufficientTable(
+        raise InsufficientOrder(
             f"table covers r <= {table.max_order}, correction needs {order}"
         )
     if order >= 1 and n + order - 1 > len(s) - 1:

@@ -8,6 +8,7 @@ import contextlib
 import csv
 import io
 import math
+import sys
 from fractions import Fraction as Fr
 from math import comb, factorial
 
@@ -25,6 +26,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def str_without_digit_limit(values):
+    """str() of each value with the int->str digit limit lifted, then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def write_bump_csv(path, header=False):
@@ -74,6 +85,18 @@ class TestCoeffs:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows == [["r", "value"], ["0", "1"], ["1", "-1/2"]]
+
+    def test_eval_past_int_str_digit_limit(self, capsys):
+        # F_3(1/q) for a 1500-digit q has a 4500-digit denominator.
+        q = "7" * 1500
+        code, out, _ = run(capsys, "coeffs", "--max-order", "3", "--eval", "1/" + q)
+        assert code == 0
+        x = Fr(1, int(q))
+        closed_forms = [Fr(1), (x - 1) / 2, -(x**2 - 1) / 6, (x**3 - x) / 4]
+        expected = [["r", f"F_r(1/{q})"]] + [
+            [str(r), text] for r, text in enumerate(str_without_digit_limit(closed_forms))
+        ]
+        assert [line.split() for line in out.splitlines()] == expected
 
     def test_negative_order(self, capsys):
         code, _, err = run(capsys, "coeffs", "--max-order", "-2")
@@ -247,6 +270,13 @@ class TestSum:
         code, out, _ = run(capsys, "sum", "--poly", "0,0,1", "--n", "3")
         assert code == 0
         assert out.strip() == "5"
+
+    def test_result_past_int_str_digit_limit(self, capsys):
+        # sum_{k<n} k = n(n-1)/2 has 4400 digits for n = 10^2200.
+        n = "1" + "0" * 2200
+        code, out, _ = run(capsys, "sum", "--poly", "0,1", "--n", n)
+        assert code == 0
+        assert out == str_without_digit_limit([int(n) * (int(n) - 1) // 2])[0] + "\n"
 
     def test_malformed_poly(self, capsys):
         code, _, err = run(capsys, "sum", "--poly", "0,one", "--n", "2")

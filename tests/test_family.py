@@ -22,7 +22,6 @@ from downsum import (
     count_real_roots,
     falling_factorial,
     reversed_falling_factorial,
-    special_value,
     unit_weight_recurrence_residual,
     weight_recurrence_residual,
 )
@@ -295,28 +294,20 @@ class TestRecurrences:
 
 class TestSpecialValues:
     def test_half(self, family20):
-        assert special_value(family20, 2, "half") == Fr(1, 8)
-        assert special_value(family20, 2, "half") == Fr(factorial(2), 4 ** 2)
+        assert family20.weights[2](Fr(1, 2)) == Fr(1, 8)
+        assert family20.weights[2](Fr(1, 2)) == Fr(factorial(2), 4 ** 2)
 
     def test_two(self, family20):
-        assert special_value(family20, 3, "two") == Fr(3, 2)
-        assert special_value(family20, 3, "two") == Fr(
+        assert family20.weights[3](Fr(2)) == Fr(3, 2)
+        assert family20.weights[3](Fr(2)) == Fr(
             (-1) ** 3 * factorial(6), (1 - 6) * factorial(3) * 2 ** 4
         )
 
     def test_one_is_root(self, family20):
-        assert special_value(family20, 5, "one") == 0
+        assert family20.weights[5](Fr(1)) == 0
 
     def test_minus_one_is_root(self, family20):
-        assert special_value(family20, 4, "minus_one") == 0
-
-    def test_unknown_point(self, family20):
-        with pytest.raises(ValueError):
-            special_value(family20, 2, "three")
-
-    def test_order_beyond_family(self, family20):
-        with pytest.raises(ValueError):
-            special_value(family20, 21, "half")
+        assert family20.weights[4](Fr(-1)) == 0
 
 
 class TestRootCounting:

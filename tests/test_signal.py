@@ -7,8 +7,6 @@ import pytest
 from downsum import (
     EmptySeries,
     InsufficientOrder,
-    InsufficientTable,
-    InsufficientTerms,
     NonDivisibleWindow,
     OutOfRange,
     ParseError,
@@ -272,7 +270,7 @@ class TestEulerTransform:
         assert euler_transform([1.0, 2.0], 1) == 0.25
 
     def test_insufficient_terms(self):
-        with pytest.raises(InsufficientTerms):
+        with pytest.raises(InsufficientOrder):
             euler_transform([1.0, 0.5], 2)
 
     def test_order_past_float_exponent_range(self):
@@ -314,7 +312,7 @@ class TestEulerMascheroni:
         assert abs(euler_mascheroni(200, table) - GAMMA) < 2e-3
 
     def test_table_too_short(self):
-        with pytest.raises(InsufficientTable):
+        with pytest.raises(InsufficientOrder):
             euler_mascheroni(10, coefficient_table(5))
 
 
@@ -342,7 +340,7 @@ class TestGregoryIntegral:
 
     def test_table_too_short(self):
         s = TimeSeries((1.0,) * 20)
-        with pytest.raises(InsufficientTable):
+        with pytest.raises(InsufficientOrder):
             gregory_integral(s, 4, 3, coefficient_table(2))
 
 

@@ -163,21 +163,23 @@ class TestDownsampledSum:
     def test_constant(self):
         for x in (Fr(2), Fr(-3), Fr(5, 7)):
             assert downsampled_sum(P([1]), x) == P([0, 1])
+            assert downsampled_sum(P(), x) == P()
 
     def test_zero_step_rejected(self):
         with pytest.raises(ZeroStep):
             downsampled_sum(P([0, 1]), 0)
 
     def test_matches_literal_coarse_sum(self):
-        # x * sum_{k<n/x} f(kx) at n divisible by x, against literal sums.
+        # x * sum_{k<n/x} f(kx) at n = j*x, against literal sums, for odd
+        # and even degrees and negative and fractional steps.
         rng = random.Random(19)
-        for _ in range(10):
-            f = random_polynomial(rng, 5)
-            for x in (2, 3, 5):
+        for i in range(10):
+            f = random_polynomial(rng, 4 + i % 2)
+            for x in (Fr(2), Fr(3), Fr(5), Fr(-3), Fr(-5, 7), Fr(5, 7)):
                 coarse = downsampled_sum(f, x)
-                for n in (0, x, 4 * x, 10 * x):
-                    literal = x * sum((f(Fr(k * x)) for k in range(n // x)), Fr(0))
-                    assert coarse(Fr(n)) == literal
+                for j in (0, 1, 4, 10):
+                    literal = x * sum((f(k * x) for k in range(j)), Fr(0))
+                    assert coarse(j * x) == literal
 
 
 class TestMasterIdentity:
