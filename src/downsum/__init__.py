@@ -14,9 +14,6 @@ from .errors import (
     InsufficientOrder,
     NonDivisibleWindow,
     NonExactDivision,
-    NonUnitConstantTerm,
-    NonzeroConstantTerm,
-    OrderMismatch,
     OutOfRange,
     ParseError,
     ZeroStep,
@@ -70,9 +67,6 @@ __all__ = [
     "InsufficientOrder",
     "NonDivisibleWindow",
     "NonExactDivision",
-    "NonUnitConstantTerm",
-    "NonzeroConstantTerm",
-    "OrderMismatch",
     "OutOfRange",
     "ParseError",
     "ZeroStep",

@@ -14,18 +14,6 @@ class NonExactDivision(DownsumError):
     """Polynomial division left a nonzero remainder where exactness was assumed."""
 
 
-class OrderMismatch(DownsumError):
-    """Power-series arithmetic attempted between different truncation orders."""
-
-
-class NonUnitConstantTerm(DownsumError):
-    """Series reciprocal requires the constant coefficient to be exactly 1."""
-
-
-class NonzeroConstantTerm(DownsumError):
-    """Series exponential requires the constant coefficient to be exactly 0."""
-
-
 class ZeroStep(DownsumError):
     """A step/downsampling factor of zero was supplied where it is undefined."""
 

@@ -29,12 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import (
-    NonExactDivision,
-    NonUnitConstantTerm,
-    NonzeroConstantTerm,
-    OrderMismatch,
-)
+from .errors import NonExactDivision
 
 Scalar = Union[int, Fraction]
 
@@ -133,13 +128,15 @@ def _taylor_shift(coeffs: Sequence[int], a: int) -> list[int]:
 
 
 def _forward_differences(p: "Polynomial", step: Scalar, count: int) -> tuple[list[list[int]], int]:
-    """Numerators of D^k p for k = 0..count-1 over one denominator.
+    """Numerators of the difference quotients D^k p / x^k, k = 0..count-1, over one denominator.
 
-    D is the forward difference with step a/b.  Q(s) = d * b^deg * p(s/b)
-    has integer coefficients and D^k p(t) = (Δ^k Q)(b*t) / (d * b^deg) with
-    Δ Q(s) = Q(s + a) - Q(s), so each order is one integer Taylor shift and
-    a subtraction, normalised nowhere: the numerators of D^k p are the
-    coefficients q_j of Δ^k Q times b^j.  Orders past deg p are empty lists.
+    D is the forward difference with step x = a/b.  Q(s) = d * b^deg * p(s/b)
+    has integer coefficients and D^k p(t) / x^k = b^k (N^k Q)(b*t) / (d * b^deg)
+    with N Q(s) = (Q(s + a) - Q(s)) / a, so each order is one integer Taylor
+    shift, a subtraction and an exact division, normalised nowhere: the
+    numerators of order k are the coefficients q_j of N^k Q times b^(j+k).
+    At a = 0, N is the derivative: the x -> 0 limit of the quotients.
+    Orders past deg p are empty lists.
     """
     step = _as_fraction(step)
     a, b = step.numerator, step.denominator
@@ -147,9 +144,12 @@ def _forward_differences(p: "Polynomial", step: Scalar, count: int) -> tuple[lis
     q = [c * b ** (top - i) for i, c in enumerate(p._num)]
     powers = [b**j for j in range(top + 1)]
     out = []
-    for _ in range(count):
-        out.append([c * w for c, w in zip(q, powers)])
-        q = [s - c for s, c in zip(_taylor_shift(q, a), q)][:-1]
+    for k in range(count):
+        out.append([c * w for c, w in zip(q, powers[k:])])
+        if a:
+            q = [(s - c) // a for s, c in zip(_taylor_shift(q, a), q)][:-1]
+        else:
+            q = [j * c for j, c in enumerate(q)][1:]
     return out, p._den * b**top
 
 
@@ -459,7 +459,7 @@ class PowerSeries:
 
     def _check_order(self, other: "PowerSeries") -> None:
         if self.order != other.order:
-            raise OrderMismatch(f"series orders differ: {self.order} vs {other.order}")
+            raise ValueError(f"series orders differ: {self.order} vs {other.order}")
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
@@ -492,9 +492,7 @@ class PowerSeries:
         Requires the constant coefficient to be the constant polynomial 1.
         """
         if self.coeffs[0] != Polynomial.one():
-            raise NonUnitConstantTerm(
-                f"constant coefficient is {self.coeffs[0]!r}, expected 1"
-            )
+            raise ValueError(f"constant coefficient is {self.coeffs[0]!r}, expected 1")
         out = [Polynomial.one()]
         for n in range(1, self.order + 1):
             acc = Polynomial.zero()
@@ -509,9 +507,7 @@ class PowerSeries:
         Requires a zero constant coefficient.
         """
         if not self.coeffs[0].is_zero:
-            raise NonzeroConstantTerm(
-                f"constant coefficient is {self.coeffs[0]!r}, expected 0"
-            )
+            raise ValueError(f"constant coefficient is {self.coeffs[0]!r}, expected 0")
         out = [Polynomial.one()]
         for n in range(self.order):
             acc = Polynomial.zero()

@@ -1,7 +1,7 @@
 """Finite-difference calculus on polynomials and exact summation identities.
 
-The central fact being exercised: for a polynomial f and any nonzero
-rational step x,
+The central fact being exercised: for a polynomial f and any rational
+step x, with x = 0 as the limit (Euler–Maclaurin and Gregory),
 
     sum_{k=0}^{n-1} f(k)
         = x * sum_{k=0}^{n/x-1} f(kx)
@@ -9,7 +9,9 @@ rational step x,
 
 as an identity of polynomials in n, where D_x is the step-x forward
 difference and w_r the correction weights of :mod:`downsum.family`.  The
-series is finite: D_x^{r-1} f vanishes identically once r-1 > deg f.
+series is finite: D_x^{r-1} f vanishes identically once r-1 > deg f.  At
+x = 0 the coarse sum is the integral of f over [0, n] and the difference
+quotients D_x^{r-1} f / x^{r-1} are the derivatives f^(r-1).
 
 Each ``*_residual`` function builds LHS - RHS as an explicit Polynomial and
 reports it verbatim; checks are structural (all coefficients zero), never
@@ -17,12 +19,12 @@ sampled, so a pass cannot be a coincidence of evaluation points.
 
 Everything runs on the integer-numerator layout of :mod:`downsum.exact`.
 The indefinite and the downsampled sum are both Newton's forward-difference
-formula, at steps 1 and x, read off one table of integer step-x
-differences over one denominator (see ``forward_difference``); the same
-table gives the difference spans of the identities.  A weight value at x
-is one integer Horner pass, kept as a numerator/denominator pair.  Each
-residual is a single linear combination of these integer pieces: one
-common denominator, integer accumulation and one normalisation.
+formula, at steps 1 and x, read off one table of integer step-x difference
+quotients over one denominator (see ``forward_difference``); the same table
+gives the difference spans of the identities.  A weight value at x is one
+integer Horner pass, kept as a numerator/denominator pair.  Each residual
+is a single linear combination of these integer pieces: one common
+denominator, integer accumulation and one normalisation.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Sequence
 
 from .errors import InsufficientOrder, ZeroStep
 from .exact import Polynomial, Scalar, _forward_differences, _horner, _linear_combination
-from .family import CorrectionFamily, classical_numbers, correction_family
+from .family import CorrectionFamily, correction_family
 
 
 @dataclass(frozen=True)
@@ -60,17 +62,18 @@ def forward_difference(f: Polynomial, step: Scalar, order: int) -> Polynomial:
 
     D_x f(t) = f(t+x) - f(t); order 0 is the identity.  Each application
     drops the degree by one, so the result is zero once order > deg f.
-    For step x = a/b and f = (n_0 + n_1 t + ...)/d the orders run on
-    integers: Q(s) = d*b^deg*f(s/b) has integer coefficients, and
-    D_x^k f(t) = (Δ^k Q)(b*t) / (d*b^deg) where Δ Q(s) = Q(s+a) - Q(s) is an
-    integer Taylor shift and a subtraction.  Only the result is normalised.
+    The orders run on the integer difference quotients D_x^k f / x^k of
+    _forward_differences; the result is order k times x^k = a^k / b^k,
+    normalised once.
     """
     if order < 0:
         raise ValueError("difference order must be >= 0")
     if order > f.degree:
         return Polynomial.zero()
+    step = Fraction(step)
+    a, b = step.numerator, step.denominator
     differences, den = _forward_differences(f, step, order + 1)
-    return Polynomial._from_ints(differences[order], den)
+    return Polynomial._from_ints([c * a**order for c in differences[order]], den * b**order)
 
 
 def _newton_sum(
@@ -78,25 +81,24 @@ def _newton_sum(
 ) -> tuple[list[int], int]:
     """Numerators over one positive denominator of x * sum_{k<n/x} f(kx), in n.
 
-    differences and den are _forward_differences(f, x, deg f + 1), whose
-    rows are all nonempty.  For x = a/b, Newton's forward-difference formula
-    reads
+    differences and den are _forward_differences(f, x, deg f + 1), the
+    difference quotients δ_m = D_x^m f / x^m, whose rows are all nonempty.
+    For x = a/b, Newton's forward-difference formula reads
 
-        x * sum_{k<n/x} f(kx) = sum_m D_x^m f(0) * prod_{j<=m} (b*n - j*a) / (b * a^m * (m+1)!)
+        x * sum_{k<n/x} f(kx) = sum_m δ_m(0) * prod_{j<=m} (b*n - j*a) / (b^(m+1) * (m+1)!)
 
-    With top = deg f and Q = prod_{j<=top} (j+1)*a, this is a * N(n) / (b * Q) where
-    N = sum_m D_x^m f(0) * prod_{m<j<=top} (j+1)*a * prod_{j<=m} (b*n - j*a),
-    built by Horner from the top order down on int lists.  The sign of Q
-    moves into the numerators.
+    and at x = 0 it is Taylor's integral_0^n f = sum_m f^(m)(0) n^(m+1) / (m+1)!.
+    With top = deg f and Q = prod_{j<=top} (j+1)*b, this is N(n) / Q where
+    N = sum_m δ_m(0) * prod_{m<j<=top} (j+1)*b * prod_{j<=m} (b*n - j*a),
+    built by Horner from the top order down on int lists.
     """
     a, b = step.numerator, step.denominator
     acc, scale = [0], 1
     for m in range(len(differences) - 1, -1, -1):
         acc[0] += differences[m][0] * scale
         acc = [b * lo - m * a * hi for lo, hi in zip([0, *acc], [*acc, 0])]  # times (b*n - m*a)
-        scale *= (m + 1) * a
-    a = -a if scale < 0 else a
-    return [a * c for c in acc], den * b * abs(scale)
+        scale *= (m + 1) * b
+    return acc, den * scale
 
 
 def indefinite_sum(f: Polynomial) -> Polynomial:
@@ -139,22 +141,22 @@ def step_identity_reports(
     Each entry is (scaled-difference report, unit-difference report); see
     scaled_difference_residual and unit_difference_residual.  The two
     identities share the gap indefinite_sum(f) - downsampled_sum(f, x) up
-    to sign.  One table of step-x differences per step (see
+    to sign.  One table of step-x difference quotients per step (see
     forward_difference), the unit one built once per call, gives both the
-    sum (Newton's formula, D^m f(0)) and the spans D^{r-1} f(n) - D^{r-1} f(0)
-    (the differences without their constant terms).
+    sum (Newton's formula, δ_m(0)) and the spans δ_{r-1}(n) - δ_{r-1}(0)
+    (the quotients without their constant terms).  At x = 0 the sum is the
+    integral and the quotients are derivatives, so the two reports are the
+    Euler–Maclaurin and the Gregory residuals.
 
     Everything stays on integers.  The weight values come from integer
     Horner on the weight numerators: for x = a/b, w_r(x) = h_r / (e_r * b^deg),
-    so the step coefficient -w_r(x) / (r! * x^(r-1)) is the integer pair
-    -h_r * b^(r-1) / (e_r * b^deg * r! * a^(r-1)), the sign of a^(r-1) moved
-    into the numerator; the unit coefficient -u_r(x) / r! is likewise
-    -h / (e * b^deg * r!) from Horner on u_r.  Each residual is one linear
-    combination of the two sums and the deg f + 1 spans, normalised once.
+    so the step coefficient -w_r(x) / r! of the quotient span is the integer
+    pair -h_r / (e_r * b^deg * r!); the unit coefficient -u_r(x) / r! is
+    likewise -h / (e * b^deg * r!) from Horner on u_r.  Each residual is one
+    linear combination of the two sums and the deg f + 1 spans, normalised
+    once.
     """
     steps = [Fraction(x) for x in grid]
-    if any(x == 0 for x in steps):
-        raise ZeroStep("step must be nonzero; use euler_maclaurin_residual for the limit")
     terms = f.degree + 1
     if family.max_order < terms:
         raise InsufficientOrder(f"family has max_order {family.max_order}, identity needs {terms}")
@@ -170,14 +172,7 @@ def step_identity_reports(
         for r, (step_d, unit_d) in enumerate(zip(step_differences, unit_differences), start=1):
             weight, unit_weight = family.weights[r], family.unit_weights[r]
             h, b_power = _horner(weight._num, a, b)
-            a_power = a ** (r - 1)
-            step_terms.append(
-                (
-                    -h * b ** (r - 1) * (1 if a_power > 0 else -1),
-                    weight._den * b_power * factorial(r) * abs(a_power) * step_den,
-                    [0, *step_d[1:]],
-                )
-            )
+            step_terms.append((-h, weight._den * b_power * factorial(r) * step_den, [0, *step_d[1:]]))
             h, b_power = _horner(unit_weight._num, a, b)
             unit_terms.append(
                 (-h, unit_weight._den * b_power * factorial(r) * unit_den, [0, *unit_d[1:]])
@@ -217,44 +212,19 @@ def euler_maclaurin_residual(f: Polynomial) -> SumIdentityReport:
     """Residual of the x -> 0 limit: Bernoulli weights on derivatives.
 
     sum_{k<n} f(k) = integral_0^n f + sum_r B_r/r! * (f^(r-1)(n) - f^(r-1)(0)),
-    with B_1 = -1/2 (the convention the weight family produces at 0).
+    with B_1 = -1/2: the scaled-difference identity at x = 0, where
+    w_r(0) = B_r.
     """
-    terms = f.degree + 1
-    family = correction_family(max(terms, 1))
-    unit_sum, integral = indefinite_sum(f), f.antiderivative()
-    combination = [(1, unit_sum._den, unit_sum._num), (-1, integral._den, integral._num)]
-    derivative = f
-    for r in range(1, terms + 1):
-        bernoulli = family.weights[r].constant_term
-        combination.append(
-            (
-                -bernoulli.numerator,
-                bernoulli.denominator * factorial(r) * derivative._den,
-                [0, *derivative._num[1:]],
-            )
-        )
-        derivative = derivative.derivative()
-    return SumIdentityReport(_linear_combination(combination), terms, Fraction(0))
+    return scaled_difference_residual(f, 0, correction_family(max(f.degree + 1, 1)))
 
 
 def gregory_residual(f: Polynomial) -> SumIdentityReport:
     """Residual of the quadrature form: Gregory weights on unit differences.
 
-    integral_0^n f = sum_{k<n} f(k) + sum_r G_r * (D^{r-1} f(n) - D^{r-1} f(0)).
+    integral_0^n f = sum_{k<n} f(k) + sum_r G_r * (D^{r-1} f(n) - D^{r-1} f(0)):
+    the unit-difference identity at x = 0, where u_r(0)/r! = G_r.
     """
-    terms = f.degree + 1
-    gregory = classical_numbers(correction_family(max(terms, 1))).gregory
-    differences, den = _forward_differences(f, 1, terms)
-    unit_sum, unit_sum_den = _newton_sum(differences, den, 1)
-    integral = f.antiderivative()
-    residual = _linear_combination(
-        [(1, integral._den, integral._num), (-1, unit_sum_den, unit_sum)]
-        + [
-            (-gregory[r].numerator, gregory[r].denominator * den, [0, *d[1:]])
-            for r, d in enumerate(differences, start=1)
-        ]
-    )
-    return SumIdentityReport(residual, terms, Fraction(1))
+    return unit_difference_residual(f, 0, correction_family(max(f.degree + 1, 1)))
 
 
 def alternating_residual(f: Polynomial) -> SumIdentityReport:

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 
 from downsum import (
     NonExactDivision,
-    NonUnitConstantTerm,
-    NonzeroConstantTerm,
-    OrderMismatch,
     Polynomial,
     PowerSeries,
     format_rational,
@@ -383,9 +380,9 @@ class TestPowerSeries:
         assert [c.constant_term for c in product.coeffs] == expected
 
     def test_order_mismatch(self):
-        with pytest.raises(OrderMismatch):
+        with pytest.raises(ValueError):
             PowerSeries.one(3) * PowerSeries.one(4)
-        with pytest.raises(OrderMismatch):
+        with pytest.raises(ValueError):
             PowerSeries.one(3) + PowerSeries.one(2)
 
     def test_reciprocal_geometric(self):
@@ -406,7 +403,7 @@ class TestPowerSeries:
         assert PowerSeries.one(4).reciprocal() == PowerSeries.one(4)
 
     def test_reciprocal_requires_unit_constant(self):
-        with pytest.raises(NonUnitConstantTerm):
+        with pytest.raises(ValueError):
             PowerSeries([P([2]), P([1])]).reciprocal()
 
     def test_reciprocal_inverts(self):
@@ -439,7 +436,7 @@ class TestPowerSeries:
         assert result == expected
 
     def test_exp_requires_zero_constant(self):
-        with pytest.raises(NonzeroConstantTerm):
+        with pytest.raises(ValueError):
             PowerSeries([P([1]), P([1])]).exp()
 
     def test_exp_additivity(self):

@@ -1,9 +1,14 @@
-"""Every ```python block of README.md runs as written."""
+"""Every ```python block of README.md runs as written, and the package
+exports resolve on the standard library alone."""
 
+import ast
 import pathlib
 import re
+import sys
 
 import pytest
+
+import downsum
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
@@ -16,3 +21,21 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_public_names_resolve():
+    for name in downsum.__all__:
+        assert hasattr(downsum, name), name
+
+
+def test_library_imports_only_the_standard_library():
+    for path in sorted((README.parent / "src" / "downsum").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [(node.module or "").split(".")[0]] if node.level == 0 else []
+            else:
+                continue
+            for root in roots:
+                assert root in sys.stdlib_module_names or root == "downsum", (path.name, root)

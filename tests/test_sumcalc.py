@@ -236,11 +236,17 @@ class TestMasterIdentity:
         with pytest.raises(InsufficientOrder):
             unit_difference_residual(f, 2, correction_family(2))
 
-    def test_zero_step_rejected(self, family20):
-        with pytest.raises(ZeroStep):
-            scaled_difference_residual(P([0, 1]), 0, family20)
-        with pytest.raises(ZeroStep):
-            unit_difference_residual(P([0, 1]), 0, family20)
+    def test_zero_step_is_the_classical_limit(self, family20):
+        # At x = 0 the coarse sum is the integral and the step differences
+        # are derivatives: Euler-Maclaurin and Gregory.
+        rng = random.Random(53)
+        for _ in range(6):
+            f = random_polynomial(rng, 7)
+            step_form = scaled_difference_residual(f, 0, family20)
+            unit_form = unit_difference_residual(f, 0, family20)
+            assert step_form.passed, (f, step_form.residual)
+            assert unit_form.passed, (f, unit_form.residual)
+            assert step_form.x_value == unit_form.x_value == 0
 
     def test_report_passed_tracks_residual(self):
         ok = SumIdentityReport(P(), 3, Fr(2))
@@ -266,6 +272,7 @@ class TestDerivativeForm:
 
     def test_constant(self):
         assert euler_maclaurin_residual(P([1])).passed
+        assert euler_maclaurin_residual(P()).passed
 
     def test_quartic(self):
         assert euler_maclaurin_residual(P([0, 0, 0, 0, 1])).passed
@@ -300,9 +307,32 @@ class TestQuadratureForm:
 
     def test_constant(self):
         assert gregory_residual(P([1])).passed
+        assert gregory_residual(P()).passed
 
     def test_cubic(self):
         assert gregory_residual(P([0, 0, 0, 1])).passed
+
+    def test_matches_in_test_gregory_construction(self):
+        """Rebuild the quadrature-form residual from scratch with Gregory
+        coefficients from sum_{k<=n} G_k (-1)^(n-k)/(n-k+1) = 0 (the series
+        of z/log(1+z)) and pointwise unit differences; it must agree."""
+        gregory = [Fr(1)]
+        for n in range(1, 12):
+            gregory.append(-sum(gregory[k] * Fr((-1) ** (n - k), n - k + 1) for k in range(n)))
+        assert gregory[1:4] == [Fr(1, 2), Fr(-1, 12), Fr(1, 24)]
+        rng = random.Random(59)
+        for _ in range(8):
+            f = random_polynomial(rng, 8)
+            residual = f.antiderivative() - indefinite_sum(f)
+            for r in range(1, f.degree + 2):
+                # D^{r-1} f(t) = sum_j (-1)^(r-1-j) C(r-1, j) f(t + j)
+                difference = P()
+                for j in range(r):
+                    difference = difference + (-1) ** (r - 1 - j) * comb(r - 1, j) * f.shift(j)
+                span = difference - P([difference(Fr(0))])
+                residual = residual - gregory[r] * span
+            assert residual.is_zero
+            assert gregory_residual(f).residual == residual
 
 
 class TestAlternatingForm:
@@ -317,6 +347,7 @@ class TestAlternatingForm:
 
     def test_constant(self):
         assert alternating_residual(P([1])).passed
+        assert alternating_residual(P()).passed
 
     def test_squares(self):
         assert alternating_residual(P([0, 0, 1])).passed
