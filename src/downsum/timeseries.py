@@ -2,8 +2,10 @@
 
 Everything symbolic stays exact in :mod:`downsum.family`; this module is the
 boundary where weights are converted to floats (exactly once per use) and
-applied to sampled data.  Summation order is fixed left-to-right so results
-are bit-for-bit reproducible.
+applied to sampled data.  The corrected window sums and the Gregory rule are
+one step-h corrected sum, a coarse sum plus weighted boundary differences,
+with weights w_r(x)/(r!*x^(r-1)) at step x and G_r at step 1.  Summation
+order is fixed left-to-right so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptySeries,
@@ -147,6 +149,8 @@ def windowed_sum(s: TimeSeries, t0: int, n: int, x: int) -> float:
     """
     if x < 1:
         raise ValueError("downsampling factor must be a positive integer")
+    if n < 0:
+        raise ValueError("window length must be >= 0")
     if n % x != 0:
         raise NonDivisibleWindow(f"window {n} is not divisible by factor {x}")
     if t0 < 0 or t0 + n > len(s):
@@ -157,52 +161,51 @@ def windowed_sum(s: TimeSeries, t0: int, n: int, x: int) -> float:
     return _finite(x * total, f"window sum at t0={t0}, n={n}, x={x}")
 
 
+def _corrected_sums(
+    s: TimeSeries, t0: int, n: int, step: int, weights: Iterable[float]
+) -> Iterator[float]:
+    """windowed_sum(s, t0, n, step), then the total after each boundary term.
+
+    Term r is the r-th weight times (D_step^{r-1} s at t0+n minus at t0); it
+    reads sample t0+n+(r-1)*step and never extrapolates past the series.
+    """
+    total = windowed_sum(s, t0, n, step)
+    yield total
+    for r, weight in enumerate(weights, 1):
+        last_needed = t0 + n + (r - 1) * step
+        if last_needed > len(s) - 1:
+            raise OutOfRange(
+                f"order-{r} correction at window end {t0 + n} needs sample "
+                f"{last_needed}, series has {len(s)}"
+            )
+        span = forward_difference(s, t0 + n, step, r - 1) - forward_difference(s, t0, step, r - 1)
+        what = f"order-{r} corrected sum at t0={t0}, n={n}, x={step}"
+        total = _finite(total + weight * span, what)
+        yield total
+
+
+def _step_weights(family: CorrectionFamily, x: int, order: int) -> Iterator[float]:
+    """float(w_r(x)/r!/x^(r-1)) for r = 1..order, lazily: windowed_sum checks x first."""
+    for r in range(1, order + 1):
+        if family.max_order < r:
+            raise InsufficientOrder(f"family has max_order {family.max_order}, correction needs {r}")
+        yield float(family.weights[r](Fraction(x)) / factorial(r) / Fraction(x) ** (r - 1))
+
+
 def corrected_sum(
     s: TimeSeries, t0: int, n: int, x: int, order: int, family: CorrectionFamily
 ) -> float:
     """Windowed sum plus the first `order` boundary correction terms.
 
-    Each term is w_r(x)/r! * (D_x^{r-1} s at t0+n minus at t0) / x^{r-1};
-    the exact rational weight is converted to float once per term.  Trailing
-    differences need samples beyond the window (up to t0+n+(order-1)*x) and
-    their absence is an error, never an extrapolation.  A corrected sum that
-    leaves the float range raises OverflowError.
+    Each term is w_r(x)/r! * (D_x^{r-1} s at t0+n minus at t0) / x^{r-1}.
+    A sample missing past the window (up to t0+n+(order-1)*x) raises
+    OutOfRange and a total past the float range OverflowError; both name the
+    first order that fails.
     """
-    base = windowed_sum(s, t0, n, x)
-    if order == 0:
-        return base
+    *_, total = _corrected_sums(s, t0, n, x, _step_weights(family, x, order))
     if order < 0:
         raise ValueError("correction order must be >= 0")
-    _check_correction(s, t0, n, x, order, family)
-    total = base
-    for r in range(1, order + 1):
-        total += _correction_term(s, t0, n, x, r, family)
-    return _finite(total, f"order-{order} corrected sum at t0={t0}, n={n}, x={x}")
-
-
-def _check_correction(
-    s: TimeSeries, t0: int, n: int, x: int, order: int, family: CorrectionFamily
-) -> None:
-    """The family and the samples past the window must reach the given order."""
-    if family.max_order < order:
-        raise InsufficientOrder(
-            f"family has max_order {family.max_order}, correction needs {order}"
-        )
-    last_needed = t0 + n + (order - 1) * x
-    if last_needed > len(s) - 1:
-        raise OutOfRange(
-            f"order-{order} correction at window end {t0 + n} needs sample "
-            f"{last_needed}, series has {len(s)}"
-        )
-
-
-def _correction_term(
-    s: TimeSeries, t0: int, n: int, x: int, r: int, family: CorrectionFamily
-) -> float:
-    """w_r(x)/r! * (D_x^{r-1} s at t0+n minus at t0) / x^{r-1}, as a float."""
-    weight = float(family.weights[r](Fraction(x)) / factorial(r) / Fraction(x) ** (r - 1))
-    span = forward_difference(s, t0 + n, x, r - 1) - forward_difference(s, t0, x, r - 1)
-    return weight * span
+    return total
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,11 @@ class ErrorReport:
 
     window: int
     rows: tuple[tuple[int, int, float], ...]  # (x, R, err), sorted by (x, R)
-    baseline: dict[int, float] = field(compare=False)  # err at R = 0 per x
+
+    @property
+    def baseline(self) -> dict[int, float]:
+        """err at R = 0 per x."""
+        return {x: err for x, order, err in self.rows if order == 0}
 
     def err(self, x: int, order: int) -> float:
         for row_x, row_order, value in self.rows:
@@ -235,24 +242,12 @@ def error_report(
     """
     truth = windowed_sum(s, t0, n, 1)
     rows = []
-    baseline: dict[int, float] = {}
     for x in sorted(set(xs)):
-        for order in range(max_correction + 1):
-            # The order-R corrected sum is the order-(R-1) one plus one term,
-            # added in the same float order as corrected_sum adds it.
-            if order == 0:
-                total = windowed_sum(s, t0, n, x)
-            else:
-                _check_correction(s, t0, n, x, order, family)
-                total = _finite(
-                    total + _correction_term(s, t0, n, x, order, family),
-                    f"order-{order} corrected sum at t0={t0}, n={n}, x={x}",
-                )
-            err = _finite(abs(truth - total), f"error at x={x}, R={order}")
-            rows.append((x, order, err))
-            if order == 0:
-                baseline[x] = err
-    return ErrorReport(n, tuple(rows), baseline)
+        sums = _corrected_sums(s, t0, n, x, _step_weights(family, x, max_correction))
+        # zip reads range first, so a negative max_correction starts no sum.
+        for order, total in zip(range(max_correction + 1), sums):
+            rows.append((x, order, _finite(abs(truth - total), f"error at x={x}, R={order}")))
+    return ErrorReport(n, tuple(rows))
 
 
 def euler_transform(terms: Sequence[float], order: int) -> float:
@@ -305,27 +300,14 @@ def gregory_integral(s: TimeSeries, n: int, order: int, table: CoefficientTable)
 
     integral ~= sum_{k<n} s[k] + sum_{r=1}^{order} G_r (D^{r-1} s(n) - D^{r-1} s(0)).
     """
-    if n < 0:
-        raise ValueError("upper limit must be >= 0")
     if order < 0:
         raise ValueError("order must be >= 0")
     if table.max_order < order:
         raise InsufficientOrder(
             f"table covers r <= {table.max_order}, correction needs {order}"
         )
-    if order >= 1 and n + order - 1 > len(s) - 1:
-        raise OutOfRange(
-            f"order-{order} quadrature at n={n} needs sample {n + order - 1}, "
-            f"series has {len(s)}"
-        )
-    if n > len(s):
-        raise OutOfRange(f"upper limit {n} exceeds series of length {len(s)}")
-    total = 0.0
-    for k in range(n):
-        total += s[k]
-    for r in range(1, order + 1):
-        span = forward_difference(s, n, 1, r - 1) - forward_difference(s, 0, 1, r - 1)
-        total += float(table.gregory[r]) * span
+    weights = (float(table.gregory[r]) for r in range(1, order + 1))
+    *_, total = _corrected_sums(s, 0, n, 1, weights)
     return total
 
 

@@ -46,6 +46,79 @@ def write_bump_csv(path, header=False):
             handle.write(f"{t},{math.exp(-(((t - 25) / 25) ** 2))}\n")
 
 
+def write_signal_csv(path):
+    """5000 rows of three slow sinusoids, a Gaussian bump and an offset."""
+    with open(path, "w") as handle:
+        handle.write("t,v\n")
+        for t in range(5000):
+            value = (
+                0.3
+                + 0.7 * math.sin(2 * math.pi * t / 2200 + 0.4)
+                + 0.4 * math.sin(2 * math.pi * t / 900 + 2.1)
+                + 0.25 * math.sin(2 * math.pi * t / 410 + 5.0)
+                + 1.3 * math.exp(-(((t - 2600) / 350) ** 2))
+            )
+            handle.write(f"{t},{value!r}\n")
+
+
+# Recorded err CSVs of the acceptance bump study and of one signal window.  The
+# float operations behind them run in a fixed order, so the bytes must not move.
+BUMP_ERR_CSV = """\
+x,R,err
+2,0,0.102207895
+2,1,0.0113026154
+2,2,4.4691973e-05
+2,3,2.13122216e-05
+2,4,6.31833773e-06
+3,0,0.196878093
+3,1,0.0301429273
+3,2,0.000201213765
+3,3,0.000149986558
+3,4,5.94304533e-05
+4,0,0.284006739
+4,1,0.0565247914
+4,2,0.000565195104
+4,3,0.000574484374
+4,4,0.000259293526
+5,0,0.363588585
+5,1,0.0904534551
+5,2,0.00126678975
+5,3,0.00162159345
+5,4,0.000750569545
+"""
+SIGNAL_ERR_CSV = """\
+x,R,err
+2,0,1.36583364
+2,1,0.0024455267
+2,2,2.12552253e-05
+2,3,4.57225383e-07
+2,4,5.98163297e-09
+2,5,2.12594387e-10
+2,6,4.43378667e-12
+3,0,2.7332977
+3,1,0.00652148456
+3,2,8.44948054e-05
+3,3,2.78394191e-06
+3,4,5.30928901e-08
+3,5,3.0014462e-09
+3,6,6.17319529e-11
+5,0,5.47311766
+5,1,0.0195652221
+5,2,0.000417130414
+5,3,2.36165665e-05
+5,4,6.97311179e-07
+5,5,7.2319267e-08
+5,6,2.06284767e-09
+8,0,9.5950804
+8,1,0.0513636257
+8,2,0.00171780274
+8,3,0.000162047342
+8,4,6.75185174e-06
+8,5,1.29301532e-06
+8,6,4.45314754e-08
+"""
+
+
 class TestCoeffs:
     def test_table(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--max-order", "3")
@@ -311,6 +384,29 @@ class TestDownsample:
         for row in rows[1:]:
             assert float(row[2]) >= 0.0
 
+    @pytest.mark.parametrize(
+        "write, options, expected",
+        [
+            (write_bump_csv, ["--window", "60", "--factors", "2,3,4,5", "--max-order", "4"], BUMP_ERR_CSV),
+            (
+                write_signal_csv,
+                ["--header", "--window", "960", "--factors", "8,3,5,2", "--max-order", "6", "--t0", "1717"],
+                SIGNAL_ERR_CSV,
+            ),
+        ],
+        ids=["bump", "signal"],
+    )
+    def test_err_csv_bytes(self, capsys, tmp_path, write, options, expected):
+        source = tmp_path / "in.csv"
+        target = tmp_path / "errs.csv"
+        write(source)
+        code, out, err = run(
+            capsys,
+            "downsample", "--input", str(source), "--col", "1", *options, "--output", str(target),
+        )
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes() == expected.encode()
+
     def test_header_flag(self, capsys, tmp_path):
         source = tmp_path / "bump.csv"
         target = tmp_path / "errs.csv"
@@ -391,6 +487,20 @@ class TestDownsample:
         )
         assert (code, out) == (2, "")
         assert "OverflowError" in err and "Traceback" not in err
+        assert not target.exists()
+
+    def test_negative_window(self, capsys, tmp_path):
+        source = tmp_path / "bump.csv"
+        target = tmp_path / "errs.csv"
+        write_bump_csv(source)
+        code, out, err = run(
+            capsys,
+            "downsample", "--input", str(source), "--col", "1",
+            "--window", "-4", "--factors", "2", "--max-order", "1", "--t0", "4",
+            "--output", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert "window length must be >= 0" in err
         assert not target.exists()
 
     def test_negative_column(self, capsys, tmp_path):
@@ -588,7 +698,7 @@ DOWNSAMPLE_ARGV = _argv(
     "downsample",
     _flag("--col", st.integers(0, 2).map(str)),
     st.sampled_from([[], ["--header"]]),
-    _flag("--window", st.integers(0, 80).map(str)),
+    _flag("--window", st.integers(-6, 80).map(str)),
     _flag("--factors", st.lists(st.integers(0, 9).map(str), min_size=1, max_size=3).map(",".join)),
     _flag("--max-order", st.integers(-1, 6).map(str)),
     _optional("--t0", st.integers(-5, 70).map(str)),
@@ -626,3 +736,6 @@ class TestArgvProperties:
         assert first[0] in (0, 1, 2)
         assert "Traceback" not in first[2]
         assert _run_in_process(argv) == first
+        # A negative window exits 2, unless -h prints the help first.
+        if argv[0] == "downsample" and int(argv[argv.index("--window") + 1]) < 0 and "-h" not in stray:
+            assert first[0] == 2

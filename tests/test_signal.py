@@ -165,6 +165,13 @@ class TestWindowedSum:
         with pytest.raises(OverflowError):
             windowed_sum(huge, 0, 4, 2)
 
+    def test_negative_window_rejected(self):
+        squares = TimeSeries(tuple(float(k * k) for k in range(10)))
+        with pytest.raises(ValueError, match="window length"):
+            windowed_sum(squares, 4, -4, 2)
+        with pytest.raises(ValueError, match="window length"):
+            corrected_sum(squares, 4, -4, 2, 2, correction_family(2))
+
 
 class TestCorrectedSum:
     def test_linear_samples_corrected_exactly(self):
@@ -250,10 +257,12 @@ class TestErrorReport:
     def test_polynomial_samples_corrected_to_rounding(self):
         s = TimeSeries(tuple(float(k * k) for k in range(80)))
         family = correction_family(3)
-        report = error_report(s, 0, 60, [2, 3, 4, 5], 3, family)
-        truth = windowed_sum(s, 0, 60, 1)
-        for x in (2, 3, 4, 5):
-            assert report.err(x, 3) <= 1e-9 * abs(truth)
+        # At t0 = 7 the order-3 tail reaches sample 7 + 60 + 2 * 5 = 77.
+        for t0 in (0, 7):
+            report = error_report(s, t0, 60, [2, 3, 4, 5], 3, family)
+            truth = windowed_sum(s, t0, 60, 1)
+            for x in (2, 3, 4, 5):
+                assert report.err(x, 3) <= 1e-9 * abs(truth), (t0, x)
 
 
 class TestEulerTransform:
@@ -342,6 +351,18 @@ class TestGregoryIntegral:
         s = TimeSeries((1.0,) * 20)
         with pytest.raises(InsufficientOrder):
             gregory_integral(s, 4, 3, coefficient_table(2))
+
+    @pytest.mark.parametrize(
+        "values, n, order",
+        [
+            ((1e308,) * 7, 7, 0),  # the unit sum would be inf
+            ((1.7e308, -1.7e308) * 4, 2, 3),  # the corrected total would be nan
+        ],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_raises(self, values, n, order):
+        with pytest.raises(OverflowError):
+            gregory_integral(TimeSeries(values), n, order, coefficient_table(order))
 
 
 class TestGaussianBump:
