@@ -259,7 +259,18 @@ def _run_sum(args: argparse.Namespace) -> int:
 def _run_downsample(args: argparse.Namespace) -> int:
     series = load_series(args.input, args.col, args.header)
     factors = [int(part) for part in args.factors.split(",")]
-    family = correction_family(args.max_order)
+    family_order = args.max_order
+    if family_order >= 0:
+        # error_report starts with the smallest factor.  A factor < 1 fails
+        # its window sum before any weight is read; otherwise the factor's
+        # first order past the series' tail raises OutOfRange, and the family
+        # must still hold that order, which _corrected_sums reads before it
+        # checks the tail sample.
+        smallest, reachable = min(factors), 0
+        if smallest >= 1:
+            reachable = (len(series) - 1 - args.t0 - args.window) // smallest + 2
+        family_order = min(family_order, max(0, reachable))
+    family = correction_family(family_order)
     report = error_report(
         series, args.t0, args.window, factors, args.max_order, family
     )

@@ -17,13 +17,16 @@ numbers and signed Stirling numbers of the first kind s(n, k):
 
     [x^m] w_r  =  B_{r-m} * sum_{j<=m} (r)_j * G_j * s(r-j, r-m)
 
-so the family and the classical constants are all read off one set of
-integer rows: the Stirling rows, the Bernoulli numerators b_n = B_n * D with
-D = 2 * (product of the primes p <= R+1), which is an integer by von
-Staudt-Clausen, and the Gregory numerators g_n = sum_k s(n,k) * L/(k+1)
-with L = lcm(1..R+1), so that G_n = g_n / (n! * L).  Since
-(r)_j * G_j = C(r,j) * g_j / L, every w_r has integer numerators over the
-single denominator L * D.
+so the family and the classical constants are all read off integer rows.
+The Bernoulli numerators b_n = B_n * D, with D = 2 * (product of the primes
+p <= R+1), are integers by von Staudt-Clausen; the even ones come from the
+tangent numbers T_k (Brent and Harvey, arXiv:1108.0286) as
+b_{2k} = (-1)^(k-1) * 2k * T_k * D / (4^k * (4^k - 1)).  The Gregory
+numerators g_n = L * integral_0^1 (x)_n dx, with L = lcm(1..R+1), so that
+G_n = g_n / (n! * L), are the first entries of rows of falling-factorial
+moments L * integral_0^1 x^m (x)_n dx, each row read off the one before by
+(x)_{n+1} = (x)_n * (x - n).  Since (r)_j * G_j = C(r,j) * g_j / L, every
+w_r has integer numerators over the single denominator L * D.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, lcm, prod
-from operator import mul
 from typing import Iterator, Sequence
 
 from .exact import Polynomial, Scalar
@@ -90,28 +92,40 @@ def _bernoulli_denominator(max_order: int) -> int:
 
 
 def _bernoulli_numerators(max_order: int, den: int) -> list[int]:
-    """b_n = B_n * den for n <= R, from sum_{k<=n} C(n+1, k) * B_k = 0.
+    """b_n = B_n * den for n <= R, from the tangent numbers T_1..T_{R//2}.
 
-    den must make every b_n an integer; B_n = 0 for odd n >= 3 is skipped.
+    den must make every b_n an integer, so the division by 4^k * (4^k - 1)
+    is exact.  The T_k are built in place by integer-only updates (Brent and
+    Harvey's TangentNumbers); B_1 = -1/2 and B_n = 0 for odd n >= 3.
     """
-    b = [den]
-    for n in range(1, max_order + 1):
-        if n % 2 and n > 1:
-            b.append(0)
-            continue
-        acc = sum(comb(n + 1, k) * b[k] for k in range(n) if b[k])
-        b.append(-acc // (n + 1))
-    return b
+    half = max_order // 2
+    tangent = [0, 1]  # tangent[k] = T_k, 1-based; starts as (k-1)!
+    for k in range(2, half + 1):
+        tangent.append((k - 1) * tangent[-1])
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    b = [den, -den // 2] + [0] * (max_order - 1)
+    for k in range(1, half + 1):
+        power = 4 ** k
+        value = 2 * k * tangent[k] * den // (power * (power - 1))
+        b[2 * k] = value if k % 2 else -value
+    return b[: max_order + 1]
 
 
-def _stirling_gregory_rows(max_order: int, scale: int) -> Iterator[tuple[list[int], int]]:
-    """(s(n, 0..n), g_n) for n = 0..R, with g_n = sum_k s(n, k) * scale/(k+1).
+def _gregory_numerators(max_order: int, scale: int) -> list[int]:
+    """g_n = scale * integral_0^1 (x)_n dx for n <= R, from falling-factorial moments.
 
-    scale must be divisible by 1..R+1; then G_n = g_n / (n! * scale).
+    row[m] holds scale * integral_0^1 x^m (x)_n dx; (x)_{n+1} = (x)_n * (x - n)
+    turns it into the next row, one entry shorter.  scale must be divisible
+    by 1..R+1; then G_n = g_n / (n! * scale).
     """
-    quotients = [scale // (k + 1) for k in range(max_order + 1)]
-    for row in _stirling_rows(max_order):
-        yield row, sum(map(mul, row, quotients))
+    row = [scale // (m + 1) for m in range(max_order + 1)]
+    g = [row[0]]
+    for n in range(max_order):
+        row = [b - n * a for a, b in zip(row, row[1:])]
+        g.append(row[0])
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +142,8 @@ def correction_family(max_order: int) -> CorrectionFamily:
     scale = lcm(*range(1, max_order + 2))
     den = _bernoulli_denominator(max_order)
     b = _bernoulli_numerators(max_order, den)
-    stirling, g = zip(*_stirling_gregory_rows(max_order, scale))
+    g = _gregory_numerators(max_order, scale)
+    stirling = list(_stirling_rows(max_order))
     weights, unit_weights = [], []
     for r in range(max_order + 1):
         weighted_g = [comb(r, j) * g[j] for j in range(r + 1)]
@@ -155,9 +170,9 @@ def classical_numbers(family: CorrectionFamily) -> CoefficientTable:
 def coefficient_table(max_order: int) -> CoefficientTable:
     """Bernoulli and Gregory numbers B_0..B_R and G_0..G_R, without the family.
 
-    The same integer rows as :func:`correction_family`, with B_n = b_n/D and
-    G_n = g_n/(n! * L).  The Stirling rows are streamed, so memory stays at
-    one row rather than the whole triangle (about 24k big ints at R = 220).
+    The same integer numerators as :func:`correction_family`, with
+    B_n = b_n/D from the tangent numbers and G_n = g_n/(n! * L) from the
+    falling-factorial moment rows; no Stirling number is built.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -166,7 +181,7 @@ def coefficient_table(max_order: int) -> CoefficientTable:
     bernoulli = tuple(Fraction(b, den) for b in _bernoulli_numerators(max_order, den))
     gregory = []
     n_factorial = 1
-    for n, (_, g) in enumerate(_stirling_gregory_rows(max_order, scale)):
+    for n, g in enumerate(_gregory_numerators(max_order, scale)):
         n_factorial *= n or 1
         gregory.append(Fraction(g, n_factorial * scale))
     return CoefficientTable(bernoulli, tuple(gregory))

@@ -11,6 +11,7 @@ import math
 import sys
 from fractions import Fraction as Fr
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -118,8 +119,27 @@ x,R,err
 8,6,4.45314754e-08
 """
 
+# Recorded stdout of `accelerate --target gamma` and `coeffs --max-order 40
+# --format csv`.  Both print exact Bernoulli and Gregory numbers (the first
+# as a float sum of them), so the bytes must not move when their
+# construction does.
+GAMMA_STDOUT = {
+    0: "0\n",
+    1: "0.5\n",
+    2: "0.541666666667\n",
+    100: "0.576984757968\n",
+    157: "0.577085325062\n",
+    220: "0.577130398822\n",
+}
+COEFFS_40_CSV = Path(__file__).parent / "data" / "coeffs_max_order_40.csv"
+
 
 class TestCoeffs:
+    def test_csv_bytes(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--max-order", "40", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.encode() == COEFFS_40_CSV.read_bytes()
+
     def test_table(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--max-order", "3")
         assert code == 0
@@ -443,6 +463,57 @@ class TestDownsample:
         assert code == 2
         assert "NonDivisibleWindow" in err
 
+    @pytest.mark.parametrize(
+        "options, built, code, err",
+        [
+            (["--factors", "5", "--max-order", "13"], 13, 0, ""),
+            (
+                ["--factors", "5", "--max-order", "200"], 14, 2,
+                "OutOfRange: order-14 correction at window end 60 needs sample 125, series has 121",
+            ),
+            (
+                ["--factors", "5,2", "--max-order", "400"], 32, 2,
+                "OutOfRange: order-32 correction at window end 60 needs sample 122, series has 121",
+            ),
+            (
+                ["--factors", "5", "--max-order", "400", "--t0", "59"], 2, 2,
+                "OutOfRange: order-2 correction at window end 119 needs sample 124, series has 121",
+            ),
+            (
+                ["--factors", "2,0", "--max-order", "300"], 0, 2,
+                "ValueError: downsampling factor must be a positive integer",
+            ),
+        ],
+        ids=[
+            "reachable", "order-200", "order-400-two-factors", "order-400-late-window",
+            "zero-factor",
+        ],
+    )
+    def test_unreachable_order_fails_fast(self, capsys, tmp_path, monkeypatch, options, built, code, err):
+        """Past the series' tail the family is built only up to the first
+        order that fails, and that order's error is what the user sees.
+
+        On 121 samples a window [t0, t0+60) at factor x first misses a
+        sample at order (60 - t0) // x + 2, the smallest r with
+        t0 + 60 + (r-1)*x > 120.  A factor < 1 fails before any order.
+        """
+        source = tmp_path / "bump.csv"
+        write_bump_csv(source)
+        orders = []
+
+        def recording(order):
+            orders.append(order)
+            return correction_family(order)
+
+        monkeypatch.setattr(downsum.cli, "correction_family", recording)
+        result = run(
+            capsys,
+            "downsample", "--input", str(source), "--col", "1", "--window", "60",
+            *options, "--output", str(tmp_path / "out.csv"),
+        )
+        assert orders == [built]
+        assert result == (code, "", f"downsum: {err}\n" if err else "")
+
     def test_non_finite_sample(self, capsys, tmp_path):
         source = tmp_path / "bump.csv"
         target = tmp_path / "errs.csv"
@@ -571,6 +642,11 @@ class TestAccelerate:
         )
         assert code == 2
         assert "ValueError" in err
+
+    @pytest.mark.parametrize("terms", sorted(GAMMA_STDOUT))
+    def test_gamma_stdout_bytes(self, capsys, terms):
+        code, out, err = run(capsys, "accelerate", "--target", "gamma", "--terms", str(terms))
+        assert (code, out, err) == (0, GAMMA_STDOUT[terms], "")
 
     def test_gamma_requires_terms(self, capsys):
         code, _, err = run(capsys, "accelerate", "--target", "gamma")

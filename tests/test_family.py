@@ -1,14 +1,16 @@
 """Tests for the weight family: generation, structure, constants, roots.
 
 The library builds the family and the constants from one closed form over
-integer Bernoulli, Gregory and Stirling rows.  The oracles below share no
-code with it: the first seven weights written out longhand, the Bernoulli
-recurrence, the series expansion of z/log(1+z), and the generating function
-itself expanded as power series (log, then exp, then reciprocal).
+integer Bernoulli (tangent-number), Gregory (falling-factorial moment) and
+Stirling rows.  The oracles below share no code with it: the first seven
+weights written out longhand, the Bernoulli recurrence, the series expansion
+of z/log(1+z), (x)_n multiplied out as a Polynomial product, and the
+generating function itself expanded as power series (log, then exp, then
+reciprocal).
 """
 
 from fractions import Fraction as Fr
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -25,6 +27,7 @@ from downsum import (
     unit_weight_recurrence_residual,
     weight_recurrence_residual,
 )
+from downsum.family import _gregory_numerators
 
 P = Polynomial
 
@@ -206,9 +209,25 @@ class TestClassicalNumbers:
             coefficient_table(-1)
 
     def test_table_against_recurrences(self):
-        table = coefficient_table(120)
-        assert list(table.bernoulli) == bernoulli_by_recurrence(120)
-        assert list(table.gregory) == gregory_by_expansion(120)
+        """Every R in 0..9 (R//2 in {0, 1} and odd R), 120, and 221, one past
+        the largest gamma order the benchmark asks for."""
+        bernoulli = bernoulli_by_recurrence(221)
+        gregory = gregory_by_expansion(221)
+        for max_order in [*range(10), 120, 221]:
+            table = coefficient_table(max_order)
+            assert list(table.bernoulli) == bernoulli[: max_order + 1], max_order
+            assert list(table.gregory) == gregory[: max_order + 1], max_order
+
+    def test_gregory_numerators_are_falling_factorial_moments(self):
+        """g_n = L * sum_k s(n,k)/(k+1), with s(n,k) the coefficients of (x)_n."""
+        max_order = 41
+        scale = lcm(*range(1, max_order + 2))
+        g = _gregory_numerators(max_order, scale)
+        assert len(g) == max_order + 1
+        falling = P([1])
+        for n in range(max_order + 1):
+            assert g[n] == scale * sum(c / (k + 1) for k, c in enumerate(falling.coeffs)), n
+            falling = falling * P([-n, 1])
 
 
 class TestFactorialPolynomials:
