@@ -404,22 +404,35 @@ class TestDownsample:
         for row in rows[1:]:
             assert float(row[2]) >= 0.0
 
-    @pytest.mark.parametrize(
-        "write, options, expected",
-        [
-            (write_bump_csv, ["--window", "60", "--factors", "2,3,4,5", "--max-order", "4"], BUMP_ERR_CSV),
-            (
-                write_signal_csv,
-                ["--header", "--window", "960", "--factors", "8,3,5,2", "--max-order", "6", "--t0", "1717"],
-                SIGNAL_ERR_CSV,
-            ),
-        ],
-        ids=["bump", "signal"],
+    BUMP_STUDY = (write_bump_csv, ["--window", "60", "--factors", "2,3,4,5", "--max-order", "4"], BUMP_ERR_CSV)
+    SIGNAL_STUDY = (
+        write_signal_csv,
+        ["--header", "--window", "960", "--factors", "8,3,5,2", "--max-order", "6", "--t0", "1717"],
+        SIGNAL_ERR_CSV,
     )
-    def test_err_csv_bytes(self, capsys, tmp_path, write, options, expected):
+
+    @pytest.mark.parametrize(
+        "write, options, expected, layout",
+        [
+            (*BUMP_STUDY, "plain"),
+            (*SIGNAL_STUDY, "plain"),
+            (*BUMP_STUDY, "quoted"),
+            (*BUMP_STUDY, "crlf"),
+            (*SIGNAL_STUDY, "quoted"),
+            (*SIGNAL_STUDY, "crlf"),
+        ],
+        ids=["bump", "signal", "bump-quoted", "bump-crlf", "signal-quoted", "signal-crlf"],
+    )
+    def test_err_csv_bytes(self, capsys, tmp_path, write, options, expected, layout):
+        # Quoted fields and CRLF line ends load through the checked csv.reader
+        # loop, plain files through the bulk split; the bytes must agree.
         source = tmp_path / "in.csv"
         target = tmp_path / "errs.csv"
         write(source)
+        lines = source.read_text().splitlines()
+        if layout == "quoted":
+            lines = [",".join(f'"{field}"' for field in line.split(",")) for line in lines]
+        source.write_bytes("".join(line + ("\r\n" if layout == "crlf" else "\n") for line in lines).encode())
         code, out, err = run(
             capsys,
             "downsample", "--input", str(source), "--col", "1", *options, "--output", str(target),

@@ -1,6 +1,9 @@
 """Tests for the floating-point application layer."""
 
+import csv
 import math
+import os
+import threading
 
 import pytest
 
@@ -22,6 +25,7 @@ from downsum import (
     load_series,
     windowed_sum,
 )
+from downsum import timeseries
 from downsum.timeseries import forward_difference
 
 LN2 = math.log(2.0)
@@ -110,6 +114,148 @@ class TestLoadSeries:
             load_series(str(path), 1)
         assert (excinfo.value.row, excinfo.value.column) == (1, 1)
         assert "field larger than field limit" in str(excinfo.value)
+
+    @pytest.mark.parametrize("last", ["1,abc", "1,nan", "1"], ids=["bad", "non-finite", "short"])
+    def test_error_row_after_multiline_field(self, tmp_path, last):
+        # The quoted field spans rows 0 and 1, so the bad record is row 2.
+        path = tmp_path / "data.csv"
+        path.write_text(f'0,"1.5\n"\n{last}\n')
+        with pytest.raises(ParseError) as excinfo:
+            load_series(str(path), 1)
+        assert (excinfo.value.row, excinfo.value.column) == (2, 1)
+        assert "(row 2, column 1)" in str(excinfo.value)
+
+    def test_plain_file_takes_bulk_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "plain.csv"
+        rows = [(t, math.sin(t / 100), math.cos(t / 70)) for t in range(5000)]
+        path.write_text("t,a,b\n" + "".join(f"{t},{a!r},{b!r}\n" for t, a, b in rows))
+
+        def refuse(*args):
+            raise AssertionError("a plain file reached the checked csv.reader loop")
+
+        monkeypatch.setattr(timeseries, "_checked_column", refuse)
+        assert load_series(str(path), 2, has_header=True).values == tuple(b for _, _, b in rows)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_once(self, tmp_path):
+        # Quotes send a file to the checked loop, which must not reopen a
+        # pipe whose first block is already gone.
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        loaded = []
+        reader = threading.Thread(
+            target=lambda: loaded.append(load_series(str(path), 1).values), daemon=True
+        )
+        reader.start()
+        path.write_text('0,"1.5"\n1,2.5\n')
+        reader.join(timeout=10)
+        assert loaded == [(1.5, 2.5)]
+
+
+def reference_outcome(path, column, has_header):
+    """What load_series must give, by csv.reader alone: the float values, or
+    the exception's type name, text, row and column."""
+    values = []
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                for index, row in enumerate(reader):
+                    if has_header and index == 0:
+                        continue
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    row_number = reader.line_num - 1
+                    if column >= len(row):
+                        message = f"row has only {len(row)} fields"
+                    else:
+                        text = row[column].strip()
+                        try:
+                            value = float(text)
+                        except ValueError:
+                            message = f"not a number: {text!r}"
+                        else:
+                            if math.isfinite(value):
+                                values.append(value)
+                                continue
+                            message = f"not a finite number: {text!r}"
+                    where = f"(row {row_number}, column {column})"
+                    return ("ParseError", f"{message} {where}", row_number, column)
+            except csv.Error as exc:
+                row_number = reader.line_num - 1
+                where = f"(row {row_number}, column {column})"
+                return ("ParseError", f"unreadable CSV row: {exc} {where}", row_number, column)
+    except UnicodeDecodeError as exc:
+        return ("UnicodeDecodeError", str(exc), None, None)
+    if not values:
+        return ("EmptySeries", f"no data rows in {path}", None, None)
+    return tuple(values)
+
+
+def load_outcome(path, column, has_header):
+    try:
+        return load_series(path, column, has_header).values
+    except (ParseError, EmptySeries, UnicodeDecodeError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
+
+
+def block_straddling_csv(bad_last):
+    """A three-column CSV of more than three bulk blocks.  Lines straddle the
+    first and third block boundaries, and one ends exactly at the second."""
+    block = timeseries._BLOCK
+    lines = ["t,a,b"] + [f"{k},{math.sin(k) * 10 ** (k % 5)!r},{k % 7}" for k in range(4000)]
+    if bad_last:
+        lines[-1] = f"{len(lines)},abc,0"
+    for newline_at in (block + 1, 2 * block - 1, 3 * block + 1):
+        # Pad the last line ending before newline_at so its newline lands there.
+        end = -1
+        for index, line in enumerate(lines):
+            if end + len(line) + 1 >= newline_at:
+                break
+            end += len(line) + 1
+        lines[index - 1] += " " * (newline_at - end)
+    text = "".join(line + "\n" for line in lines)
+    assert len(text) > 3 * block + 1000 and text[2 * block - 1] == "\n"
+    assert "\n" not in (text[block - 1], text[block], text[3 * block - 1], text[3 * block])
+    return text.encode()
+
+
+LIMIT = csv.field_size_limit()
+DIFFERENTIAL_FILES = {
+    "plain": b"t,v\n0,1.5\n1,2.5\n",
+    "quoted": b'"t","v"\n"0","1.5"\n1," 2.5 "\n"2",3.5\n',
+    "quoted-comma": b'"1,5",2.5\n"2,5",3.5\n',
+    "quoted-multiline": b'0,"1.5\n"\n1,abc\n',
+    "crlf": b"t,v\r\n0,1.5\r\n\r\n1,2.5\r\n",
+    "lone-cr": b"t,v\r0,1.5\r1,2.5\r",
+    "blank-lines": b"\n0,1.5\n   \n\t\n\n1,2.5\n\n",
+    "unicode-space": "0,1.5\u2028\n\u2028\n\x0c\n1, 2.5\x0c\n".encode(),
+    "spaced-fields": b"0, 1_000 \n1,+2.5e-3\n , \n",
+    "header-only": b"t,v\n",
+    "empty": b"",
+    "no-trailing-newline": b"t,v\n0,1.5\n1,2.5",
+    "short-row": b"t,v\n0,1.5\n1\n",
+    "nan": b"t,v\n0,1.5\n1,nan\n",
+    "overflow": b"t,v\n0,1e999\n",
+    "field-at-limit": b"0,1.5," + b"7" * LIMIT + b"\n1,2.5,3\n",
+    "field-past-limit": b"0,1.5," + b"7" * (LIMIT + 1) + b"\n1,2.5,3\n",
+    "nul": b"0,1.5\n1,2\x005\n",
+    "nul-unread": b"0,1.5,a\x00b\n1,2.5,c\n",
+    "non-utf8": b"t,v\n0,1.5\n1,\xff\n",
+    "blocks": block_straddling_csv(bad_last=False),
+    "blocks-bad-last": block_straddling_csv(bad_last=True),
+}
+
+
+@pytest.mark.parametrize("has_header", [False, True], ids=["rows", "header"])
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_FILES))
+def test_load_series_matches_csv_reader(tmp_path, name, has_header):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(DIFFERENTIAL_FILES[name])
+    for column in (0, 1, 2, 2**64):
+        assert load_outcome(str(path), column, has_header) == reference_outcome(
+            str(path), column, has_header
+        ), column
 
 
 class TestSampleDifferences:
