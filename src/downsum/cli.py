@@ -261,15 +261,18 @@ def _run_downsample(args: argparse.Namespace) -> int:
     factors = [int(part) for part in args.factors.split(",")]
     family_order = args.max_order
     if family_order >= 0:
-        # error_report starts with the smallest factor.  A factor < 1 fails
-        # its window sum before any weight is read; otherwise the factor's
+        # error_report starts with the smallest factor.  A window its sum
+        # rejects (factor < 1, negative or non-divisible length, out of the
+        # series) fails before any weight is read; otherwise the factor's
         # first order past the series' tail raises OutOfRange, and the family
         # must still hold that order, which _corrected_sums reads before it
         # checks the tail sample.
         smallest, reachable = min(factors), 0
-        if smallest >= 1:
+        if smallest >= 1 and args.window >= 0 and args.window % smallest == 0 and (
+            0 <= args.t0 <= len(series) - args.window
+        ):
             reachable = (len(series) - 1 - args.t0 - args.window) // smallest + 2
-        family_order = min(family_order, max(0, reachable))
+        family_order = min(family_order, reachable)
     family = correction_family(family_order)
     report = error_report(
         series, args.t0, args.window, factors, args.max_order, family

@@ -192,11 +192,6 @@ class Polynomial:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, degree: int, c: Scalar = 1) -> "Polynomial":
-        """c * t**degree."""
-        return cls((0,) * degree + (c,))
-
-    @classmethod
     def from_text(cls, text: str) -> "Polynomial":
         """Parse comma-separated ascending rational coefficients."""
         parts = text.split(",")
@@ -330,14 +325,6 @@ class Polynomial:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return self * (1 / Fraction(scalar))
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Euclidean division over the rationals."""

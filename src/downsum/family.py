@@ -12,21 +12,26 @@ coefficients at x = 0 via G_r = u_r(0)/r!.  The u_r are the weights that
 multiply unit-step differences when a coarse step-x sum is corrected against
 a fine unit-step sum.
 
-Every coefficient of w_r is a Bernoulli number times a sum of Gregory
-numbers and signed Stirling numbers of the first kind s(n, k):
+Below the top one, every coefficient of w_r is one Bernoulli number times
+one signed Stirling number of the first kind s(n, k), and the top one is a
+Gregory number:
 
-    [x^m] w_r  =  B_{r-m} * sum_{j<=m} (r)_j * G_j * s(r-j, r-m)
+    [x^m] w_r  =  B_{r-m} * r * s(r-1, r-m-1) / (r-m)    for m < r,
+    [x^r] w_r  =  r! * G_r.
 
-so the family and the classical constants are all read off integer rows.
-The Bernoulli numerators b_n = B_n * D, with D = 2 * (product of the primes
-p <= R+1), are integers by von Staudt-Clausen; the even ones come from the
-tangent numbers T_k (Brent and Harvey, arXiv:1108.0286) as
+Both come from P_r(y) = r! * [z^r] (z / log(1+z)) * (1+z)**y, whose y^k
+coefficient is the factor beside B_{r-k}: P_r(0) = r! * G_r, and
+P_r'(y) = r * (y)_{r-1}, the falling factorial, whose coefficients are
+the s(r-1, .).  So the family and the classical constants are all read off
+integer rows.  The Bernoulli numerators b_n = B_n * D, with D = 2 * (product
+of the primes p <= R+1), are integers by von Staudt-Clausen; the even ones
+come from the tangent numbers T_k (Brent and Harvey, arXiv:1108.0286) as
 b_{2k} = (-1)^(k-1) * 2k * T_k * D / (4^k * (4^k - 1)).  The Gregory
 numerators g_n = L * integral_0^1 (x)_n dx, with L = lcm(1..R+1), so that
 G_n = g_n / (n! * L), are the first entries of rows of falling-factorial
 moments L * integral_0^1 x^m (x)_n dx, each row read off the one before by
-(x)_{n+1} = (x)_n * (x - n).  Since (r)_j * G_j = C(r,j) * g_j / L, every
-w_r has integer numerators over the single denominator L * D.
+(x)_{n+1} = (x)_n * (x - n).  Since r! * G_r = g_r / L and L is divisible
+by r-m, every w_r has integer numerators over the single denominator L * D.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, lcm, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exact import Polynomial, Scalar
 
@@ -69,18 +74,6 @@ class CoefficientTable:
     @property
     def max_order(self) -> int:
         return len(self.bernoulli) - 1
-
-
-def _stirling_rows(max_order: int) -> Iterator[list[int]]:
-    """Rows s(n, 0..n) of signed Stirling numbers of the first kind, n = 0..R.
-
-    s(n+1, k) = s(n, k-1) - n * s(n, k); only one row is alive at a time.
-    """
-    row = [1]
-    yield row
-    for n in range(max_order):
-        row = [a - n * b for a, b in zip([0] + row, row + [0])]
-        yield row
 
 
 def _bernoulli_denominator(max_order: int) -> int:
@@ -128,33 +121,37 @@ def _gregory_numerators(max_order: int, scale: int) -> list[int]:
     return g
 
 
-@lru_cache(maxsize=None)
-def correction_family(max_order: int) -> CorrectionFamily:
-    """Generate weights w_0..w_R and reversals u_0..u_R, exactly.
-
-    The x^m numerator of w_r is b_{r-m} * sum_{j<=m} C(r,j) * g_j * s(r-j, r-m)
-    over the common denominator L * D (see the module docstring); u_r has
-    the same numerators in reverse order.  The coefficient vanishes wherever
-    r-m is odd and at least 3, with B_{r-m}.
-    """
+def _numerators(max_order: int) -> tuple[int, int, list[int], list[int]]:
+    """(L, D, b, g): the two denominators and the numerator rows b_0..b_R, g_0..g_R."""
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     scale = lcm(*range(1, max_order + 2))
     den = _bernoulli_denominator(max_order)
-    b = _bernoulli_numerators(max_order, den)
-    g = _gregory_numerators(max_order, scale)
-    stirling = list(_stirling_rows(max_order))
+    return scale, den, _bernoulli_numerators(max_order, den), _gregory_numerators(max_order, scale)
+
+
+@lru_cache(maxsize=None)
+def correction_family(max_order: int) -> CorrectionFamily:
+    """Generate weights w_0..w_R and reversals u_0..u_R, exactly.
+
+    Over the common denominator L * D (see the module docstring) the x^m
+    numerator of w_r is b_{r-m} * (L / (r-m)) * r * s(r-1, r-m-1) for m < r
+    and D * g_r for m = r; u_r has the same numerators in reverse order.
+    The coefficient vanishes wherever r-m is odd and at least 3, with B_{r-m}.
+    """
+    scale, den, b, g = _numerators(max_order)
+    scaled_b = [b[k] * (scale // k) if k else 0 for k in range(max_order + 1)]
+    stirling = [1]  # s(r-1, 0..r-1), one row per order r >= 1
     weights, unit_weights = [], []
     for r in range(max_order + 1):
-        weighted_g = [comb(r, j) * g[j] for j in range(r + 1)]
-        num = [
-            b[r - m] * sum(weighted_g[j] * stirling[r - j][r - m] for j in range(m + 1))
-            if b[r - m] else 0
-            for m in range(r + 1)
-        ]
-        # Reverse before _from_ints, which trims num in place.
-        unit_weights.append(Polynomial._from_ints(num[::-1], scale * den))
-        weights.append(Polynomial._from_ints(num, scale * den))
+        if r > 1:
+            stirling = [a - (r - 2) * c for a, c in zip([0] + stirling, stirling + [0])]
+        num = [r * scaled_b[r - m] * stirling[r - m - 1] for m in range(r)] + [den * g[r]]
+        w = Polynomial._from_ints(num, scale * den)
+        # w keeps all r+1 numerators, as its top one D * g_r is nonzero, so
+        # reversed they are u_r's, already in lowest terms.
+        weights.append(w)
+        unit_weights.append(Polynomial._from_ints(list(w._num[::-1]), w._den))
     return CorrectionFamily(max_order, tuple(weights), tuple(unit_weights))
 
 
@@ -174,16 +171,13 @@ def coefficient_table(max_order: int) -> CoefficientTable:
     B_n = b_n/D from the tangent numbers and G_n = g_n/(n! * L) from the
     falling-factorial moment rows; no Stirling number is built.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    scale = lcm(*range(1, max_order + 2))
-    den = _bernoulli_denominator(max_order)
-    bernoulli = tuple(Fraction(b, den) for b in _bernoulli_numerators(max_order, den))
+    scale, den, b, g = _numerators(max_order)
+    bernoulli = tuple(Fraction(n, den) for n in b)
     gregory = []
     n_factorial = 1
-    for n, g in enumerate(_gregory_numerators(max_order, scale)):
+    for n, numerator in enumerate(g):
         n_factorial *= n or 1
-        gregory.append(Fraction(g, n_factorial * scale))
+        gregory.append(Fraction(numerator, n_factorial * scale))
     return CoefficientTable(bernoulli, tuple(gregory))
 
 

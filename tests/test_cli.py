@@ -299,8 +299,9 @@ class TestVerifyFailure:
                 if r > max_order:
                     return family
                 weights, unit_weights = list(family.weights), list(family.unit_weights)
-                weights[r] = weights[r] + Polynomial.monomial(m, delta)
-                unit_weights[r] = unit_weights[r] + Polynomial.monomial(m, delta)
+                bump = Polynomial([0] * m + [delta])
+                weights[r] = weights[r] + bump
+                unit_weights[r] = unit_weights[r] + bump
                 return CorrectionFamily(max_order, tuple(weights), tuple(unit_weights))
 
             monkeypatch.setattr(downsum.cli, "correction_family", perturbed)
@@ -496,10 +497,27 @@ class TestDownsample:
                 ["--factors", "2,0", "--max-order", "300"], 0, 2,
                 "ValueError: downsampling factor must be a positive integer",
             ),
+            (
+                ["--window", "-60", "--factors", "5", "--max-order", "400"], 0, 2,
+                "ValueError: window length must be >= 0",
+            ),
+            (
+                ["--t0", "-1", "--factors", "5", "--max-order", "400"], 0, 2,
+                "OutOfRange: window [-1, 59) exceeds series of length 121",
+            ),
+            (
+                ["--window", "61", "--factors", "2", "--max-order", "400"], 0, 2,
+                "NonDivisibleWindow: window 61 is not divisible by factor 2",
+            ),
+            (
+                ["--t0", "62", "--factors", "5", "--max-order", "400"], 0, 2,
+                "OutOfRange: window [62, 122) exceeds series of length 121",
+            ),
         ],
         ids=[
             "reachable", "order-200", "order-400-two-factors", "order-400-late-window",
-            "zero-factor",
+            "zero-factor", "negative-window", "negative-t0", "non-divisible-window",
+            "window-past-tail",
         ],
     )
     def test_unreachable_order_fails_fast(self, capsys, tmp_path, monkeypatch, options, built, code, err):
@@ -508,7 +526,9 @@ class TestDownsample:
 
         On 121 samples a window [t0, t0+60) at factor x first misses a
         sample at order (60 - t0) // x + 2, the smallest r with
-        t0 + 60 + (r-1)*x > 120.  A factor < 1 fails before any order.
+        t0 + 60 + (r-1)*x > 120.  A window the smallest factor's sum rejects
+        (a factor < 1, a negative or non-divisible length, a window outside
+        the series) fails before any order.
         """
         source = tmp_path / "bump.csv"
         write_bump_csv(source)

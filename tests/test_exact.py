@@ -199,10 +199,6 @@ class TestPolynomialAlgebra:
         assert p.scale_argument(2) == P([1, 4, 12])
         assert p.scale_argument(Fr(1, 2))(Fr(4)) == p(Fr(2))
 
-    def test_power(self):
-        assert P([1, 1]) ** 2 == P([1, 2, 1])
-        assert P([2]) ** 0 == P([1])
-
     def test_scalar_ops(self):
         p = P([1, 2])
         assert 3 * p == P([3, 6])

@@ -4,13 +4,15 @@ The library builds the family and the constants from one closed form over
 integer Bernoulli (tangent-number), Gregory (falling-factorial moment) and
 Stirling rows.  The oracles below share no code with it: the first seven
 weights written out longhand, the Bernoulli recurrence, the series expansion
-of z/log(1+z), (x)_n multiplied out as a Polynomial product, and the
-generating function itself expanded as power series (log, then exp, then
-reciprocal).
+of z/log(1+z), (x)_n multiplied out as a Polynomial product, the
+Gregory-Stirling convolution the closed form collapses, the generating
+function itself expanded as power series (log, then exp, then reciprocal),
+and its value at x = 1/k, where it is the reciprocal of a degree k-1
+polynomial in z.
 """
 
 from fractions import Fraction as Fr
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 
 import pytest
 
@@ -68,6 +70,12 @@ def gregory_by_expansion(count):
     return values
 
 
+def reversal(w, degree):
+    """x^degree * w(1/x), the coefficients of w reversed at degree >= deg w."""
+    padded = list(w.coeffs) + [Fr(0)] * (degree + 1 - len(w.coeffs))
+    return P(reversed(padded))
+
+
 def family_by_series(max_order):
     """w_0..w_R and their reversals u_0..u_R from the generating function.
 
@@ -76,16 +84,49 @@ def family_by_series(max_order):
     inverted gives sum_r w_r z^r / r!.  u_r is w_r reversed at degree r.
     """
     log_coeffs = [P()] + [
-        P.monomial(m - 1, Fr((-1) ** (m + 1), m)) for m in range(1, max_order + 2)
+        P([0] * (m - 1) + [Fr((-1) ** (m + 1), m)]) for m in range(1, max_order + 2)
     ]
     exponential = PowerSeries(log_coeffs).exp()
     inverse = PowerSeries(exponential.coeffs[1:]).reciprocal()
     weights = [factorial(r) * inverse.coeffs[r] for r in range(max_order + 1)]
-    unit_weights = []
-    for r, w in enumerate(weights):
-        padded = list(w.coeffs) + [Fr(0)] * (r + 1 - len(w.coeffs))
-        unit_weights.append(P(reversed(padded)))
-    return weights, unit_weights
+    return weights, [reversal(w, r) for r, w in enumerate(weights)]
+
+
+def family_by_convolution(max_order):
+    """w_0..w_R from [x^m] w_r = B_{r-m} * sum_{j<=m} (r)_j * G_j * s(r-j, r-m).
+
+    The Stirling numbers s(n, k) are the coefficients of (x)_n multiplied
+    out as a Polynomial product of the (x - l).
+    """
+    bernoulli = bernoulli_by_recurrence(max_order)
+    gregory = gregory_by_expansion(max_order)
+    stirling = [(Fr(1),)]
+    falling = P([1])
+    for n in range(max_order):
+        falling = falling * P([-n, 1])
+        stirling.append(falling.coeffs)
+    weights = []
+    for r in range(max_order + 1):
+        weighted = [perm(r, j) * gregory[j] for j in range(r + 1)]
+        weights.append(P(
+            bernoulli[r - m] * sum(weighted[j] * stirling[r - j][r - m] for j in range(m + 1))
+            for m in range(r + 1)
+        ))
+    return weights
+
+
+def values_at_unit_fraction(k, max_order):
+    """w_0(1/k)..w_R(1/k) without the family.
+
+    At x = 1/k the generating function is z / ((1 + z/k)^k - 1) = 1/q(z) with
+    q(z) = sum_{j=1..k} C(k,j) z^(j-1) / k^j, and q(0) = 1, so the series of
+    1/q is one short recurrence; w_r(1/k) is r! times its z^r coefficient.
+    """
+    q = [Fr(comb(k, j), k ** j) for j in range(1, k + 1)]
+    inverse = [Fr(1)]
+    for n in range(1, max_order + 1):
+        inverse.append(-sum(q[i] * inverse[n - i] for i in range(1, min(n, k - 1) + 1)))
+    return [factorial(r) * c for r, c in enumerate(inverse)]
 
 
 class TestGeneration:
@@ -117,6 +158,19 @@ class TestGeneration:
             family = correction_family(max_order)
             assert list(family.weights) == weights[: max_order + 1], max_order
             assert list(family.unit_weights) == unit_weights[: max_order + 1], max_order
+
+    def test_matches_convolution(self):
+        weights = family_by_convolution(60)
+        family = correction_family(60)
+        assert list(family.weights) == weights
+        assert list(family.unit_weights) == [reversal(w, r) for r, w in enumerate(weights)]
+
+    def test_large_order_values_at_unit_fractions(self):
+        family = correction_family(300)
+        for k in (1, 2, 3, 7):
+            at = Fr(1, k)
+            expected = values_at_unit_fraction(k, 300)
+            assert [w(at) for w in family.weights] == expected, k
 
     def test_odd_bernoulli_zeros(self):
         # [x^m] F_r carries the factor B_{r-m}, which is 0 for odd r-m >= 3.
@@ -245,8 +299,7 @@ class TestFactorialPolynomials:
         # (1-x)(1-2x)...(1-kx) reverses (x-1)(x-2)...(x-k).
         for k in range(1, 6):
             shifted = falling_factorial(k + 1).divide_exactly(P([0, 1]))
-            padded = list(shifted.coeffs) + [Fr(0)] * (k + 1 - len(shifted.coeffs))
-            assert reversed_falling_factorial(k) == P(reversed(padded))
+            assert reversed_falling_factorial(k) == reversal(shifted, k)
 
 
 class TestRecurrences:
@@ -353,7 +406,7 @@ class TestRootCounting:
         assert count_real_roots(p, Fr(-1), Fr(1, 2)) == 0
 
     def test_multiple_roots_counted_once(self):
-        p = P([Fr(-1, 2), 1]) ** 2 * P([2, 1])
+        p = P([Fr(-1, 2), 1]) * P([Fr(-1, 2), 1]) * P([2, 1])
         assert count_real_roots(p, Fr(0), Fr(1)) == 1
 
     def test_constant_has_no_roots(self):

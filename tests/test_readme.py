@@ -1,17 +1,21 @@
-"""Every ```python block of README.md runs as written, and the package
-exports resolve on the standard library alone."""
+"""Every ```python block of README.md runs as written, every ``$ downsum``
+transcript prints what it shows, and the package exports resolve on the
+standard library alone."""
 
 import ast
 import pathlib
 import re
+import shlex
 import sys
 
 import pytest
 
 import downsum
+from downsum import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+TRANSCRIPTS = re.findall(r"^```\n\$ downsum (.*?)\n(.*?)^```", README.read_text(), re.M | re.S)
 
 
 def test_readme_has_python_blocks():
@@ -21,6 +25,16 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_has_transcripts():
+    assert TRANSCRIPTS
+
+
+@pytest.mark.parametrize("command, output", TRANSCRIPTS, ids=[c for c, _ in TRANSCRIPTS])
+def test_readme_transcript_output(capsys, command, output):
+    assert cli.main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == output
 
 
 def test_public_names_resolve():
