@@ -13,7 +13,6 @@ from .errors import (
     EmptySeries,
     InsufficientOrder,
     NonDivisibleWindow,
-    NonExactDivision,
     OutOfRange,
     ParseError,
     ZeroStep,
@@ -25,7 +24,6 @@ from .family import (
     classical_numbers,
     coefficient_table,
     correction_family,
-    count_real_roots,
     falling_factorial,
     reversed_falling_factorial,
     unit_weight_recurrence_residual,
@@ -37,7 +35,6 @@ from .sumcalc import (
     downsampled_sum,
     euler_maclaurin_residual,
     forward_difference,
-    fractional_sum,
     gregory_residual,
     indefinite_sum,
     random_polynomial,
@@ -66,7 +63,6 @@ __all__ = [
     "EmptySeries",
     "InsufficientOrder",
     "NonDivisibleWindow",
-    "NonExactDivision",
     "OutOfRange",
     "ParseError",
     "ZeroStep",
@@ -79,7 +75,6 @@ __all__ = [
     "classical_numbers",
     "coefficient_table",
     "correction_family",
-    "count_real_roots",
     "falling_factorial",
     "reversed_falling_factorial",
     "unit_weight_recurrence_residual",
@@ -89,7 +84,6 @@ __all__ = [
     "downsampled_sum",
     "euler_maclaurin_residual",
     "forward_difference",
-    "fractional_sum",
     "gregory_residual",
     "indefinite_sum",
     "random_polynomial",

@@ -28,8 +28,8 @@ from .sumcalc import (
     alternating_residual,
     downsampled_sum,
     euler_maclaurin_residual,
-    fractional_sum,
     gregory_residual,
+    indefinite_sum,
     random_polynomial,
     step_identity_reports,
 )
@@ -251,7 +251,7 @@ def _run_sum(args: argparse.Namespace) -> int:
         x = parse_rational(args.downsample_x)
         value = downsampled_sum(f, x)(n)
     else:
-        value = fractional_sum(f, n)
+        value = indefinite_sum(f)(n)
     print(format_rational(value))
     return 0
 

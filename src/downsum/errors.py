@@ -10,10 +10,6 @@ class DownsumError(Exception):
     """Base class for all precondition and input errors."""
 
 
-class NonExactDivision(DownsumError):
-    """Polynomial division left a nonzero remainder where exactness was assumed."""
-
-
 class ZeroStep(DownsumError):
     """A step/downsampling factor of zero was supplied where it is undefined."""
 

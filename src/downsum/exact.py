@@ -29,8 +29,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import NonExactDivision
-
 Scalar = Union[int, Fraction]
 
 
@@ -325,39 +323,6 @@ class Polynomial:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return self * (1 / Fraction(scalar))
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Euclidean division over the rationals."""
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        divisor = other.coeffs
-        quotient: list[Fraction] = [Fraction(0)] * max(len(self._num) - len(divisor) + 1, 0)
-        rem = list(self.coeffs)
-        dlead = divisor[-1]
-        dd = other.degree
-        while len(rem) - 1 >= dd and rem:
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] / dlead
-            quotient[shift] = factor
-            for i, c in enumerate(divisor):
-                rem[shift + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(quotient), Polynomial(rem)
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def divide_exactly(self, other: "Polynomial") -> "Polynomial":
-        """Return q with q*other == self; raise NonExactDivision otherwise."""
-        quotient, remainder = divmod(self, other)
-        if not remainder.is_zero:
-            raise NonExactDivision(
-                f"division of {self!r} by {other!r} leaves remainder {remainder!r}"
-            )
-        return quotient
 
     # -- evaluation and calculus ----------------------------------------
 

@@ -40,9 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, lcm, prod
-from typing import Sequence
 
-from .exact import Polynomial, Scalar
+from .exact import Polynomial
 
 
 @dataclass(frozen=True)
@@ -227,56 +226,3 @@ def weight_recurrence_residual(family: CorrectionFamily, r: int) -> Polynomial:
         acc = acc + comb(r, k) * reversed_falling_factorial(r - k - 1) * family.weights[k]
     return acc
 
-
-# ---------------------------------------------------------------------------
-# Real-root counting (Sturm chains over exact rationals)
-# ---------------------------------------------------------------------------
-
-def _squarefree_part(p: Polynomial) -> Polynomial:
-    gcd = _poly_gcd(p, p.derivative())
-    return p.divide_exactly(gcd)
-
-
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return Polynomial.one()
-    return a / a.leading_coefficient
-
-
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        remainder = chain[-2] % chain[-1]
-        chain.append(-remainder)
-    chain.pop()
-    return chain
-
-
-def _sign_changes(chain: Sequence[Polynomial], at: Fraction) -> int:
-    signs = []
-    for q in chain:
-        value = q(at)
-        if value != 0:
-            signs.append(1 if value > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: Polynomial, lo: Scalar, hi: Scalar) -> int:
-    """Count distinct real roots of p in the closed interval [lo, hi], exactly.
-
-    Sturm's theorem on the squarefree part of p, so multiple roots are
-    counted once: with zero values skipped in the sign-change count V,
-    V(lo) - V(hi) is the number of distinct roots in (lo, hi], and a root
-    at lo adds one.
-    """
-    if p.is_zero:
-        raise ValueError("cannot count roots of the zero polynomial")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
-        raise ValueError(f"interval [{lo}, {hi}] needs lo < hi")
-    reduced = _squarefree_part(p)
-    chain = _sturm_chain(reduced)
-    at_lo = 1 if reduced(lo) == 0 else 0
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi) + at_lo

@@ -111,15 +111,6 @@ def indefinite_sum(f: Polynomial) -> Polynomial:
     return Polynomial._from_ints(*_newton_sum(*_forward_differences(f, 1, f.degree + 1), 1))
 
 
-def fractional_sum(f: Polynomial, n: Scalar) -> Fraction:
-    """Evaluate the indefinite sum of f at an arbitrary rational n.
-
-    For non-integer n this is the natural polynomial extension of the
-    partial sum (the value every correct summation formula agrees on).
-    """
-    return indefinite_sum(f)(n)
-
-
 def downsampled_sum(f: Polynomial, x: Scalar) -> Polynomial:
     """The polynomial in n equal to x * sum_{k=0}^{n/x-1} f(kx).
 

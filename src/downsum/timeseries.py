@@ -277,11 +277,6 @@ class ErrorReport:
     window: int
     rows: tuple[tuple[int, int, float], ...]  # (x, R, err), sorted by (x, R)
 
-    @property
-    def baseline(self) -> dict[int, float]:
-        """err at R = 0 per x."""
-        return {x: err for x, order, err in self.rows if order == 0}
-
     def err(self, x: int, order: int) -> float:
         for row_x, row_order, value in self.rows:
             if row_x == x and row_order == order:
@@ -346,6 +341,8 @@ def euler_mascheroni(n_terms: int, table: CoefficientTable) -> float:
     The Gregory coefficients shrink like 1/(r log r), so the tail dies
     slowly; a couple hundred terms give three correct digits.
     """
+    if n_terms < 0:
+        raise ValueError("n_terms must be >= 0")
     if table.max_order < n_terms:
         raise InsufficientOrder(
             f"table covers r <= {table.max_order}, requested {n_terms} terms"

@@ -20,7 +20,6 @@ from downsum import (
     classical_numbers,
     coefficient_table,
     correction_family,
-    count_real_roots,
     error_report,
     euler_maclaurin_residual,
     euler_mascheroni,
@@ -216,11 +215,16 @@ def test_criterion_8_downsampling_experiment():
     )
 
 
-def test_criterion_9_root_location_conjecture(family20):
-    """Exploratory, non-gating: all roots of w_r lie in (-1-eps, 1+eps)."""
+def test_criterion_9_root_location_conjecture(family20, certified_roots):
+    """Exploratory, non-gating: all roots of w_r lie in (-1-eps, 1+eps).
+
+    w_r is evaluated exactly at 65 equally spaced points of [-1-eps, 1+eps];
+    zeros and sign changes between neighbours count distinct roots, and
+    reaching deg w_r = r proves that all of them are real and inside.
+    """
     eps = Fr(1, 1024)
     counts = {
-        r: count_real_roots(family20.weights[r], -1 - eps, 1 + eps)
+        r: certified_roots(family20.weights[r], -1 - eps, 1 + eps, 64)
         for r in range(2, 11)
     }
     mismatches = {r: count for r, count in counts.items() if count != r}

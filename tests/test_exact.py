@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from downsum import (
-    NonExactDivision,
     Polynomial,
     PowerSeries,
     format_rational,
@@ -164,35 +163,6 @@ class TestCalculus:
         assert P([3, 1, 4]).antiderivative()(Fr(0)) == 0
 
 
-class TestDivision:
-    def test_exact(self):
-        num = P([-1, 0, 1])  # x^2 - 1
-        den = P([-1, 1])
-        assert num.divide_exactly(den) == P([1, 1])
-
-    def test_exact_by_monomial(self):
-        assert P([0, -1, 1]).divide_exactly(P([0, 1])) == P([-1, 1])
-
-    def test_non_exact_raises(self):
-        with pytest.raises(NonExactDivision):
-            P([1, 0, 1]).divide_exactly(P([-1, 1]))
-
-    def test_divmod_invariant(self):
-        rng = random.Random(42)
-        for _ in range(40):
-            a = P([Fr(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 7))])
-            b = P([Fr(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))])
-            if b.is_zero:
-                continue
-            q, r = divmod(a, b)
-            assert q * b + r == a
-            assert r.degree < b.degree
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            divmod(P([1]), P())
-
-
 class TestPolynomialAlgebra:
     def test_scale_argument(self):
         p = P([1, 2, 3])
@@ -290,16 +260,6 @@ class TestAgainstFractionOracle:
         p, a = P(a), _trim(a)
         assert list(p.derivative().coeffs) == _trim(i * c for i, c in enumerate(a))[1:]
         assert list(p.antiderivative().coeffs) == _trim([0] + [c / (i + 1) for i, c in enumerate(a)])
-
-    @given(coefficient_lists(), coefficient_lists(max_degree=4))
-    def test_divmod(self, a, b):
-        b = _trim(b)
-        if not b:
-            return
-        quotient, remainder = divmod(P(a), P(b))
-        q, r = list(quotient.coeffs), list(remainder.coeffs)
-        assert _ref_add(_ref_mul(q, b), r) == _trim(a)
-        assert len(r) < len(b)
 
     @given(coefficient_lists())
     def test_coeffs_in_lowest_terms(self, a):

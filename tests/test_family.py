@@ -1,4 +1,4 @@
-"""Tests for the weight family: generation, structure, constants, roots.
+"""Tests for the weight family: generation, structure, constants.
 
 The library builds the family and the constants from one closed form over
 integer Bernoulli (tangent-number), Gregory (falling-factorial moment) and
@@ -23,7 +23,6 @@ from downsum import (
     classical_numbers,
     coefficient_table,
     correction_family,
-    count_real_roots,
     falling_factorial,
     reversed_falling_factorial,
     unit_weight_recurrence_residual,
@@ -298,7 +297,9 @@ class TestFactorialPolynomials:
     def test_reversal_pairing(self):
         # (1-x)(1-2x)...(1-kx) reverses (x-1)(x-2)...(x-k).
         for k in range(1, 6):
-            shifted = falling_factorial(k + 1).divide_exactly(P([0, 1]))
+            product = falling_factorial(k + 1)
+            assert product.constant_term == 0  # so dividing by x is exact
+            shifted = P(product.coeffs[1:])
             assert reversed_falling_factorial(k) == reversal(shifted, k)
 
 
@@ -358,7 +359,8 @@ class TestRecurrences:
             acc = Polynomial()
             for k in range(r - 1):
                 acc = acc + comb(r, k) * falling_factorial(r - k) * rebuilt[k]
-            top = (-acc).divide_exactly(Polynomial([0, r]))
+            assert acc.constant_term == 0  # so dividing by r*x is exact
+            top = -Polynomial(acc.coeffs[1:]) / r
             rebuilt.append(top)
         for r in range(21):
             assert rebuilt[r] == family20.unit_weights[r], r
@@ -383,44 +385,40 @@ class TestSpecialValues:
 
 
 class TestRootCounting:
-    def test_cubic_with_known_roots(self):
+    """The sign-change certificate that criterion 9 relies on, on known roots."""
+
+    def test_cubic_with_known_roots(self, certified_roots):
         p = P([0, Fr(-1, 4), 0, Fr(1, 4)])  # roots -1, 0, 1
-        assert count_real_roots(p, Fr(-9, 8), Fr(9, 8)) == 3
+        assert certified_roots(p, Fr(-9, 8), Fr(9, 8), 18) == 3
 
-    def test_no_real_roots(self):
-        assert count_real_roots(P([1, 0, 1]), Fr(-2), Fr(2)) == 0
+    def test_no_real_roots(self, certified_roots):
+        assert certified_roots(P([1, 0, 1]), Fr(-2), Fr(2), 64) == 0
 
-    def test_second_weight(self, family20):
-        assert count_real_roots(family20.weights[2], Fr(-9, 8), Fr(9, 8)) == 2
+    def test_second_weight(self, family20, certified_roots):
+        assert certified_roots(family20.weights[2], Fr(-9, 8), Fr(9, 8), 18) == 2
 
-    def test_endpoint_root_nudged(self):
+    def test_endpoint_root_nudged(self, certified_roots):
         # The interval is closed: roots exactly at the endpoints count.
         p = P([-1, 0, 1])
-        assert count_real_roots(p, Fr(-1), Fr(1)) == 2
+        assert certified_roots(p, Fr(-1), Fr(1), 8) == 2
 
-    def test_root_just_past_endpoint(self):
+    def test_root_just_past_endpoint(self, certified_roots):
         p = P([-1, 1]) * P([-(1 + Fr(1, 2048)), 1])  # roots at 1 and 1 + 1/2048
-        assert count_real_roots(p, Fr(0), Fr(1)) == 1
-        assert count_real_roots(p, Fr(1), Fr(2)) == 2
-        assert count_real_roots(p, 1 + Fr(1, 2048), Fr(2)) == 1
-        assert count_real_roots(p, Fr(-1), Fr(1, 2)) == 0
+        assert certified_roots(p, Fr(0), Fr(1), 8) == 1
+        assert certified_roots(p, Fr(1), Fr(2), 2048) == 2
+        assert certified_roots(p, 1 + Fr(1, 2048), Fr(2), 8) == 1
+        assert certified_roots(p, Fr(-1), Fr(1, 2), 8) == 0
+        # A grid too coarse to separate the two roots gives only a lower bound.
+        assert certified_roots(p, Fr(1), Fr(2), 8) == 1
 
-    def test_multiple_roots_counted_once(self):
+    def test_multiple_roots_counted_once(self, certified_roots):
         p = P([Fr(-1, 2), 1]) * P([Fr(-1, 2), 1]) * P([2, 1])
-        assert count_real_roots(p, Fr(0), Fr(1)) == 1
+        assert certified_roots(p, Fr(0), Fr(1), 4) == 1
 
-    def test_constant_has_no_roots(self):
-        assert count_real_roots(P([5]), Fr(-1), Fr(1)) == 0
+    def test_constant_has_no_roots(self, certified_roots):
+        assert certified_roots(P([5]), Fr(-1), Fr(1), 8) == 0
 
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            count_real_roots(P(), Fr(0), Fr(1))
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            count_real_roots(P([0, 1]), Fr(1), Fr(1))
-
-    def test_against_constructed_roots(self):
+    def test_against_constructed_roots(self, certified_roots):
         import random
 
         rng = random.Random(2024)
@@ -429,7 +427,7 @@ class TestRootCounting:
             p = P([1])
             for root in roots:
                 p = p * P([-root, 1])
-            # Half-integer endpoints cannot collide with the integer roots.
-            assert count_real_roots(p, Fr(-17, 2), Fr(17, 2)) == len(roots)
+            # A step of 1/4 from a half-integer makes every integer a grid point.
+            assert certified_roots(p, Fr(-17, 2), Fr(17, 2), 68) == len(roots)
             inside = [root for root in roots if -Fr(5, 2) < root < Fr(5, 2)]
-            assert count_real_roots(p, Fr(-5, 2), Fr(5, 2)) == len(inside)
+            assert certified_roots(p, Fr(-5, 2), Fr(5, 2), 20) == len(inside)

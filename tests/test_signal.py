@@ -383,12 +383,6 @@ class TestErrorReport:
         report = error_report(bump, 0, 60, [1], 3, correction_family(3))
         assert all(err == 0.0 for _, _, err in report.rows)
 
-    def test_baseline_is_order_zero(self):
-        bump = gaussian_bump()
-        report = error_report(bump, 0, 60, [2, 3], 2, correction_family(2))
-        assert report.baseline[2] == report.err(2, 0)
-        assert report.baseline[3] == report.err(3, 0)
-
     def test_duplicate_factors_collapse(self):
         bump = gaussian_bump()
         report = error_report(bump, 0, 60, [2, 2], 1, correction_family(1))
@@ -469,6 +463,11 @@ class TestEulerMascheroni:
     def test_table_too_short(self):
         with pytest.raises(InsufficientOrder):
             euler_mascheroni(10, coefficient_table(5))
+
+    def test_negative_terms_rejected(self):
+        # A negative count is an error, not the empty sum 0.0.
+        with pytest.raises(ValueError):
+            euler_mascheroni(-3, coefficient_table(5))
 
 
 class TestGregoryIntegral:

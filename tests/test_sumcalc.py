@@ -18,7 +18,6 @@ from downsum import (
     downsampled_sum,
     euler_maclaurin_residual,
     forward_difference,
-    fractional_sum,
     gregory_residual,
     indefinite_sum,
     random_polynomial,
@@ -142,13 +141,13 @@ class TestAgainstLiteralSums:
 
 class TestFractionalSum:
     def test_half(self):
-        assert fractional_sum(P([0, 1]), Fr(1, 2)) == Fr(-1, 8)
+        assert indefinite_sum(P([0, 1]))(Fr(1, 2)) == Fr(-1, 8)
 
     def test_integer(self):
-        assert fractional_sum(P([0, 0, 1]), Fr(3)) == 5
+        assert indefinite_sum(P([0, 0, 1]))(Fr(3)) == 5
 
     def test_constant_at_non_integer(self):
-        assert fractional_sum(P([1]), Fr(22, 7)) == Fr(22, 7)
+        assert indefinite_sum(P([1]))(Fr(22, 7)) == Fr(22, 7)
 
 
 class TestDownsampledSum:
@@ -187,7 +186,7 @@ class TestMasterIdentity:
         """f(k) = k at x = 2, n = 4: 6 = 4 + 2."""
         f = P([0, 1])
         family = correction_family(2)
-        lhs = fractional_sum(f, Fr(4))
+        lhs = indefinite_sum(f)(Fr(4))
         coarse = downsampled_sum(f, 2)(Fr(4))
         assert (lhs, coarse) == (6, 4)
         # Only the r = 1 correction survives: w_1(2) = 1/2 times f(4)-f(0).
