@@ -23,12 +23,10 @@ from typing import Optional, Sequence
 
 from .errors import DownsumError
 from .exact import Polynomial, format_rational, parse_rational
-from .family import classical_numbers, coefficient_table, correction_family
+from .family import classical_numbers, correction_family
 from .sumcalc import (
     alternating_residual,
     downsampled_sum,
-    euler_maclaurin_residual,
-    gregory_residual,
     indefinite_sum,
     random_polynomial,
     step_identity_reports,
@@ -216,7 +214,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     for i in range(args.trials):
         f = random_polynomial(rng, args.degree)
         trial_ok = True
-        for x, (step_form, unit_form) in zip(grid, step_identity_reports(f, grid, family)):
+        reports = step_identity_reports(f, grid + [0] if args.classical else grid, family)
+        for x, (step_form, unit_form) in zip(grid, reports):
             ok = step_form.passed and unit_form.passed
             print(f"trial {i:03d} x={format_rational(x)}: {'pass' if ok else 'FAIL'}")
             if not ok:
@@ -227,12 +226,9 @@ def _run_verify(args: argparse.Namespace) -> int:
                 if not unit_form.passed:
                     print(f"  unit-weight residual = {unit_form.residual.text()}")
         if args.classical:
-            classical = (
-                ("euler-maclaurin", euler_maclaurin_residual(f)),
-                ("gregory", gregory_residual(f)),
-                ("alternating", alternating_residual(f)),
-            )
-            for name, report in classical:
+            # At the last step, x = 0, the two identities are Euler–Maclaurin and Gregory.
+            classical = (*reports[-1], alternating_residual(f))
+            for name, report in zip(("euler-maclaurin", "gregory", "alternating"), classical):
                 print(f"trial {i:03d} {name}: {'pass' if report.passed else 'FAIL'}")
                 if not report.passed:
                     trial_ok = False
@@ -259,24 +255,7 @@ def _run_sum(args: argparse.Namespace) -> int:
 def _run_downsample(args: argparse.Namespace) -> int:
     series = load_series(args.input, args.col, args.header)
     factors = [int(part) for part in args.factors.split(",")]
-    family_order = args.max_order
-    if family_order >= 0:
-        # error_report starts with the smallest factor.  A window its sum
-        # rejects (factor < 1, negative or non-divisible length, out of the
-        # series) fails before any weight is read; otherwise the factor's
-        # first order past the series' tail raises OutOfRange, and the family
-        # must still hold that order, which _corrected_sums reads before it
-        # checks the tail sample.
-        smallest, reachable = min(factors), 0
-        if smallest >= 1 and args.window >= 0 and args.window % smallest == 0 and (
-            0 <= args.t0 <= len(series) - args.window
-        ):
-            reachable = (len(series) - 1 - args.t0 - args.window) // smallest + 2
-        family_order = min(family_order, reachable)
-    family = correction_family(family_order)
-    report = error_report(
-        series, args.t0, args.window, factors, args.max_order, family
-    )
+    report = error_report(series, args.t0, args.window, factors, args.max_order)
     with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["x", "R", "err"])
@@ -297,7 +276,7 @@ def _run_accelerate(args: argparse.Namespace) -> int:
             raise ValueError("--target gamma requires --terms")
         if args.order is not None:
             raise ValueError("--target gamma takes --terms, not --order")
-        value = euler_mascheroni(args.terms, coefficient_table(args.terms))
+        value = euler_mascheroni(args.terms)
     elif args.target == "ln2":
         if args.order is None:
             raise ValueError("--target ln2 requires --order")

@@ -42,15 +42,9 @@ from .family import CorrectionFamily, correction_family
 
 @dataclass(frozen=True)
 class SumIdentityReport:
-    """Outcome of one identity check: the residual polynomial in n.
-
-    terms_used is the truncation point of the correction series (deg f + 1);
-    x_value records the step the identity was instantiated at.
-    """
+    """Outcome of one identity check: the residual polynomial in n."""
 
     residual: Polynomial
-    terms_used: int
-    x_value: Fraction
 
     @property
     def passed(self) -> bool:
@@ -170,8 +164,8 @@ def step_identity_reports(
             )
         reports.append(
             (
-                SumIdentityReport(_linear_combination(step_terms), terms, x),
-                SumIdentityReport(_linear_combination(unit_terms), terms, x),
+                SumIdentityReport(_linear_combination(step_terms)),
+                SumIdentityReport(_linear_combination(unit_terms)),
             )
         )
     return reports
@@ -228,9 +222,8 @@ def alternating_residual(f: Polynomial) -> SumIdentityReport:
     reversed identity, whose weights collapse to u_r(2)/r! = (-1)^r/2^r.
     A span s(n) becomes s(2m) by scaling its j-th numerator by 2^j.
     """
-    terms = f.degree + 1
     paired = indefinite_sum(f.scale_argument(2) - f.shift(1).scale_argument(2))
-    differences, den = _forward_differences(f, 1, terms)
+    differences, den = _forward_differences(f, 1, f.degree + 1)
     residual = _linear_combination(
         [(1, paired._den, paired._num)]
         + [
@@ -238,7 +231,7 @@ def alternating_residual(f: Polynomial) -> SumIdentityReport:
             for r, d in enumerate(differences)
         ]
     )
-    return SumIdentityReport(residual, terms, Fraction(2))
+    return SumIdentityReport(residual)
 
 
 def random_polynomial(rng: random.Random, max_degree: int) -> Polynomial:

@@ -1,11 +1,11 @@
 """Floating-point applications: downsampling correction, acceleration, quadrature.
 
-Everything symbolic stays exact in :mod:`downsum.family`; this module is the
-boundary where weights are converted to floats (exactly once per use) and
-applied to sampled data.  The corrected window sums and the Gregory rule are
-one step-h corrected sum, a coarse sum plus weighted boundary differences,
-with weights w_r(x)/(r!*x^(r-1)) at step x and G_r at step 1.  Summation
-order is fixed left-to-right so results are bit-for-bit reproducible.
+Everything symbolic stays exact in :mod:`downsum.family`; this module builds
+the weights each call needs, no further than its samples reach, and applies
+them as floats.  The corrected window sums and the Gregory rule are one
+step-h corrected sum, a coarse sum plus weighted boundary differences, with
+weights w_r(x)/(r!*x^(r-1)) at step x and G_r at step 1.  Summation order is
+fixed left-to-right so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptySeries,
@@ -25,7 +26,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .family import CoefficientTable, CorrectionFamily
+from .family import CorrectionFamily, coefficient_table, correction_family
 
 
 @dataclass(frozen=True)
@@ -224,49 +225,53 @@ def windowed_sum(s: TimeSeries, t0: int, n: int, x: int) -> float:
 
 
 def _corrected_sums(
-    s: TimeSeries, t0: int, n: int, step: int, weights: Iterable[float]
+    s: TimeSeries, t0: int, n: int, step: int, order: int,
+    weights: Callable[[int], Iterable[float]],
 ) -> Iterator[float]:
     """windowed_sum(s, t0, n, step), then the total after each boundary term.
 
     Term r is the r-th weight times (D_step^{r-1} s at t0+n minus at t0); it
     reads sample t0+n+(r-1)*step and never extrapolates past the series.
+    Once windowed_sum accepts the window, weights(k) gives the first k
+    weights, k = min(order, the highest order the series reaches); an order
+    past that raises OutOfRange without reading a weight.
     """
     total = windowed_sum(s, t0, n, step)
     yield total
-    for r, weight in enumerate(weights, 1):
-        last_needed = t0 + n + (r - 1) * step
-        if last_needed > len(s) - 1:
-            raise OutOfRange(
-                f"order-{r} correction at window end {t0 + n} needs sample "
-                f"{last_needed}, series has {len(s)}"
-            )
+    reach = (len(s) - 1 - t0 - n) // step + 1
+    for r, weight in enumerate(weights(min(order, reach)), 1):
         span = forward_difference(s, t0 + n, step, r - 1) - forward_difference(s, t0, step, r - 1)
         what = f"order-{r} corrected sum at t0={t0}, n={n}, x={step}"
         total = _finite(total + weight * span, what)
         yield total
+    if order > reach:
+        raise OutOfRange(
+            f"order-{reach + 1} correction at window end {t0 + n} needs sample "
+            f"{t0 + n + reach * step}, series has {len(s)}"
+        )
 
 
 def _step_weights(family: CorrectionFamily, x: int, order: int) -> Iterator[float]:
-    """float(w_r(x)/r!/x^(r-1)) for r = 1..order, lazily: windowed_sum checks x first."""
+    """float(w_r(x)/r!/x^(r-1)) for r = 1..order, lazily."""
     for r in range(1, order + 1):
-        if family.max_order < r:
-            raise InsufficientOrder(f"family has max_order {family.max_order}, correction needs {r}")
         yield float(family.weights[r](Fraction(x)) / factorial(r) / Fraction(x) ** (r - 1))
 
 
-def corrected_sum(
-    s: TimeSeries, t0: int, n: int, x: int, order: int, family: CorrectionFamily
-) -> float:
+def corrected_sum(s: TimeSeries, t0: int, n: int, x: int, order: int) -> float:
     """Windowed sum plus the first `order` boundary correction terms.
 
-    Each term is w_r(x)/r! * (D_x^{r-1} s at t0+n minus at t0) / x^{r-1}.
-    A sample missing past the window (up to t0+n+(order-1)*x) raises
-    OutOfRange and a total past the float range OverflowError; both name the
-    first order that fails.
+    Each term is w_r(x)/r! * (D_x^{r-1} s at t0+n minus at t0) / x^{r-1},
+    with w_r from a correction_family built, once the window checks pass, no
+    further than the series reaches.  A negative order raises ValueError
+    before any sum.  A sample missing past the window (up to
+    t0+n+(order-1)*x) raises OutOfRange and a total past the float range
+    OverflowError; both name the first order that fails.
     """
-    *_, total = _corrected_sums(s, t0, n, x, _step_weights(family, x, order))
     if order < 0:
         raise ValueError("correction order must be >= 0")
+    *_, total = _corrected_sums(
+        s, t0, n, x, order, lambda k: _step_weights(correction_family(k), x, k)
+    )
     return total
 
 
@@ -285,24 +290,30 @@ class ErrorReport:
 
 
 def error_report(
-    s: TimeSeries,
-    t0: int,
-    n: int,
-    xs: Sequence[int],
-    max_correction: int,
-    family: CorrectionFamily,
+    s: TimeSeries, t0: int, n: int, xs: Sequence[int], max_correction: int
 ) -> ErrorReport:
     """Tabulate correction errors for each factor x and order 0..max_correction.
 
     Ground truth is the plain unit sum over the same window; rows come out
-    sorted by (x, R) regardless of the order factors were given in.
+    sorted by (x, R) regardless of the order factors were given in.  A
+    negative max_correction raises ValueError before any window check.  All
+    factors share the smallest one's correction_family, built as for corrected_sum.
     """
+    if max_correction < 0:
+        raise ValueError("max_order must be >= 0")
     truth = windowed_sum(s, t0, n, 1)
+    family = None
+
+    def weights(x: int, k: int) -> Iterator[float]:
+        nonlocal family
+        if family is None:  # the smallest factor asks first, for the most orders
+            family = correction_family(k)
+        return _step_weights(family, x, k)
+
     rows = []
     for x in sorted(set(xs)):
-        sums = _corrected_sums(s, t0, n, x, _step_weights(family, x, max_correction))
-        # zip reads range first, so a negative max_correction starts no sum.
-        for order, total in zip(range(max_correction + 1), sums):
+        sums = _corrected_sums(s, t0, n, x, max_correction, partial(weights, x))
+        for order, total in enumerate(sums):
             rows.append((x, order, _finite(abs(truth - total), f"error at x={x}, R={order}")))
     return ErrorReport(n, tuple(rows))
 
@@ -335,38 +346,32 @@ def euler_transform(terms: Sequence[float], order: int) -> float:
     return total
 
 
-def euler_mascheroni(n_terms: int, table: CoefficientTable) -> float:
+def euler_mascheroni(n_terms: int) -> float:
     """Partial sum of sum_{r>=1} (-1)^(r+1) G_r / r, which converges to 0.5772...
 
     The Gregory coefficients shrink like 1/(r log r), so the tail dies
-    slowly; a couple hundred terms give three correct digits.
+    slowly; a couple hundred terms give three correct digits.  They come
+    from coefficient_table(n_terms), which rejects a negative count.
     """
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
-    if table.max_order < n_terms:
-        raise InsufficientOrder(
-            f"table covers r <= {table.max_order}, requested {n_terms} terms"
-        )
     total = 0.0
-    for r in range(1, n_terms + 1):
-        term = float(table.gregory[r]) / r
+    for r, g in enumerate(coefficient_table(n_terms).gregory[1:], 1):
+        term = float(g) / r
         total += term if r % 2 == 1 else -term
     return total
 
 
-def gregory_integral(s: TimeSeries, n: int, order: int, table: CoefficientTable) -> float:
+def gregory_integral(s: TimeSeries, n: int, order: int) -> float:
     """Quadrature over [0, n]: unit sum plus Gregory boundary corrections.
 
     integral ~= sum_{k<n} s[k] + sum_{r=1}^{order} G_r (D^{r-1} s(n) - D^{r-1} s(0)).
+    A negative order raises ValueError; the G_r come from coefficient_table,
+    built no further than the series reaches past n.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if table.max_order < order:
-        raise InsufficientOrder(
-            f"table covers r <= {table.max_order}, correction needs {order}"
-        )
-    weights = (float(table.gregory[r]) for r in range(1, order + 1))
-    *_, total = _corrected_sums(s, 0, n, 1, weights)
+    *_, total = _corrected_sums(
+        s, 0, n, 1, order, lambda k: map(float, coefficient_table(k).gregory[1:])
+    )
     return total
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import downsum.cli
 import downsum.sumcalc
+import downsum.timeseries
 from downsum import CorrectionFamily, Polynomial, correction_family
 from downsum.cli import SUBCOMMANDS, build_parser, main
 
@@ -480,37 +481,37 @@ class TestDownsample:
     @pytest.mark.parametrize(
         "options, built, code, err",
         [
-            (["--factors", "5", "--max-order", "13"], 13, 0, ""),
+            (["--factors", "5", "--max-order", "13"], [13], 0, ""),
             (
-                ["--factors", "5", "--max-order", "200"], 14, 2,
+                ["--factors", "5", "--max-order", "200"], [13], 2,
                 "OutOfRange: order-14 correction at window end 60 needs sample 125, series has 121",
             ),
             (
-                ["--factors", "5,2", "--max-order", "400"], 32, 2,
+                ["--factors", "5,2", "--max-order", "400"], [31], 2,
                 "OutOfRange: order-32 correction at window end 60 needs sample 122, series has 121",
             ),
             (
-                ["--factors", "5", "--max-order", "400", "--t0", "59"], 2, 2,
+                ["--factors", "5", "--max-order", "400", "--t0", "59"], [1], 2,
                 "OutOfRange: order-2 correction at window end 119 needs sample 124, series has 121",
             ),
             (
-                ["--factors", "2,0", "--max-order", "300"], 0, 2,
+                ["--factors", "2,0", "--max-order", "300"], [], 2,
                 "ValueError: downsampling factor must be a positive integer",
             ),
             (
-                ["--window", "-60", "--factors", "5", "--max-order", "400"], 0, 2,
+                ["--window", "-60", "--factors", "5", "--max-order", "400"], [], 2,
                 "ValueError: window length must be >= 0",
             ),
             (
-                ["--t0", "-1", "--factors", "5", "--max-order", "400"], 0, 2,
+                ["--t0", "-1", "--factors", "5", "--max-order", "400"], [], 2,
                 "OutOfRange: window [-1, 59) exceeds series of length 121",
             ),
             (
-                ["--window", "61", "--factors", "2", "--max-order", "400"], 0, 2,
+                ["--window", "61", "--factors", "2", "--max-order", "400"], [], 2,
                 "NonDivisibleWindow: window 61 is not divisible by factor 2",
             ),
             (
-                ["--t0", "62", "--factors", "5", "--max-order", "400"], 0, 2,
+                ["--t0", "62", "--factors", "5", "--max-order", "400"], [], 2,
                 "OutOfRange: window [62, 122) exceeds series of length 121",
             ),
         ],
@@ -521,14 +522,15 @@ class TestDownsample:
         ],
     )
     def test_unreachable_order_fails_fast(self, capsys, tmp_path, monkeypatch, options, built, code, err):
-        """Past the series' tail the family is built only up to the first
-        order that fails, and that order's error is what the user sees.
+        """Past the series' tail the family is built only up to the last
+        order the series reaches, and the next order's error is what the
+        user sees.
 
-        On 121 samples a window [t0, t0+60) at factor x first misses a
-        sample at order (60 - t0) // x + 2, the smallest r with
-        t0 + 60 + (r-1)*x > 120.  A window the smallest factor's sum rejects
-        (a factor < 1, a negative or non-divisible length, a window outside
-        the series) fails before any order.
+        On 121 samples a window [t0, t0+60) at factor x reaches order
+        (60 - t0) // x + 1, the largest r with t0 + 60 + (r-1)*x <= 120.  A
+        window the smallest factor's sum rejects (a factor < 1, a negative
+        or non-divisible length, a window outside the series) fails before
+        any family is built.
         """
         source = tmp_path / "bump.csv"
         write_bump_csv(source)
@@ -538,14 +540,34 @@ class TestDownsample:
             orders.append(order)
             return correction_family(order)
 
-        monkeypatch.setattr(downsum.cli, "correction_family", recording)
+        monkeypatch.setattr(downsum.timeseries, "correction_family", recording)
         result = run(
             capsys,
             "downsample", "--input", str(source), "--col", "1", "--window", "60",
             *options, "--output", str(tmp_path / "out.csv"),
         )
-        assert orders == [built]
+        assert orders == built
         assert result == (code, "", f"downsum: {err}\n" if err else "")
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--window", "-60"],
+            ["--t0", "-1"],
+            ["--window", "61", "--factors", "2,0"],
+            ["--t0", "62", "--factors", "0"],
+        ],
+    )
+    def test_negative_max_order_precedes_window_errors(self, capsys, tmp_path, options):
+        source = tmp_path / "bump.csv"
+        write_bump_csv(source)
+        result = run(
+            capsys,
+            "downsample", "--input", str(source), "--col", "1", "--window", "60",
+            "--factors", "5", "--max-order", "-1", *options,
+            "--output", str(tmp_path / "out.csv"),
+        )
+        assert result == (2, "", "downsum: ValueError: max_order must be >= 0\n")
 
     def test_non_finite_sample(self, capsys, tmp_path):
         source = tmp_path / "bump.csv"

@@ -1,5 +1,5 @@
 """The names other code reaches by string: ``downsum.__all__`` and the
-perfbench trace targets.
+perfbench trace targets, and what a traced request records.
 
 A later deletion that breaks ``from downsum import *`` or ``perfbench/run.py
 --trace 1`` fails here by name instead of at the first traced request.
@@ -8,8 +8,11 @@ A later deletion that breaks ``from downsum import *`` or ``perfbench/run.py
 import argparse
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 import downsum
 import downsum.cli  # noqa: F401  (every downsum module is loaded before the snapshot)
@@ -50,3 +53,36 @@ def test_every_trace_target_resolves_and_import_installs_nothing():
     assert _snapshot() == before
     for module_name, attribute, _ in tracing.TARGETS:
         assert callable(_resolve(module_name, attribute)), (module_name, attribute)
+
+
+
+@pytest.mark.parametrize("max_order, code, built", [("4", 0, 4), ("400", 2, 31)])
+def test_traced_downsample_records_one_family_build(monkeypatch, tmp_path, max_order, code, built):
+    """The per-layer trace of a two-factor ``downsample`` sees one family build.
+
+    The family is built inside ``error_report``, no further than the order
+    the smallest factor reaches: on 121 samples the window [0, 60) at
+    factor 2 reaches order 31, so ``--max-order 400`` builds order 31 and
+    then fails at order 32.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # install() rebinds names in the downsum modules and on their classes;
+    # monkeypatch puts every one back after the test.
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", argparse.ArgumentParser.parse_args)
+    targets = {attribute for _, attribute, _ in tracing.TARGETS}
+    for key, value in _snapshot().items():
+        if ".".join(key[1:]) in targets:
+            owner = sys.modules[key[0]]
+            monkeypatch.setattr(getattr(owner, key[1]) if len(key) == 3 else owner, key[-1], value)
+    source = tmp_path / "bump.csv"
+    source.write_text("".join(f"{t},{(t - 25) ** 2 / 625}\n" for t in range(121)))
+    result, payload = tracing.run_traced(downsum.cli.main, [
+        "downsample", "--input", str(source), "--col", "1", "--window", "60",
+        "--factors", "5,2", "--max-order", max_order, "--output", str(tmp_path / "out.csv"),
+    ])
+    trace = json.loads(payload.split("\n")[0])
+    assert result == code
+    assert trace["summary"]["family.correction_family"]["calls"] == 1
+    assert trace["max_order"] == built

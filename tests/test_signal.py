@@ -316,25 +316,21 @@ class TestWindowedSum:
         with pytest.raises(ValueError, match="window length"):
             windowed_sum(squares, 4, -4, 2)
         with pytest.raises(ValueError, match="window length"):
-            corrected_sum(squares, 4, -4, 2, 2, correction_family(2))
+            corrected_sum(squares, 4, -4, 2, 2)
 
 
 class TestCorrectedSum:
     def test_linear_samples_corrected_exactly(self):
-        report = corrected_sum(ramp(8), 0, 4, 2, 2, correction_family(2))
+        report = corrected_sum(ramp(8), 0, 4, 2, 2)
         assert report == 6.0
 
     def test_order_zero_is_plain_windowed(self):
-        assert corrected_sum(ramp(8), 0, 4, 2, 0, correction_family(2)) == 4.0
+        assert corrected_sum(ramp(8), 0, 4, 2, 0) == 4.0
 
     def test_tail_samples_required(self):
         # order 2 at window end 4 with x = 2 reads sample 6.
         with pytest.raises(OutOfRange):
-            corrected_sum(ramp(6), 0, 4, 2, 2, correction_family(2))
-
-    def test_family_too_short(self):
-        with pytest.raises(InsufficientOrder):
-            corrected_sum(ramp(20), 0, 4, 2, 3, correction_family(2))
+            corrected_sum(ramp(6), 0, 4, 2, 2)
 
     def test_overflowing_correction_raises(self):
         # The window sum 2 * (s[0] + s[2]) is 0, but the order-1 span
@@ -342,21 +338,19 @@ class TestCorrectedSum:
         s = TimeSeries((-1.7e308, 0.0, 1.7e308, 0.0, 1.7e308, 0.0))
         assert windowed_sum(s, 0, 4, 2) == 0.0
         with pytest.raises(OverflowError):
-            corrected_sum(s, 0, 4, 2, 1, correction_family(1))
+            corrected_sum(s, 0, 4, 2, 1)
 
     def test_deterministic(self):
         bump = gaussian_bump()
-        family = correction_family(4)
-        a = corrected_sum(bump, 0, 60, 3, 4, family)
-        b = corrected_sum(bump, 0, 60, 3, 4, family)
+        a = corrected_sum(bump, 0, 60, 3, 4)
+        b = corrected_sum(bump, 0, 60, 3, 4)
         assert a == b
 
     def test_bump_error_shrinks_with_order(self):
         bump = gaussian_bump()
-        family = correction_family(4)
         truth = windowed_sum(bump, 0, 60, 1)
         errors = [
-            abs(truth - corrected_sum(bump, 0, 60, 3, order, family))
+            abs(truth - corrected_sum(bump, 0, 60, 3, order))
             for order in range(1, 5)
         ]
         assert errors[0] > errors[1] > errors[2] > errors[3]
@@ -365,7 +359,7 @@ class TestCorrectedSum:
 class TestErrorReport:
     def test_shape_and_order(self):
         bump = gaussian_bump()
-        report = error_report(bump, 0, 60, [5, 2, 3, 4], 4, correction_family(4))
+        report = error_report(bump, 0, 60, [5, 2, 3, 4], 4)
         assert report.window == 60
         assert len(report.rows) == 4 * 5
         assert [row[0] for row in report.rows] == sorted(row[0] for row in report.rows)
@@ -376,30 +370,29 @@ class TestErrorReport:
         # Both sums are finite (1.6e308 and -1.6e308); their distance is not.
         s = TimeSeries((-4e307, 1.2e308, -4e307, 1.2e308))
         with pytest.raises(OverflowError):
-            error_report(s, 0, 4, [2], 0, correction_family(0))
+            error_report(s, 0, 4, [2], 0)
 
     def test_identity_factor_is_exact(self):
         bump = gaussian_bump()
-        report = error_report(bump, 0, 60, [1], 3, correction_family(3))
+        report = error_report(bump, 0, 60, [1], 3)
         assert all(err == 0.0 for _, _, err in report.rows)
 
     def test_duplicate_factors_collapse(self):
         bump = gaussian_bump()
-        report = error_report(bump, 0, 60, [2, 2], 1, correction_family(1))
+        report = error_report(bump, 0, 60, [2, 2], 1)
         assert len(report.rows) == 2
 
     def test_unknown_row_lookup(self):
         bump = gaussian_bump()
-        report = error_report(bump, 0, 60, [2], 1, correction_family(1))
+        report = error_report(bump, 0, 60, [2], 1)
         with pytest.raises(KeyError):
             report.err(3, 0)
 
     def test_polynomial_samples_corrected_to_rounding(self):
         s = TimeSeries(tuple(float(k * k) for k in range(80)))
-        family = correction_family(3)
         # At t0 = 7 the order-3 tail reaches sample 7 + 60 + 2 * 5 = 77.
         for t0 in (0, 7):
-            report = error_report(s, t0, 60, [2, 3, 4, 5], 3, family)
+            report = error_report(s, t0, 60, [2, 3, 4, 5], 3)
             truth = windowed_sum(s, t0, 60, 1)
             for x in (2, 3, 4, 5):
                 assert report.err(x, 3) <= 1e-9 * abs(truth), (t0, x)
@@ -450,52 +443,42 @@ class TestEulerTransform:
 
 class TestEulerMascheroni:
     def test_one_term(self):
-        assert euler_mascheroni(1, coefficient_table(1)) == 0.5
+        assert euler_mascheroni(1) == 0.5
 
     def test_two_terms(self):
-        value = euler_mascheroni(2, coefficient_table(2))
+        value = euler_mascheroni(2)
         assert abs(value - (0.5 + 1.0 / 24.0)) < 1e-15
 
     def test_two_hundred_terms(self):
-        table = coefficient_table(200)
-        assert abs(euler_mascheroni(200, table) - GAMMA) < 2e-3
-
-    def test_table_too_short(self):
-        with pytest.raises(InsufficientOrder):
-            euler_mascheroni(10, coefficient_table(5))
+        assert abs(euler_mascheroni(200) - GAMMA) < 2e-3
 
     def test_negative_terms_rejected(self):
         # A negative count is an error, not the empty sum 0.0.
         with pytest.raises(ValueError):
-            euler_mascheroni(-3, coefficient_table(5))
+            euler_mascheroni(-3)
 
 
 class TestGregoryIntegral:
     def test_constant(self):
         s = TimeSeries((1.0,) * 7)
-        assert gregory_integral(s, 5, 1, coefficient_table(1)) == 5.0
+        assert gregory_integral(s, 5, 1) == 5.0
 
     def test_squares(self):
         s = TimeSeries(tuple(float(k * k) for k in range(8)))
-        estimate = gregory_integral(s, 4, 3, coefficient_table(3))
+        estimate = gregory_integral(s, 4, 3)
         assert abs(estimate - 64.0 / 3.0) < 1e-12
 
     def test_higher_order_beats_lower(self):
         s = TimeSeries(tuple(1.0 / (1.0 + t) for t in range(14)))
         exact = math.log(9.0)
-        rough = abs(gregory_integral(s, 8, 1, coefficient_table(1)) - exact)
-        sharp = abs(gregory_integral(s, 8, 6, coefficient_table(6)) - exact)
+        rough = abs(gregory_integral(s, 8, 1) - exact)
+        sharp = abs(gregory_integral(s, 8, 6) - exact)
         assert sharp < rough
 
     def test_out_of_range(self):
         s = TimeSeries((1.0,) * 5)
         with pytest.raises(OutOfRange):
-            gregory_integral(s, 4, 3, coefficient_table(3))
-
-    def test_table_too_short(self):
-        s = TimeSeries((1.0,) * 20)
-        with pytest.raises(InsufficientOrder):
-            gregory_integral(s, 4, 3, coefficient_table(2))
+            gregory_integral(s, 4, 3)
 
     @pytest.mark.parametrize(
         "values, n, order",
@@ -507,7 +490,95 @@ class TestGregoryIntegral:
     )
     def test_non_finite_raises(self, values, n, order):
         with pytest.raises(OverflowError):
-            gregory_integral(TimeSeries(values), n, order, coefficient_table(order))
+            gregory_integral(TimeSeries(values), n, order)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The orders of every family and table timeseries builds, in call order."""
+    orders = []
+
+    def recording(build):
+        def record(order):
+            orders.append(order)
+            return build(order)
+
+        return record
+
+    monkeypatch.setattr(timeseries, "correction_family", recording(correction_family))
+    monkeypatch.setattr(timeseries, "coefficient_table", recording(coefficient_table))
+    return orders
+
+
+class TestWeightsSizedToSeries:
+    """Each call builds its weights once, no further than the series reaches.
+
+    On 20 samples the window [0, 4) at step x reaches order 1 + 15 // x:
+    order r reads sample 4 + (r - 1) * x, and the last sample is 19.  So
+    step 2 reaches order 8 and step 1 order 16.
+    """
+
+    def test_corrected_sum_past_reach(self, built):
+        with pytest.raises(OutOfRange, match="^order-9 correction at window end 4 needs sample 20,"):
+            corrected_sum(ramp(20), 0, 4, 2, 10_000)
+        assert built == [8]
+
+    def test_error_report_past_reach(self, built):
+        with pytest.raises(OutOfRange, match="^order-9 correction at window end 4 needs sample 20,"):
+            error_report(ramp(20), 0, 4, [4, 2], 10_000)
+        assert built == [8]
+
+    def test_gregory_integral_past_reach(self, built):
+        with pytest.raises(OutOfRange, match="^order-17 correction at window end 4 needs sample 20,"):
+            gregory_integral(ramp(20), 4, 10_000)
+        assert built == [16]
+
+    def test_window_at_the_series_end_reaches_order_zero(self, built):
+        with pytest.raises(OutOfRange, match="^order-1 correction at window end 20 needs sample 20,"):
+            corrected_sum(ramp(20), 0, 20, 2, 1)
+        assert built == [0]
+
+    def test_reachable_order_is_built_as_asked(self, built):
+        corrected_sum(ramp(20), 0, 4, 2, 3)
+        gregory_integral(ramp(20), 4, 5)
+        euler_mascheroni(6)
+        assert built == [3, 5, 6]
+
+    def test_error_report_builds_one_family_for_every_factor(self, built):
+        report = error_report(gaussian_bump(), 0, 60, [5, 2, 3], 4)
+        assert len(report.rows) == 3 * 5
+        assert built == [4]
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: corrected_sum(ramp(20), 0, 4, 0, 3), ValueError),
+            (lambda: corrected_sum(ramp(20), 0, -4, 2, 3), ValueError),
+            (lambda: corrected_sum(ramp(20), 0, 5, 2, 3), NonDivisibleWindow),
+            (lambda: corrected_sum(ramp(20), 17, 4, 2, 3), OutOfRange),
+            # A negative order is rejected before the window [0, 100) past the series.
+            (lambda: corrected_sum(ramp(10), 0, 100, 2, -1), ValueError),
+            (lambda: error_report(ramp(20), 0, 4, [2, 0], 3), ValueError),
+            (lambda: error_report(ramp(20), 0, 4, [3, 6], 3), NonDivisibleWindow),
+            (lambda: error_report(ramp(20), -1, 4, [2], 3), OutOfRange),
+            (lambda: error_report(ramp(10), -1, 100, [0], -1), ValueError),
+            (lambda: gregory_integral(ramp(20), 21, 3), OutOfRange),
+            (lambda: gregory_integral(ramp(20), -1, 3), ValueError),
+            (lambda: gregory_integral(ramp(10), 100, -1), ValueError),
+        ],
+        ids=[
+            "corrected-zero-factor", "corrected-negative-window", "corrected-non-divisible",
+            "corrected-past-series", "corrected-negative-order",
+            "report-zero-factor", "report-non-divisible", "report-negative-t0",
+            "report-negative-order",
+            "gregory-past-series", "gregory-negative-window", "gregory-negative-order",
+        ],
+    )
+    def test_rejected_input_builds_nothing(self, built, call, error):
+        with pytest.raises(error) as raised:
+            call()
+        assert type(raised.value) is error
+        assert built == []
 
 
 class TestGaussianBump:

@@ -213,8 +213,6 @@ class TestMasterIdentity:
                 unit_form = unit_difference_residual(f, x, family20)
                 assert step_form.passed, (f, x, step_form.residual)
                 assert unit_form.passed, (f, x, unit_form.residual)
-                assert step_form.terms_used == f.degree + 1
-                assert step_form.x_value == x
 
     def test_specific_examples(self, family20):
         assert scaled_difference_residual(P([0, 0, 1]), Fr(1, 2), family20).passed
@@ -245,11 +243,10 @@ class TestMasterIdentity:
             unit_form = unit_difference_residual(f, 0, family20)
             assert step_form.passed, (f, step_form.residual)
             assert unit_form.passed, (f, unit_form.residual)
-            assert step_form.x_value == unit_form.x_value == 0
 
     def test_report_passed_tracks_residual(self):
-        ok = SumIdentityReport(P(), 3, Fr(2))
-        bad = SumIdentityReport(P([0, 1]), 3, Fr(2))
+        ok = SumIdentityReport(P())
+        bad = SumIdentityReport(P([0, 1]))
         assert ok.passed and not bad.passed
 
 
@@ -342,7 +339,6 @@ class TestAlternatingForm:
         assert indefinite_sum(paired) == P([0, -1])
         report = alternating_residual(f)
         assert report.passed
-        assert report.x_value == 2
 
     def test_constant(self):
         assert alternating_residual(P([1])).passed
