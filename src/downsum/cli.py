@@ -7,6 +7,16 @@ downsampled sums of a user polynomial, ``downsample`` runs the correction
 error study on a CSV signal, and ``accelerate`` runs the series-acceleration
 demos.
 
+Each subcommand's options are declared once, as data, in ``SUBCOMMANDS``:
+per long flag, the keywords ``argparse`` takes (action, dest, type,
+required, default, choices, metavar, help).  Two readers share that table.
+``_read_argv`` turns a well-formed argv (a known subcommand, then exact
+long flags with their values) into the namespace argparse would return,
+without building a parser.  Everything else, such as help, usage errors,
+abbreviations, ``--`` and separate values that start with ``-``, goes to the
+parser of ``build_parser``, so argparse remains the only source of usage
+messages.
+
 Exit codes: 0 success, 1 a verification found a nonzero residual, 2 bad
 input (unknown flags, malformed or non-finite numbers, unreadable files,
 violated preconditions, arithmetic overflow).  Output for a fixed seed is
@@ -40,106 +50,6 @@ from .timeseries import (
 )
 
 DEFAULT_X_GRID = "-2,-1,-1/2,1/3,1/2,1,2,3"
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser; only the subparser of ``command`` when it names one.
-
-    A request names its subcommand first, so building the other four
-    subparsers is wasted work.  Without a known command (``--help``, an empty
-    or unknown argv) every subparser is built.  The one-subparser parser pins
-    the subcommand metavar so that its top-level usage line (printed, e.g.,
-    for stray arguments) reads as the full parser's.
-    """
-    parser = argparse.ArgumentParser(
-        prog="downsum",
-        description="Exact summation-correction weights and their applications.",
-    )
-    known = command in SUBCOMMANDS
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(SUBCOMMANDS) + "}" if known else None,
-    )
-    for name, add_subparser in SUBCOMMANDS.items():
-        if not known or name == command:
-            add_subparser(sub)
-    return parser
-
-
-def _add_coeffs(sub) -> None:
-    coeffs = sub.add_parser(
-        "coeffs", help="print the correction-weight polynomials and constants"
-    )
-    coeffs.add_argument("--max-order", type=int, required=True, metavar="R")
-    coeffs.add_argument(
-        "--star", action="store_true",
-        help="show the reversed (unit-difference) family instead",
-    )
-    coeffs.add_argument(
-        "--eval", dest="eval_at", metavar="p/q",
-        help="print values at this point instead of coefficient lists",
-    )
-    coeffs.add_argument("--format", choices=("table", "csv"), default="table")
-    coeffs.set_defaults(handler=_run_coeffs)
-
-
-def _add_verify(sub) -> None:
-    verify = sub.add_parser(
-        "verify", help="check the summation identities on random polynomials"
-    )
-    verify.add_argument("--degree", type=int, required=True, metavar="D")
-    verify.add_argument("--trials", type=int, required=True, metavar="T")
-    verify.add_argument("--seed", type=int, required=True, metavar="S")
-    verify.add_argument("--x-grid", default=DEFAULT_X_GRID, metavar="LIST")
-    verify.add_argument(
-        "--classical", action="store_true",
-        help="also check the derivative, quadrature, and alternating forms",
-    )
-    verify.set_defaults(handler=_run_verify)
-
-
-def _add_sum(sub) -> None:
-    sum_cmd = sub.add_parser(
-        "sum", help="evaluate the fractional (or downsampled) sum of a polynomial"
-    )
-    sum_cmd.add_argument("--poly", required=True, metavar="c0,c1,...")
-    sum_cmd.add_argument("--n", required=True, metavar="p/q")
-    sum_cmd.add_argument("--downsample-x", metavar="p/q")
-    sum_cmd.set_defaults(handler=_run_sum)
-
-
-def _add_downsample(sub) -> None:
-    down = sub.add_parser(
-        "downsample", help="error study of corrected downsampled sums on a CSV column"
-    )
-    down.add_argument("--input", required=True, metavar="FILE")
-    down.add_argument("--col", type=int, required=True, metavar="K")
-    down.add_argument("--header", action="store_true")
-    down.add_argument("--window", type=int, required=True, metavar="N")
-    down.add_argument("--factors", required=True, metavar="LIST")
-    down.add_argument("--max-order", type=int, required=True, metavar="R")
-    down.add_argument("--t0", type=int, default=0, metavar="T")
-    down.add_argument("--output", required=True, metavar="FILE")
-    down.set_defaults(handler=_run_downsample)
-
-
-def _add_accelerate(sub) -> None:
-    accel = sub.add_parser("accelerate", help="series acceleration demos")
-    accel.add_argument("--target", choices=("gamma", "ln2"))
-    accel.add_argument("--terms", type=int, metavar="N")
-    accel.add_argument("--order", type=int, metavar="R")
-    accel.add_argument("--terms-file", metavar="FILE")
-    accel.set_defaults(handler=_run_accelerate)
-
-
-#: Subcommand name -> the function adding its subparser, in ``--help`` order.
-SUBCOMMANDS = {
-    "coeffs": _add_coeffs,
-    "verify": _add_verify,
-    "sum": _add_sum,
-    "downsample": _add_downsample,
-    "accelerate": _add_accelerate,
-}
 
 
 def _print_aligned(rows: Sequence[Sequence[str]]) -> None:
@@ -270,6 +180,8 @@ def _run_accelerate(args: argparse.Namespace) -> int:
             raise ValueError("--terms-file and --target are mutually exclusive")
         if args.order is None:
             raise ValueError("--terms-file requires --order")
+        if args.terms is not None:
+            raise ValueError("--terms-file takes --order, not --terms")
         value = euler_transform(load_terms(args.terms_file), args.order)
     elif args.target == "gamma":
         if args.terms is None:
@@ -290,13 +202,133 @@ def _run_accelerate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Subcommand -> (help, handler, {long flag: argparse keywords}), in --help
+#: order.  _read_argv understands the keywords used here and no others.
+SUBCOMMANDS = {
+    "coeffs": ("print the correction-weight polynomials and constants", _run_coeffs, {
+        "--max-order": {"type": int, "required": True, "metavar": "R"},
+        "--star": {"action": "store_true",
+                   "help": "show the reversed (unit-difference) family instead"},
+        "--eval": {"dest": "eval_at", "metavar": "p/q",
+                   "help": "print values at this point instead of coefficient lists"},
+        "--format": {"choices": ("table", "csv"), "default": "table"},
+    }),
+    "verify": ("check the summation identities on random polynomials", _run_verify, {
+        "--degree": {"type": int, "required": True, "metavar": "D"},
+        "--trials": {"type": int, "required": True, "metavar": "T"},
+        "--seed": {"type": int, "required": True, "metavar": "S"},
+        "--x-grid": {"default": DEFAULT_X_GRID, "metavar": "LIST"},
+        "--classical": {"action": "store_true",
+                        "help": "also check the derivative, quadrature, and alternating forms"},
+    }),
+    "sum": ("evaluate the fractional (or downsampled) sum of a polynomial", _run_sum, {
+        "--poly": {"required": True, "metavar": "c0,c1,..."},
+        "--n": {"required": True, "metavar": "p/q"},
+        "--downsample-x": {"metavar": "p/q"},
+    }),
+    "downsample": ("error study of corrected downsampled sums on a CSV column", _run_downsample, {
+        "--input": {"required": True, "metavar": "FILE"},
+        "--col": {"type": int, "required": True, "metavar": "K"},
+        "--header": {"action": "store_true"},
+        "--window": {"type": int, "required": True, "metavar": "N"},
+        "--factors": {"required": True, "metavar": "LIST"},
+        "--max-order": {"type": int, "required": True, "metavar": "R"},
+        "--t0": {"type": int, "default": 0, "metavar": "T"},
+        "--output": {"required": True, "metavar": "FILE"},
+    }),
+    "accelerate": ("series acceleration demos", _run_accelerate, {
+        "--target": {"choices": ("gamma", "ln2")},
+        "--terms": {"type": int, "metavar": "N"},
+        "--order": {"type": int, "metavar": "R"},
+        "--terms-file": {"metavar": "FILE"},
+    }),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argparse parser of ``SUBCOMMANDS``; only ``command``'s subparser when it names one.
+
+    main builds it only for an argv that _read_argv declines: help, usage
+    errors and the forms the reader leaves to argparse.  Such an argv still
+    names its subcommand first, so building the other four subparsers is
+    wasted work.  Without a known command (``--help``, an empty or unknown
+    argv) every subparser is built.  The one-subparser parser pins the
+    subcommand metavar so that its top-level usage line (printed, e.g., for
+    stray arguments) reads as the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="downsum",
+        description="Exact summation-correction weights and their applications.",
+    )
+    known = command in SUBCOMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(SUBCOMMANDS) + "}" if known else None,
+    )
+    for name, (help_text, handler, options) in SUBCOMMANDS.items():
+        if not known or name == command:
+            subparser = sub.add_parser(name, help=help_text)
+            for flag, keywords in options.items():
+                subparser.add_argument(flag, **keywords)
+            subparser.set_defaults(handler=handler)
+    return parser
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser().parse_args(argv)`` returns, or None.
+
+    Reads only a known subcommand followed by exact long flags of it: a
+    store flag as ``--flag=value`` or as ``--flag value``, a store_true
+    flag bare.  A repeated flag keeps its last value.  Returns None, leaving
+    the argv to argparse, for any other token, a separate value token that
+    starts with ``-`` (argparse may read it as a flag; after ``=`` it reads
+    it as the value), a value its type or choices reject, and a missing
+    required flag.
+    """
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, handler, options = SUBCOMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, text = token.partition("=")
+        keywords = options.get(flag)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            if equals:
+                return None
+            given[flag] = True
+            continue
+        if not equals:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+        try:
+            value = keywords.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(keywords.get("required") and flag not in given for flag, keywords in options.items()):
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for flag, keywords in options.items():
+        default = False if keywords.get("action") == "store_true" else keywords.get("default")
+        setattr(args, keywords.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+    args.handler = handler
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
     except (DownsumError, OSError, ValueError, ArithmeticError) as exc:

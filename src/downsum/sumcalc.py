@@ -127,11 +127,11 @@ def step_identity_reports(
     scaled_difference_residual and unit_difference_residual.  The two
     identities share the gap indefinite_sum(f) - downsampled_sum(f, x) up
     to sign.  One table of step-x difference quotients per step (see
-    forward_difference), the unit one built once per call, gives both the
-    sum (Newton's formula, δ_m(0)) and the spans δ_{r-1}(n) - δ_{r-1}(0)
-    (the quotients without their constant terms).  At x = 0 the sum is the
-    integral and the quotients are derivatives, so the two reports are the
-    Euler–Maclaurin and the Gregory residuals.
+    forward_difference), the unit one built once per call and reused at
+    x = 1, gives both the sum (Newton's formula, δ_m(0)) and the spans
+    δ_{r-1}(n) - δ_{r-1}(0) (the quotients without their constant terms).
+    At x = 0 the sum is the integral and the quotients are derivatives, so
+    the two reports are the Euler–Maclaurin and the Gregory residuals.
 
     Everything stays on integers.  The weight values come from integer
     Horner on the weight numerators: for x = a/b, w_r(x) = h_r / (e_r * b^deg),
@@ -150,8 +150,12 @@ def step_identity_reports(
     reports = []
     for x in steps:
         a, b = x.numerator, x.denominator
-        step_differences, step_den = _forward_differences(f, x, terms)
-        coarse_sum, coarse_den = _newton_sum(step_differences, step_den, x)
+        if x == 1:
+            step_differences, step_den = unit_differences, unit_den
+            coarse_sum, coarse_den = unit_sum, unit_sum_den
+        else:
+            step_differences, step_den = _forward_differences(f, x, terms)
+            coarse_sum, coarse_den = _newton_sum(step_differences, step_den, x)
         step_terms = [(1, unit_sum_den, unit_sum), (-1, coarse_den, coarse_sum)]
         unit_terms = [(1, coarse_den, coarse_sum), (-1, unit_sum_den, unit_sum)]
         for r, (step_d, unit_d) in enumerate(zip(step_differences, unit_differences), start=1):

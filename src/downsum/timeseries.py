@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .family import CorrectionFamily, coefficient_table, correction_family
+from .family import CorrectionFamily, _gregory_numerators, coefficient_table, correction_family
 
 
 @dataclass(frozen=True)
@@ -350,12 +350,19 @@ def euler_mascheroni(n_terms: int) -> float:
     """Partial sum of sum_{r>=1} (-1)^(r+1) G_r / r, which converges to 0.5772...
 
     The Gregory coefficients shrink like 1/(r log r), so the tail dies
-    slowly; a couple hundred terms give three correct digits.  They come
-    from coefficient_table(n_terms), which rejects a negative count.
+    slowly; a couple hundred terms give three correct digits.  Only the
+    Gregory numerators g_r of the family's integer rows are built, and
+    G_r = g_r / (r! * L) is one correctly rounded int division, the value
+    float(G_r) has.  A negative count raises ValueError.
     """
+    if n_terms < 0:
+        raise ValueError("max_order must be >= 0")
+    scale = lcm(*range(1, n_terms + 2))
     total = 0.0
-    for r, g in enumerate(coefficient_table(n_terms).gregory[1:], 1):
-        term = float(g) / r
+    r_factorial = 1
+    for r, g in enumerate(_gregory_numerators(n_terms, scale)[1:], 1):
+        r_factorial *= r
+        term = g / (r_factorial * scale) / r
         total += term if r % 2 == 1 else -term
     return total
 

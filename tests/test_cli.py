@@ -6,8 +6,11 @@ asserted without spawning subprocesses.
 
 import contextlib
 import csv
+import importlib.util
 import io
 import math
+import re
+import shlex
 import sys
 from fractions import Fraction as Fr
 from math import comb, factorial
@@ -21,7 +24,7 @@ import downsum.cli
 import downsum.sumcalc
 import downsum.timeseries
 from downsum import CorrectionFamily, Polynomial, correction_family
-from downsum.cli import SUBCOMMANDS, build_parser, main
+from downsum.cli import SUBCOMMANDS, _read_argv, build_parser, main
 
 
 def run(capsys, *argv):
@@ -257,6 +260,25 @@ class TestVerify:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "verify", "--degree", "2", "--trials", "1")
         assert code == 2
+
+    def test_unit_table_built_once_per_trial(self, capsys, monkeypatch):
+        """The default grid holds x = 1, which reuses the unit table.
+
+        Steps differenced: 1 (the unit table), -2, -1, -1/2, 1/3, 1/2, 2, 3
+        and 0 from the grid, then 1 for the paired polynomial of the
+        alternating form and 1 for the alternating form's own table.
+        """
+        steps = []
+
+        def counting(f, step, count):
+            steps.append(step)
+            return forward_differences(f, step, count)
+
+        forward_differences = downsum.sumcalc._forward_differences
+        monkeypatch.setattr(downsum.sumcalc, "_forward_differences", counting)
+        code, _, _ = run(capsys, "verify", "--degree", "6", "--trials", "1", "--seed", "1", "--classical")
+        assert code == 0
+        assert len(steps) == 11
 
 
 def _text_value(text, at):
@@ -687,6 +709,15 @@ class TestAccelerate:
         assert (code, out) == (2, "")
         assert "OverflowError" in err
 
+    def test_terms_file_rejects_terms(self, capsys, tmp_path):
+        path = tmp_path / "terms.txt"
+        path.write_text("1\n0.5\n")
+        code, out, err = run(
+            capsys, "accelerate", "--terms-file", str(path), "--order", "1", "--terms", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "downsum: ValueError: --terms-file takes --order, not --terms\n"
+
     def test_mutually_exclusive(self, capsys, tmp_path):
         path = tmp_path / "terms.txt"
         path.write_text("1\n")
@@ -766,6 +797,43 @@ PARSER_ARGV = [
     ["downsample"],
     ["accelerate", "--target", "pi"],
     ["accelerate", "--target", "ln2", "--order", "5", "7"],
+    # Well-formed, then the spellings _read_argv leaves to argparse.
+    ["coeffs", "--max-order", "2"],
+    ["coeffs", "--max-order=2", "--star", "--eval=1/2", "--format", "csv"],
+    ["coeffs", "--max-order", "2", "--eval="],
+    ["coeffs", "--max-order", "2", "--eval", ""],
+    ["coeffs", "--max-order", "2", "--max-order", "3"],
+    ["coeffs", "--max-order", "2", "--star="],
+    ["coeffs", "--max-order", "2", "--star=1"],
+    ["coeffs", "--max-order", "-2"],
+    ["coeffs", "--max-order=-2"],
+    ["coeffs", "--max-order="],
+    ["coeffs", "--max-order", " 7 "],
+    ["coeffs", "--max", "2"],
+    ["coeffs", "--max-order", "2", "--eval", "-1/2"],
+    ["coeffs", "--max-order", "2", "--format"],
+    ["coeffs", "--max-order", "2", "-h"],
+    ["coeffs", "--", "--max-order", "2"],
+    ["coeffs", "--max-order", "2", "--"],
+    ["verify", "--degree", "1", "--trials", "1", "--seed", "1", "--x-grid=-1,2"],
+    ["verify", "--degree", "1", "--trials", "1", "--seed", "1", "--x-grid", "2,-1"],
+    ["verify", "--degree", "1", "--trials", "1", "--seed", "1", "--x-grid", "--classical"],
+    ["verify", "--degree", "1", "--trials", "1", "--seed", "1", "--classical", "--classical"],
+    ["verify", "--degree", "1", "--trials", "1", "--seed"],
+    ["sum", "--poly", "0,1", "--n", "3", "--downsample-x", "1/2"],
+    ["sum", "--poly=1=2", "--n", "a b"],
+    ["sum", "--poly", "1", "--n", "3", "--help"],
+    ["downsample", "--input", "in.csv", "--col", "1", "--window", "4", "--factors", "2",
+     "--max-order", "2", "--output", "out.csv", "--header", "--t0", "3"],
+    ["downsample", "--input", "in.csv", "--col", "1", "--window", "4", "--factors", "2",
+     "--max-order", "2", "--output", "out.csv", "--t0", "-3"],
+    ["downsample", "--input", "in.csv", "--col", "1", "--window", "4", "--factors", "2",
+     "--max-order", "2"],
+    ["accelerate", "--target", "gamma", "--terms", "7"],
+    ["accelerate", "--target=ln2", "--order=5", "--terms-file", "t.txt"],
+    ["accelerate", "--target", "gamma", "--terms", "7", "--target", "pi"],
+    ["accelerate", "--targ", "gamma", "--terms", "7"],
+    ["accelerate", "--terms", "1.5"],
 ]
 
 
@@ -774,6 +842,72 @@ def test_lazy_parser_matches_full_parser(argv):
     """The parser built for argv[0] alone answers exactly as the full parser."""
     lazy = build_parser(argv[0] if argv else None)
     assert _parse(lazy, argv) == _parse(build_parser(), argv)
+
+
+def _assert_read_as_argparse(argv):
+    """_read_argv(argv) is None, or what argparse returns for argv without printing."""
+    read = _read_argv(argv)
+    if read is not None:
+        assert _parse(build_parser(), argv) == (None, "", "", vars(read))
+    return read
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "<none>")
+def test_reader_matches_argparse(argv):
+    _assert_read_as_argparse(argv)
+
+
+def test_reader_declines_what_argparse_reports():
+    """Every PARSER_ARGV entry argparse rejects, or answers with help, goes to argparse."""
+    for argv in PARSER_ARGV:
+        if _parse(build_parser(), argv)[0] is not None:
+            assert _read_argv(argv) is None, argv
+
+
+def test_option_table_uses_only_what_the_reader_reads():
+    """_read_argv handles these keywords alone, and a store_true action alone.
+
+    argparse would also pass a string default through the option's type,
+    which the reader does not, so no typed option has one.
+    """
+    for _, _, options in SUBCOMMANDS.values():
+        for flag, keywords in options.items():
+            assert flag.startswith("--") and "=" not in flag
+            assert set(keywords) <= {"action", "dest", "type", "required", "default", "choices", "metavar", "help"}
+            assert keywords.get("action", "store_true") == "store_true"
+            assert not (isinstance(keywords.get("default"), str) and "type" in keywords)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _deck_argvs(tmp_path, monkeypatch):
+    """The argv of every request in the first three decks of each perfbench workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        plan = workloads.Plan(workload, 1, str(tmp_path))
+        for number in range(3):
+            for request in plan.deck(number):
+                yield request.argv
+
+
+def _readme_argvs():
+    """The argv of every ``downsum`` command line in README.md."""
+    text = README.read_text().replace("\\\n", " ")
+    for line in re.findall(r"^(?:\$ )?downsum (.*)$", text, re.M):
+        yield shlex.split(line, comments=True)
+
+
+def test_reader_reads_every_deck_and_readme_argv(tmp_path, monkeypatch):
+    """The benchmark's requests and the documented commands never build argparse."""
+    argvs = [*_deck_argvs(tmp_path, monkeypatch), *_readme_argvs()]
+    assert len(argvs) > 100
+    for argv in argvs:
+        assert _assert_read_as_argparse(argv) is not None, argv
 
 
 # Bounded argument vectors: every subcommand with in-range, out-of-range and
@@ -837,6 +971,24 @@ DOWNSAMPLE_ARGV = _argv(
 STRAY = st.lists(st.sampled_from(["--bogus", "-h", "--star", "7", "--seed", "--"]), max_size=2)
 
 
+@st.composite
+def _respelled(draw, tokens):
+    """tokens after the first, some left as they are, some cut to a prefix,
+    joined to the next token by "=", or replaced by "", "-", "--" or a negative number."""
+    out, rest = tokens[:1], tokens[1:]
+    while rest:
+        token, *rest = rest
+        how = draw(st.sampled_from(["keep", "keep", "keep", "prefix", "join", "replace"]))
+        if how == "prefix" and len(token) > 3:
+            token = token[: draw(st.integers(2, len(token) - 1))]
+        elif how == "join" and rest:
+            token = token + "=" + rest.pop(0)
+        elif how == "replace":
+            token = draw(st.sampled_from(["", "-", "--", "-1", "-3/4", "=", "=2"]))
+        out.append(token)
+    return out
+
+
 @pytest.fixture(scope="module")
 def bump_paths(tmp_path_factory):
     folder = tmp_path_factory.mktemp("argv")
@@ -870,3 +1022,14 @@ class TestArgvProperties:
         # A negative window exits 2, unless -h prints the help first.
         if argv[0] == "downsample" and int(argv[argv.index("--window") + 1]) < 0 and "-h" not in stray:
             assert first[0] == 2
+
+    @given(
+        argv=st.one_of(COEFFS_ARGV, VERIFY_ARGV, SUM_ARGV, ACCELERATE_ARGV, DOWNSAMPLE_ARGV),
+        stray=STRAY,
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reader_matches_argparse(self, argv, stray, data):
+        if argv[0] == "downsample":
+            argv = argv + ["--input", "in.csv", "--output", "out.csv"]
+        _assert_read_as_argparse(data.draw(_respelled(argv + stray)))

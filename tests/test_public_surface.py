@@ -56,15 +56,9 @@ def test_every_trace_target_resolves_and_import_installs_nothing():
 
 
 
-@pytest.mark.parametrize("max_order, code, built", [("4", 0, 4), ("400", 2, 31)])
-def test_traced_downsample_records_one_family_build(monkeypatch, tmp_path, max_order, code, built):
-    """The per-layer trace of a two-factor ``downsample`` sees one family build.
-
-    The family is built inside ``error_report``, no further than the order
-    the smallest factor reaches: on 121 samples the window [0, 60) at
-    factor 2 reaches order 31, so ``--max-order 400`` builds order 31 and
-    then fails at order 32.
-    """
+@pytest.fixture
+def run_traced(monkeypatch):
+    """perfbench's run_traced: argv -> (exit code, the traced request's summary)."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -76,13 +70,42 @@ def test_traced_downsample_records_one_family_build(monkeypatch, tmp_path, max_o
         if ".".join(key[1:]) in targets:
             owner = sys.modules[key[0]]
             monkeypatch.setattr(getattr(owner, key[1]) if len(key) == 3 else owner, key[-1], value)
+
+    def run(argv):
+        code, payload = tracing.run_traced(downsum.cli.main, argv)
+        return code, json.loads(payload.split("\n")[0])
+
+    return run
+
+
+@pytest.mark.parametrize("max_order, code, built", [("4", 0, 4), ("400", 2, 31)])
+def test_traced_downsample_records_one_family_build(run_traced, tmp_path, max_order, code, built):
+    """The per-layer trace of a two-factor ``downsample`` sees one family build.
+
+    The family is built inside ``error_report``, no further than the order
+    the smallest factor reaches: on 121 samples the window [0, 60) at
+    factor 2 reaches order 31, so ``--max-order 400`` builds order 31 and
+    then fails at order 32.
+    """
     source = tmp_path / "bump.csv"
     source.write_text("".join(f"{t},{(t - 25) ** 2 / 625}\n" for t in range(121)))
-    result, payload = tracing.run_traced(downsum.cli.main, [
+    result, trace = run_traced([
         "downsample", "--input", str(source), "--col", "1", "--window", "60",
         "--factors", "5,2", "--max-order", max_order, "--output", str(tmp_path / "out.csv"),
     ])
-    trace = json.loads(payload.split("\n")[0])
     assert result == code
     assert trace["summary"]["family.correction_family"]["calls"] == 1
     assert trace["max_order"] == built
+
+
+@pytest.mark.parametrize("argv, parse_calls", [
+    (["verify", "--degree", "4", "--trials", "1", "--seed", "7", "--x-grid=-1/2,2", "--classical"], 0),
+    (["coeffs", "--help"], 2),
+])
+def test_traced_parse_runs_only_for_help_and_errors(run_traced, argv, parse_calls):
+    """A well-formed argv is read without argparse, so its trace has no
+    ``cli.parse`` span and the reading is ``cli.main``'s self time; help
+    builds the parser and runs it, one ``cli.parse`` span each."""
+    result, trace = run_traced(argv)
+    assert result == 0
+    assert trace["summary"].get("cli.parse", {"calls": 0})["calls"] == parse_calls

@@ -454,7 +454,7 @@ class TestEulerMascheroni:
 
     def test_negative_terms_rejected(self):
         # A negative count is an error, not the empty sum 0.0.
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_order must be >= 0$"):
             euler_mascheroni(-3)
 
 
@@ -495,18 +495,19 @@ class TestGregoryIntegral:
 
 @pytest.fixture
 def built(monkeypatch):
-    """The orders of every family and table timeseries builds, in call order."""
+    """The orders of every family, table and Gregory row timeseries builds, in call order."""
     orders = []
 
     def recording(build):
-        def record(order):
+        def record(order, *rest):
             orders.append(order)
-            return build(order)
+            return build(order, *rest)
 
         return record
 
     monkeypatch.setattr(timeseries, "correction_family", recording(correction_family))
     monkeypatch.setattr(timeseries, "coefficient_table", recording(coefficient_table))
+    monkeypatch.setattr(timeseries, "_gregory_numerators", recording(timeseries._gregory_numerators))
     return orders
 
 
