@@ -8,15 +8,7 @@ the weights to floating-point time series (downsampling-error correction,
 series acceleration, quadrature).
 """
 
-from .errors import (
-    DownsumError,
-    EmptySeries,
-    InsufficientOrder,
-    NonDivisibleWindow,
-    OutOfRange,
-    ParseError,
-    ZeroStep,
-)
+from .errors import DownsumError, ParseError
 from .exact import Polynomial, PowerSeries, format_rational, parse_rational
 from .family import (
     CoefficientTable,
@@ -30,7 +22,6 @@ from .family import (
     weight_recurrence_residual,
 )
 from .sumcalc import (
-    SumIdentityReport,
     alternating_residual,
     downsampled_sum,
     euler_maclaurin_residual,
@@ -43,7 +34,6 @@ from .sumcalc import (
     unit_difference_residual,
 )
 from .timeseries import (
-    ErrorReport,
     TimeSeries,
     corrected_sum,
     error_report,
@@ -60,12 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DownsumError",
-    "EmptySeries",
-    "InsufficientOrder",
-    "NonDivisibleWindow",
-    "OutOfRange",
     "ParseError",
-    "ZeroStep",
     "Polynomial",
     "PowerSeries",
     "format_rational",
@@ -79,7 +64,6 @@ __all__ = [
     "reversed_falling_factorial",
     "unit_weight_recurrence_residual",
     "weight_recurrence_residual",
-    "SumIdentityReport",
     "alternating_residual",
     "downsampled_sum",
     "euler_maclaurin_residual",
@@ -90,7 +74,6 @@ __all__ = [
     "scaled_difference_residual",
     "step_identity_reports",
     "unit_difference_residual",
-    "ErrorReport",
     "TimeSeries",
     "corrected_sum",
     "error_report",

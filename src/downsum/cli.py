@@ -124,26 +124,26 @@ def _run_verify(args: argparse.Namespace) -> int:
     for i in range(args.trials):
         f = random_polynomial(rng, args.degree)
         trial_ok = True
-        reports = step_identity_reports(f, grid + [0] if args.classical else grid, family)
-        for x, (step_form, unit_form) in zip(grid, reports):
-            ok = step_form.passed and unit_form.passed
+        residuals = step_identity_reports(f, grid + [0] if args.classical else grid, family)
+        for x, (step_form, unit_form) in zip(grid, residuals):
+            ok = step_form.is_zero and unit_form.is_zero
             print(f"trial {i:03d} x={format_rational(x)}: {'pass' if ok else 'FAIL'}")
             if not ok:
                 trial_ok = False
                 print(f"  f = {f.text()}")
-                if not step_form.passed:
-                    print(f"  step-weight residual = {step_form.residual.text()}")
-                if not unit_form.passed:
-                    print(f"  unit-weight residual = {unit_form.residual.text()}")
+                if not step_form.is_zero:
+                    print(f"  step-weight residual = {step_form.text()}")
+                if not unit_form.is_zero:
+                    print(f"  unit-weight residual = {unit_form.text()}")
         if args.classical:
             # At the last step, x = 0, the two identities are Euler–Maclaurin and Gregory.
-            classical = (*reports[-1], alternating_residual(f))
-            for name, report in zip(("euler-maclaurin", "gregory", "alternating"), classical):
-                print(f"trial {i:03d} {name}: {'pass' if report.passed else 'FAIL'}")
-                if not report.passed:
+            classical = (*residuals[-1], alternating_residual(f))
+            for name, residual in zip(("euler-maclaurin", "gregory", "alternating"), classical):
+                print(f"trial {i:03d} {name}: {'pass' if residual.is_zero else 'FAIL'}")
+                if not residual.is_zero:
                     trial_ok = False
                     print(f"  f = {f.text()}")
-                    print(f"  residual = {report.residual.text()}")
+                    print(f"  residual = {residual.text()}")
         if trial_ok:
             clean_trials += 1
     print(f"{clean_trials}/{args.trials} passed")
@@ -165,11 +165,11 @@ def _run_sum(args: argparse.Namespace) -> int:
 def _run_downsample(args: argparse.Namespace) -> int:
     series = load_series(args.input, args.col, args.header)
     factors = [int(part) for part in args.factors.split(",")]
-    report = error_report(series, args.t0, args.window, factors, args.max_order)
+    rows = error_report(series, args.t0, args.window, factors, args.max_order)
     with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["x", "R", "err"])
-        for x, order, err in report.rows:
+        for x, order, err in rows:
             writer.writerow([x, order, f"{err:.9g}"])
     return 0
 
@@ -245,32 +245,22 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argparse parser of ``SUBCOMMANDS``; only ``command``'s subparser when it names one.
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``SUBCOMMANDS``.
 
     main builds it only for an argv that _read_argv declines: help, usage
-    errors and the forms the reader leaves to argparse.  Such an argv still
-    names its subcommand first, so building the other four subparsers is
-    wasted work.  Without a known command (``--help``, an empty or unknown
-    argv) every subparser is built.  The one-subparser parser pins the
-    subcommand metavar so that its top-level usage line (printed, e.g., for
-    stray arguments) reads as the full parser's.
+    errors and the forms the reader leaves to argparse.
     """
     parser = argparse.ArgumentParser(
         prog="downsum",
         description="Exact summation-correction weights and their applications.",
     )
-    known = command in SUBCOMMANDS
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(SUBCOMMANDS) + "}" if known else None,
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, options) in SUBCOMMANDS.items():
-        if not known or name == command:
-            subparser = sub.add_parser(name, help=help_text)
-            for flag, keywords in options.items():
-                subparser.add_argument(flag, **keywords)
-            subparser.set_defaults(handler=handler)
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            subparser.add_argument(flag, **keywords)
+        subparser.set_defaults(handler=handler)
     return parser
 
 
@@ -326,7 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _read_argv(argv)
     if args is None:
         try:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:

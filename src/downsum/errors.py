@@ -1,29 +1,18 @@
-"""Exception taxonomy shared by all downsum modules.
+"""The two error classes of downsum.
 
-Every error raised for a violated precondition derives from
-:class:`DownsumError`, so callers (notably the CLI) can distinguish
-"bad input" from genuine bugs with a single except clause.
+A single argument that is invalid on its own (a zero step, a factor below 1,
+a negative order) raises ValueError, as the standard library does.  Arguments
+that are valid one by one but do not fit the data or each other (a window
+past the series, a window not divisible by its factor, a family or term list
+too short for the order, an empty series) raise :class:`DownsumError`.  An
+unparseable CSV field raises its subclass :class:`ParseError`, which carries
+the location.  The CLI maps all of these, OSError and ArithmeticError to exit
+code 2.
 """
 
 
 class DownsumError(Exception):
-    """Base class for all precondition and input errors."""
-
-
-class ZeroStep(DownsumError):
-    """A step/downsampling factor of zero was supplied where it is undefined."""
-
-
-class InsufficientOrder(DownsumError):
-    """A correction family, coefficient table or term list is too short for the requested order."""
-
-
-class OutOfRange(DownsumError):
-    """A sample index (or a trailing difference) falls outside the series."""
-
-
-class NonDivisibleWindow(DownsumError):
-    """The window length is not a multiple of the downsampling factor."""
+    """Arguments valid one by one that do not fit the data or each other."""
 
 
 class ParseError(DownsumError):
@@ -33,7 +22,3 @@ class ParseError(DownsumError):
         super().__init__(f"{message} (row {row}, column {column})")
         self.row = row
         self.column = column
-
-
-class EmptySeries(DownsumError):
-    """A time series with no samples was supplied or loaded."""

@@ -13,9 +13,10 @@ series is finite: D_x^{r-1} f vanishes identically once r-1 > deg f.  At
 x = 0 the coarse sum is the integral of f over [0, n] and the difference
 quotients D_x^{r-1} f / x^{r-1} are the derivatives f^(r-1).
 
-Each ``*_residual`` function builds LHS - RHS as an explicit Polynomial and
-reports it verbatim; checks are structural (all coefficients zero), never
-sampled, so a pass cannot be a coincidence of evaluation points.
+Each ``*_residual`` function returns LHS - RHS as an explicit Polynomial in
+n, zero exactly when the identity holds.  The check is structural (all
+coefficients zero), never sampled, so a pass cannot be a coincidence of
+evaluation points.
 
 Everything runs on the integer-numerator layout of :mod:`downsum.exact`.
 The indefinite and the downsampled sum are both Newton's forward-difference
@@ -30,25 +31,13 @@ denominator, integer accumulation and one normalisation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .errors import InsufficientOrder, ZeroStep
+from .errors import DownsumError
 from .exact import Polynomial, Scalar, _forward_differences, _horner, _linear_combination
 from .family import CorrectionFamily, correction_family
-
-
-@dataclass(frozen=True)
-class SumIdentityReport:
-    """Outcome of one identity check: the residual polynomial in n."""
-
-    residual: Polynomial
-
-    @property
-    def passed(self) -> bool:
-        return self.residual.is_zero
 
 
 def forward_difference(f: Polynomial, step: Scalar, order: int) -> Polynomial:
@@ -114,16 +103,16 @@ def downsampled_sum(f: Polynomial, x: Scalar) -> Polynomial:
     """
     x = Fraction(x)
     if x == 0:
-        raise ZeroStep("downsampling step must be nonzero (the 0 limit is the derivative form)")
+        raise ValueError("downsampling step must be nonzero (the 0 limit is the derivative form)")
     return Polynomial._from_ints(*_newton_sum(*_forward_differences(f, x, f.degree + 1), x))
 
 
 def step_identity_reports(
     f: Polynomial, grid: Sequence[Scalar], family: CorrectionFamily
-) -> list[tuple[SumIdentityReport, SumIdentityReport]]:
+) -> list[tuple[Polynomial, Polynomial]]:
     """Both step-x identity residuals at every x of the grid, in grid order.
 
-    Each entry is (scaled-difference report, unit-difference report); see
+    Each entry is (scaled-difference residual, unit-difference residual); see
     scaled_difference_residual and unit_difference_residual.  The two
     identities share the gap indefinite_sum(f) - downsampled_sum(f, x) up
     to sign.  One table of step-x difference quotients per step (see
@@ -131,7 +120,7 @@ def step_identity_reports(
     x = 1, gives both the sum (Newton's formula, δ_m(0)) and the spans
     δ_{r-1}(n) - δ_{r-1}(0) (the quotients without their constant terms).
     At x = 0 the sum is the integral and the quotients are derivatives, so
-    the two reports are the Euler–Maclaurin and the Gregory residuals.
+    the two are the Euler–Maclaurin and the Gregory residuals.
 
     Everything stays on integers.  The weight values come from integer
     Horner on the weight numerators: for x = a/b, w_r(x) = h_r / (e_r * b^deg),
@@ -144,10 +133,10 @@ def step_identity_reports(
     steps = [Fraction(x) for x in grid]
     terms = f.degree + 1
     if family.max_order < terms:
-        raise InsufficientOrder(f"family has max_order {family.max_order}, identity needs {terms}")
+        raise DownsumError(f"family has max_order {family.max_order}, identity needs {terms}")
     unit_differences, unit_den = _forward_differences(f, 1, terms)
     unit_sum, unit_sum_den = _newton_sum(unit_differences, unit_den, 1)
-    reports = []
+    residuals = []
     for x in steps:
         a, b = x.numerator, x.denominator
         if x == 1:
@@ -166,18 +155,13 @@ def step_identity_reports(
             unit_terms.append(
                 (-h, unit_weight._den * b_power * factorial(r) * unit_den, [0, *unit_d[1:]])
             )
-        reports.append(
-            (
-                SumIdentityReport(_linear_combination(step_terms)),
-                SumIdentityReport(_linear_combination(unit_terms)),
-            )
-        )
-    return reports
+        residuals.append((_linear_combination(step_terms), _linear_combination(unit_terms)))
+    return residuals
 
 
 def scaled_difference_residual(
     f: Polynomial, x: Scalar, family: CorrectionFamily
-) -> SumIdentityReport:
+) -> Polynomial:
     """Residual of the step-x summation identity (weights on x-step differences).
 
     LHS is the unit-step indefinite sum; RHS is the downsampled sum plus
@@ -188,7 +172,7 @@ def scaled_difference_residual(
 
 def unit_difference_residual(
     f: Polynomial, x: Scalar, family: CorrectionFamily
-) -> SumIdentityReport:
+) -> Polynomial:
     """Residual of the reversed identity (reversed weights on unit differences).
 
     x * sum_{k<n/x} f(kx) = sum_{k<n} f(k)
@@ -197,7 +181,7 @@ def unit_difference_residual(
     return step_identity_reports(f, [x], family)[0][1]
 
 
-def euler_maclaurin_residual(f: Polynomial) -> SumIdentityReport:
+def euler_maclaurin_residual(f: Polynomial) -> Polynomial:
     """Residual of the x -> 0 limit: Bernoulli weights on derivatives.
 
     sum_{k<n} f(k) = integral_0^n f + sum_r B_r/r! * (f^(r-1)(n) - f^(r-1)(0)),
@@ -207,7 +191,7 @@ def euler_maclaurin_residual(f: Polynomial) -> SumIdentityReport:
     return scaled_difference_residual(f, 0, correction_family(max(f.degree + 1, 1)))
 
 
-def gregory_residual(f: Polynomial) -> SumIdentityReport:
+def gregory_residual(f: Polynomial) -> Polynomial:
     """Residual of the quadrature form: Gregory weights on unit differences.
 
     integral_0^n f = sum_{k<n} f(k) + sum_r G_r * (D^{r-1} f(n) - D^{r-1} f(0)):
@@ -216,7 +200,7 @@ def gregory_residual(f: Polynomial) -> SumIdentityReport:
     return unit_difference_residual(f, 0, correction_family(max(f.degree + 1, 1)))
 
 
-def alternating_residual(f: Polynomial) -> SumIdentityReport:
+def alternating_residual(f: Polynomial) -> Polynomial:
     """Residual of the alternating form at even upper limits n = 2m.
 
     sum_{k<2m} (-1)^k f(k) = sum_{r>=0} (-1)^{r+1}/2^{r+1} (D^r f(2m) - D^r f(0))
@@ -228,14 +212,13 @@ def alternating_residual(f: Polynomial) -> SumIdentityReport:
     """
     paired = indefinite_sum(f.scale_argument(2) - f.shift(1).scale_argument(2))
     differences, den = _forward_differences(f, 1, f.degree + 1)
-    residual = _linear_combination(
+    return _linear_combination(
         [(1, paired._den, paired._num)]
         + [
             ((-1) ** r, 2 ** (r + 1) * den, [c << j for j, c in enumerate([0, *d[1:]])])
             for r, d in enumerate(differences)
         ]
     )
-    return SumIdentityReport(residual)
 
 
 def random_polynomial(rng: random.Random, max_degree: int) -> Polynomial:

@@ -19,14 +19,8 @@ from functools import partial
 from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import (
-    EmptySeries,
-    InsufficientOrder,
-    NonDivisibleWindow,
-    OutOfRange,
-    ParseError,
-)
-from .family import CorrectionFamily, _gregory_numerators, coefficient_table, correction_family
+from .errors import DownsumError, ParseError
+from .family import CorrectionFamily, _gregory_numerators, correction_family
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,7 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         if not self.values:
-            raise EmptySeries(f"time series {self.name!r} has no samples")
+            raise DownsumError(f"time series {self.name!r} has no samples")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -54,7 +48,7 @@ def load_series(path: str, column: int, has_header: bool = False) -> TimeSeries:
     rows, header included.  A negative column, short rows and unparseable or
     non-finite fields raise ParseError with the offending location, and so
     does a row the CSV reader rejects (a field over the reader's field size
-    limit, say); an empty result raises EmptySeries.  I/O problems propagate
+    limit, say); an empty result raises DownsumError.  I/O problems propagate
     as OSError.
 
     Two paths read the file and give the same values, or the same error.  A
@@ -68,7 +62,7 @@ def load_series(path: str, column: int, has_header: bool = False) -> TimeSeries:
     if values is None:
         values = _checked_column(path, column, has_header)
     if not values:
-        raise EmptySeries(f"no data rows in {path}")
+        raise DownsumError(f"no data rows in {path}")
     name = os.path.splitext(os.path.basename(path))[0]
     return TimeSeries(tuple(values), name)
 
@@ -187,7 +181,7 @@ def forward_difference(s: TimeSeries, t: int, step: int, order: int) -> float:
         raise ValueError("difference order must be >= 0")
     last = t + order * step
     if t < 0 or last > len(s) - 1:
-        raise OutOfRange(
+        raise DownsumError(
             f"difference of order {order} at t={t} (step {step}) needs sample "
             f"{last}, series has {len(s)}"
         )
@@ -215,9 +209,9 @@ def windowed_sum(s: TimeSeries, t0: int, n: int, x: int) -> float:
     if n < 0:
         raise ValueError("window length must be >= 0")
     if n % x != 0:
-        raise NonDivisibleWindow(f"window {n} is not divisible by factor {x}")
+        raise DownsumError(f"window {n} is not divisible by factor {x}")
     if t0 < 0 or t0 + n > len(s):
-        raise OutOfRange(f"window [{t0}, {t0 + n}) exceeds series of length {len(s)}")
+        raise DownsumError(f"window [{t0}, {t0 + n}) exceeds series of length {len(s)}")
     total = 0.0
     for k in range(n // x):
         total += s[t0 + k * x]
@@ -234,7 +228,7 @@ def _corrected_sums(
     reads sample t0+n+(r-1)*step and never extrapolates past the series.
     Once windowed_sum accepts the window, weights(k) gives the first k
     weights, k = min(order, the highest order the series reaches); an order
-    past that raises OutOfRange without reading a weight.
+    past that raises DownsumError without reading a weight.
     """
     total = windowed_sum(s, t0, n, step)
     yield total
@@ -245,7 +239,7 @@ def _corrected_sums(
         total = _finite(total + weight * span, what)
         yield total
     if order > reach:
-        raise OutOfRange(
+        raise DownsumError(
             f"order-{reach + 1} correction at window end {t0 + n} needs sample "
             f"{t0 + n + reach * step}, series has {len(s)}"
         )
@@ -264,7 +258,7 @@ def corrected_sum(s: TimeSeries, t0: int, n: int, x: int, order: int) -> float:
     with w_r from a correction_family built, once the window checks pass, no
     further than the series reaches.  A negative order raises ValueError
     before any sum.  A sample missing past the window (up to
-    t0+n+(order-1)*x) raises OutOfRange and a total past the float range
+    t0+n+(order-1)*x) raises DownsumError and a total past the float range
     OverflowError; both name the first order that fails.
     """
     if order < 0:
@@ -275,24 +269,10 @@ def corrected_sum(s: TimeSeries, t0: int, n: int, x: int, order: int) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """err(R) = |true window sum - corrected downsampled sum| per (x, R)."""
-
-    window: int
-    rows: tuple[tuple[int, int, float], ...]  # (x, R, err), sorted by (x, R)
-
-    def err(self, x: int, order: int) -> float:
-        for row_x, row_order, value in self.rows:
-            if row_x == x and row_order == order:
-                return value
-        raise KeyError(f"no row for x={x}, R={order}")
-
-
 def error_report(
     s: TimeSeries, t0: int, n: int, xs: Sequence[int], max_correction: int
-) -> ErrorReport:
-    """Tabulate correction errors for each factor x and order 0..max_correction.
+) -> tuple[tuple[int, int, float], ...]:
+    """Rows (x, R, err) of err = |true window sum - corrected sum|, R = 0..max_correction.
 
     Ground truth is the plain unit sum over the same window; rows come out
     sorted by (x, R) regardless of the order factors were given in.  A
@@ -315,7 +295,7 @@ def error_report(
         sums = _corrected_sums(s, t0, n, x, max_correction, partial(weights, x))
         for order, total in enumerate(sums):
             rows.append((x, order, _finite(abs(truth - total), f"error at x={x}, R={order}")))
-    return ErrorReport(n, tuple(rows))
+    return tuple(rows)
 
 
 def euler_transform(terms: Sequence[float], order: int) -> float:
@@ -328,7 +308,7 @@ def euler_transform(terms: Sequence[float], order: int) -> float:
     if order < 0:
         raise ValueError("order must be >= 0")
     if len(terms) < order + 1:
-        raise InsufficientOrder(
+        raise DownsumError(
             f"order {order} needs {order + 1} terms, got {len(terms)}"
         )
     # row holds D^r terms / 2^r.  Scaling each row as it is differenced keeps
@@ -346,23 +326,32 @@ def euler_transform(terms: Sequence[float], order: int) -> float:
     return total
 
 
+def _gregory_floats(order: int) -> Iterator[float]:
+    """float(G_r) for r = 1..order, from the Gregory numerators alone.
+
+    Only the g_r of the family's integer rows are built, and
+    G_r = g_r / (r! * L) is one correctly rounded int division, the value
+    float(G_r) has.  order must be >= 0.
+    """
+    scale = lcm(*range(1, order + 2))
+    r_factorial = 1
+    for r, g in enumerate(_gregory_numerators(order, scale)[1:], 1):
+        r_factorial *= r
+        yield g / (r_factorial * scale)
+
+
 def euler_mascheroni(n_terms: int) -> float:
     """Partial sum of sum_{r>=1} (-1)^(r+1) G_r / r, which converges to 0.5772...
 
     The Gregory coefficients shrink like 1/(r log r), so the tail dies
-    slowly; a couple hundred terms give three correct digits.  Only the
-    Gregory numerators g_r of the family's integer rows are built, and
-    G_r = g_r / (r! * L) is one correctly rounded int division, the value
-    float(G_r) has.  A negative count raises ValueError.
+    slowly; a couple hundred terms give three correct digits.  A negative
+    count raises ValueError.
     """
     if n_terms < 0:
         raise ValueError("max_order must be >= 0")
-    scale = lcm(*range(1, n_terms + 2))
     total = 0.0
-    r_factorial = 1
-    for r, g in enumerate(_gregory_numerators(n_terms, scale)[1:], 1):
-        r_factorial *= r
-        term = g / (r_factorial * scale) / r
+    for r, gregory in enumerate(_gregory_floats(n_terms), 1):
+        term = gregory / r
         total += term if r % 2 == 1 else -term
     return total
 
@@ -371,14 +360,12 @@ def gregory_integral(s: TimeSeries, n: int, order: int) -> float:
     """Quadrature over [0, n]: unit sum plus Gregory boundary corrections.
 
     integral ~= sum_{k<n} s[k] + sum_{r=1}^{order} G_r (D^{r-1} s(n) - D^{r-1} s(0)).
-    A negative order raises ValueError; the G_r come from coefficient_table,
-    built no further than the series reaches past n.
+    A negative order raises ValueError; the G_r are built no further than
+    the series reaches past n.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    *_, total = _corrected_sums(
-        s, 0, n, 1, order, lambda k: map(float, coefficient_table(k).gregory[1:])
-    )
+    *_, total = _corrected_sums(s, 0, n, 1, order, _gregory_floats)
     return total
 
 

@@ -405,7 +405,10 @@ class TestSum:
             capsys, "sum", "--poly", "0,1", "--n", "2", "--downsample-x", "0"
         )
         assert code == 2
-        assert "ZeroStep" in err
+        assert err == (
+            "downsum: ValueError: downsampling step must be nonzero "
+            "(the 0 limit is the derivative form)\n"
+        )
 
 
 class TestDownsample:
@@ -498,7 +501,7 @@ class TestDownsample:
             "--output", str(tmp_path / "out.csv"),
         )
         assert code == 2
-        assert "NonDivisibleWindow" in err
+        assert err == "downsum: DownsumError: window 61 is not divisible by factor 2\n"
 
     @pytest.mark.parametrize(
         "options, built, code, err",
@@ -506,15 +509,15 @@ class TestDownsample:
             (["--factors", "5", "--max-order", "13"], [13], 0, ""),
             (
                 ["--factors", "5", "--max-order", "200"], [13], 2,
-                "OutOfRange: order-14 correction at window end 60 needs sample 125, series has 121",
+                "DownsumError: order-14 correction at window end 60 needs sample 125, series has 121",
             ),
             (
                 ["--factors", "5,2", "--max-order", "400"], [31], 2,
-                "OutOfRange: order-32 correction at window end 60 needs sample 122, series has 121",
+                "DownsumError: order-32 correction at window end 60 needs sample 122, series has 121",
             ),
             (
                 ["--factors", "5", "--max-order", "400", "--t0", "59"], [1], 2,
-                "OutOfRange: order-2 correction at window end 119 needs sample 124, series has 121",
+                "DownsumError: order-2 correction at window end 119 needs sample 124, series has 121",
             ),
             (
                 ["--factors", "2,0", "--max-order", "300"], [], 2,
@@ -526,15 +529,15 @@ class TestDownsample:
             ),
             (
                 ["--t0", "-1", "--factors", "5", "--max-order", "400"], [], 2,
-                "OutOfRange: window [-1, 59) exceeds series of length 121",
+                "DownsumError: window [-1, 59) exceeds series of length 121",
             ),
             (
                 ["--window", "61", "--factors", "2", "--max-order", "400"], [], 2,
-                "NonDivisibleWindow: window 61 is not divisible by factor 2",
+                "DownsumError: window 61 is not divisible by factor 2",
             ),
             (
                 ["--t0", "62", "--factors", "5", "--max-order", "400"], [], 2,
-                "OutOfRange: window [62, 122) exceeds series of length 121",
+                "DownsumError: window [62, 122) exceeds series of length 121",
             ),
         ],
         ids=[
@@ -835,13 +838,6 @@ PARSER_ARGV = [
     ["accelerate", "--targ", "gamma", "--terms", "7"],
     ["accelerate", "--terms", "1.5"],
 ]
-
-
-@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "<none>")
-def test_lazy_parser_matches_full_parser(argv):
-    """The parser built for argv[0] alone answers exactly as the full parser."""
-    lazy = build_parser(argv[0] if argv else None)
-    assert _parse(lazy, argv) == _parse(build_parser(), argv)
 
 
 def _assert_read_as_argparse(argv):

@@ -1,11 +1,14 @@
 """The names other code reaches by string: ``downsum.__all__`` and the
-perfbench trace targets, and what a traced request records.
+perfbench trace targets, and what a traced request records; and the
+exception classes the package raises, which the CLI must all catch.
 
 A later deletion that breaks ``from downsum import *`` or ``perfbench/run.py
 --trace 1`` fails here by name instead of at the first traced request.
 """
 
 import argparse
+import ast
+import builtins
 import importlib
 import importlib.util
 import json
@@ -16,8 +19,10 @@ import pytest
 
 import downsum
 import downsum.cli  # noqa: F401  (every downsum module is loaded before the snapshot)
+from downsum import DownsumError
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PACKAGE = Path(downsum.__file__).resolve().parent
 
 
 def _snapshot():
@@ -43,6 +48,26 @@ def _resolve(module_name, attribute):
 def test_every_exported_name_resolves():
     missing = [name for name in downsum.__all__ if not hasattr(downsum, name)]
     assert not missing
+
+
+def test_no_raise_escapes_the_cli():
+    """Every ``raise Name(...)`` in the package raises a class ``cli.main``
+    maps to exit code 2, so bad input never ends in a traceback.
+
+    Only explicit raises of a named class are checked.  Implicit errors,
+    such as a TypeError from bad library arguments, are out of scope.
+    """
+    exit_two = (DownsumError, OSError, ValueError, ArithmeticError)
+    escaping = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = downsum if path.stem == "__init__" else importlib.import_module(f"downsum.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                name = node.exc.func.id  # raising a dotted or computed class fails here
+                raised = getattr(module, name, None) or getattr(builtins, name)
+                if not issubclass(raised, exit_two):
+                    escaping.append(f"{path.name}:{node.lineno} {name}")
+    assert not escaping
 
 
 def test_every_trace_target_resolves_and_import_installs_nothing():

@@ -3,15 +3,13 @@
 import csv
 import math
 import os
+import re
 import threading
 
 import pytest
 
 from downsum import (
-    EmptySeries,
-    InsufficientOrder,
-    NonDivisibleWindow,
-    OutOfRange,
+    DownsumError,
     ParseError,
     TimeSeries,
     coefficient_table,
@@ -43,7 +41,7 @@ class TestTimeSeries:
         assert s[1] == 2.0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySeries):
+        with pytest.raises(DownsumError, match="^time series 'series' has no samples$"):
             TimeSeries(())
 
 
@@ -87,7 +85,7 @@ class TestLoadSeries:
     def test_only_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("t,v\n")
-        with pytest.raises(EmptySeries):
+        with pytest.raises(DownsumError, match="^no data rows in "):
             load_series(str(path), 1, has_header=True)
 
     def test_missing_file(self, tmp_path):
@@ -188,14 +186,14 @@ def reference_outcome(path, column, has_header):
     except UnicodeDecodeError as exc:
         return ("UnicodeDecodeError", str(exc), None, None)
     if not values:
-        return ("EmptySeries", f"no data rows in {path}", None, None)
+        return ("DownsumError", f"no data rows in {path}", None, None)
     return tuple(values)
 
 
 def load_outcome(path, column, has_header):
     try:
         return load_series(path, column, has_header).values
-    except (ParseError, EmptySeries, UnicodeDecodeError) as exc:
+    except (DownsumError, UnicodeDecodeError) as exc:
         return (type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
 
 
@@ -273,7 +271,7 @@ class TestSampleDifferences:
 
     def test_out_of_range(self):
         s = TimeSeries((0.0, 1.0, 2.0))
-        with pytest.raises(OutOfRange):
+        with pytest.raises(DownsumError, match=r"^difference of order 1 at t=1 \(step 2\) needs sample 3, series has 3$"):
             forward_difference(s, 1, 2, 1)
 
     def test_bad_step(self):
@@ -295,11 +293,11 @@ class TestWindowedSum:
         assert windowed_sum(ramp(8), 2, 4, 1) == 2 + 3 + 4 + 5
 
     def test_non_divisible(self):
-        with pytest.raises(NonDivisibleWindow):
+        with pytest.raises(DownsumError, match="^window 4 is not divisible by factor 3$"):
             windowed_sum(ramp(8), 0, 4, 3)
 
     def test_window_overrun(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(DownsumError, match=r"^window \[6, 10\) exceeds series of length 8$"):
             windowed_sum(ramp(8), 6, 4, 2)
 
     def test_bad_factor(self):
@@ -329,7 +327,7 @@ class TestCorrectedSum:
 
     def test_tail_samples_required(self):
         # order 2 at window end 4 with x = 2 reads sample 6.
-        with pytest.raises(OutOfRange):
+        with pytest.raises(DownsumError, match="^order-2 correction at window end 4 needs sample 6,"):
             corrected_sum(ramp(6), 0, 4, 2, 2)
 
     def test_overflowing_correction_raises(self):
@@ -359,12 +357,9 @@ class TestCorrectedSum:
 class TestErrorReport:
     def test_shape_and_order(self):
         bump = gaussian_bump()
-        report = error_report(bump, 0, 60, [5, 2, 3, 4], 4)
-        assert report.window == 60
-        assert len(report.rows) == 4 * 5
-        assert [row[0] for row in report.rows] == sorted(row[0] for row in report.rows)
-        xs = [row[:2] for row in report.rows]
-        assert xs == sorted(xs)
+        rows = error_report(bump, 0, 60, [5, 2, 3, 4], 4)
+        assert len(rows) == 4 * 5
+        assert [row[:2] for row in rows] == [(x, order) for x in (2, 3, 4, 5) for order in range(5)]
 
     def test_overflowing_error_raises(self):
         # Both sums are finite (1.6e308 and -1.6e308); their distance is not.
@@ -374,28 +369,21 @@ class TestErrorReport:
 
     def test_identity_factor_is_exact(self):
         bump = gaussian_bump()
-        report = error_report(bump, 0, 60, [1], 3)
-        assert all(err == 0.0 for _, _, err in report.rows)
+        rows = error_report(bump, 0, 60, [1], 3)
+        assert all(err == 0.0 for _, _, err in rows)
 
     def test_duplicate_factors_collapse(self):
         bump = gaussian_bump()
-        report = error_report(bump, 0, 60, [2, 2], 1)
-        assert len(report.rows) == 2
-
-    def test_unknown_row_lookup(self):
-        bump = gaussian_bump()
-        report = error_report(bump, 0, 60, [2], 1)
-        with pytest.raises(KeyError):
-            report.err(3, 0)
+        assert len(error_report(bump, 0, 60, [2, 2], 1)) == 2
 
     def test_polynomial_samples_corrected_to_rounding(self):
         s = TimeSeries(tuple(float(k * k) for k in range(80)))
         # At t0 = 7 the order-3 tail reaches sample 7 + 60 + 2 * 5 = 77.
         for t0 in (0, 7):
-            report = error_report(s, t0, 60, [2, 3, 4, 5], 3)
             truth = windowed_sum(s, t0, 60, 1)
+            err = {(x, order): value for x, order, value in error_report(s, t0, 60, [2, 3, 4, 5], 3)}
             for x in (2, 3, 4, 5):
-                assert report.err(x, 3) <= 1e-9 * abs(truth), (t0, x)
+                assert err[x, 3] <= 1e-9 * abs(truth), (t0, x)
 
 
 class TestEulerTransform:
@@ -412,7 +400,7 @@ class TestEulerTransform:
         assert euler_transform([1.0, 2.0], 1) == 0.25
 
     def test_insufficient_terms(self):
-        with pytest.raises(InsufficientOrder):
+        with pytest.raises(DownsumError, match="^order 2 needs 3 terms, got 2$"):
             euler_transform([1.0, 0.5], 2)
 
     def test_order_past_float_exponent_range(self):
@@ -459,6 +447,13 @@ class TestEulerMascheroni:
 
 
 class TestGregoryIntegral:
+    def test_gregory_floats_are_the_rounded_table(self):
+        """Every float(G_r) the float layer reads, for orders k <= 200, is the
+        exact table's Gregory number rounded once."""
+        exact = [float(g) for g in coefficient_table(200).gregory]
+        for k in range(201):
+            assert list(timeseries._gregory_floats(k)) == exact[1:k + 1], k
+
     def test_constant(self):
         s = TimeSeries((1.0,) * 7)
         assert gregory_integral(s, 5, 1) == 5.0
@@ -477,7 +472,7 @@ class TestGregoryIntegral:
 
     def test_out_of_range(self):
         s = TimeSeries((1.0,) * 5)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(DownsumError, match="^order-2 correction at window end 4 needs sample 5,"):
             gregory_integral(s, 4, 3)
 
     @pytest.mark.parametrize(
@@ -495,7 +490,7 @@ class TestGregoryIntegral:
 
 @pytest.fixture
 def built(monkeypatch):
-    """The orders of every family, table and Gregory row timeseries builds, in call order."""
+    """The orders of every family and Gregory row timeseries builds, in call order."""
     orders = []
 
     def recording(build):
@@ -506,7 +501,6 @@ def built(monkeypatch):
         return record
 
     monkeypatch.setattr(timeseries, "correction_family", recording(correction_family))
-    monkeypatch.setattr(timeseries, "coefficient_table", recording(coefficient_table))
     monkeypatch.setattr(timeseries, "_gregory_numerators", recording(timeseries._gregory_numerators))
     return orders
 
@@ -520,22 +514,22 @@ class TestWeightsSizedToSeries:
     """
 
     def test_corrected_sum_past_reach(self, built):
-        with pytest.raises(OutOfRange, match="^order-9 correction at window end 4 needs sample 20,"):
+        with pytest.raises(DownsumError, match="^order-9 correction at window end 4 needs sample 20,"):
             corrected_sum(ramp(20), 0, 4, 2, 10_000)
         assert built == [8]
 
     def test_error_report_past_reach(self, built):
-        with pytest.raises(OutOfRange, match="^order-9 correction at window end 4 needs sample 20,"):
+        with pytest.raises(DownsumError, match="^order-9 correction at window end 4 needs sample 20,"):
             error_report(ramp(20), 0, 4, [4, 2], 10_000)
         assert built == [8]
 
     def test_gregory_integral_past_reach(self, built):
-        with pytest.raises(OutOfRange, match="^order-17 correction at window end 4 needs sample 20,"):
+        with pytest.raises(DownsumError, match="^order-17 correction at window end 4 needs sample 20,"):
             gregory_integral(ramp(20), 4, 10_000)
         assert built == [16]
 
     def test_window_at_the_series_end_reaches_order_zero(self, built):
-        with pytest.raises(OutOfRange, match="^order-1 correction at window end 20 needs sample 20,"):
+        with pytest.raises(DownsumError, match="^order-1 correction at window end 20 needs sample 20,"):
             corrected_sum(ramp(20), 0, 20, 2, 1)
         assert built == [0]
 
@@ -546,26 +540,33 @@ class TestWeightsSizedToSeries:
         assert built == [3, 5, 6]
 
     def test_error_report_builds_one_family_for_every_factor(self, built):
-        report = error_report(gaussian_bump(), 0, 60, [5, 2, 3], 4)
-        assert len(report.rows) == 3 * 5
+        assert len(error_report(gaussian_bump(), 0, 60, [5, 2, 3], 4)) == 3 * 5
         assert built == [4]
 
     @pytest.mark.parametrize(
-        "call, error",
+        "call, error, message",
         [
-            (lambda: corrected_sum(ramp(20), 0, 4, 0, 3), ValueError),
-            (lambda: corrected_sum(ramp(20), 0, -4, 2, 3), ValueError),
-            (lambda: corrected_sum(ramp(20), 0, 5, 2, 3), NonDivisibleWindow),
-            (lambda: corrected_sum(ramp(20), 17, 4, 2, 3), OutOfRange),
+            (lambda: corrected_sum(ramp(20), 0, 4, 0, 3), ValueError,
+             "downsampling factor must be a positive integer"),
+            (lambda: corrected_sum(ramp(20), 0, -4, 2, 3), ValueError, "window length must be >= 0"),
+            (lambda: corrected_sum(ramp(20), 0, 5, 2, 3), DownsumError,
+             "window 5 is not divisible by factor 2"),
+            (lambda: corrected_sum(ramp(20), 17, 4, 2, 3), DownsumError,
+             "window [17, 21) exceeds series of length 20"),
             # A negative order is rejected before the window [0, 100) past the series.
-            (lambda: corrected_sum(ramp(10), 0, 100, 2, -1), ValueError),
-            (lambda: error_report(ramp(20), 0, 4, [2, 0], 3), ValueError),
-            (lambda: error_report(ramp(20), 0, 4, [3, 6], 3), NonDivisibleWindow),
-            (lambda: error_report(ramp(20), -1, 4, [2], 3), OutOfRange),
-            (lambda: error_report(ramp(10), -1, 100, [0], -1), ValueError),
-            (lambda: gregory_integral(ramp(20), 21, 3), OutOfRange),
-            (lambda: gregory_integral(ramp(20), -1, 3), ValueError),
-            (lambda: gregory_integral(ramp(10), 100, -1), ValueError),
+            (lambda: corrected_sum(ramp(10), 0, 100, 2, -1), ValueError,
+             "correction order must be >= 0"),
+            (lambda: error_report(ramp(20), 0, 4, [2, 0], 3), ValueError,
+             "downsampling factor must be a positive integer"),
+            (lambda: error_report(ramp(20), 0, 4, [3, 6], 3), DownsumError,
+             "window 4 is not divisible by factor 3"),
+            (lambda: error_report(ramp(20), -1, 4, [2], 3), DownsumError,
+             "window [-1, 3) exceeds series of length 20"),
+            (lambda: error_report(ramp(10), -1, 100, [0], -1), ValueError, "max_order must be >= 0"),
+            (lambda: gregory_integral(ramp(20), 21, 3), DownsumError,
+             "window [0, 21) exceeds series of length 20"),
+            (lambda: gregory_integral(ramp(20), -1, 3), ValueError, "window length must be >= 0"),
+            (lambda: gregory_integral(ramp(10), 100, -1), ValueError, "order must be >= 0"),
         ],
         ids=[
             "corrected-zero-factor", "corrected-negative-window", "corrected-non-divisible",
@@ -575,8 +576,9 @@ class TestWeightsSizedToSeries:
             "gregory-past-series", "gregory-negative-window", "gregory-negative-order",
         ],
     )
-    def test_rejected_input_builds_nothing(self, built, call, error):
-        with pytest.raises(error) as raised:
+    def test_rejected_input_builds_nothing(self, built, call, error, message):
+        """The first check that fails is the one named, and it fails before any build."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
             call()
         assert type(raised.value) is error
         assert built == []
