@@ -840,6 +840,24 @@ PARSER_ARGV = [
 ]
 
 
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "<none>")
+def test_lazy_parser_matches_full_parser(argv, capsys, monkeypatch, tmp_path):
+    """main builds argparse only for an argv the reader declines.
+
+    Where argparse then exits, with help or a usage error, main answers
+    with its exit code, stdout and stderr.
+    """
+    built = []
+    monkeypatch.setattr(downsum.cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert built == ([1] if _read_argv(argv) is None else [])
+    full = _parse(build_parser(), argv)
+    if full[0] is not None:
+        assert (code, out, err) == full[:3]
+
+
 def _assert_read_as_argparse(argv):
     """_read_argv(argv) is None, or what argparse returns for argv without printing."""
     read = _read_argv(argv)
