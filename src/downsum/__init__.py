@@ -30,7 +30,7 @@ from .sumcalc import (
     indefinite_sum,
     random_polynomial,
     scaled_difference_residual,
-    step_identity_reports,
+    step_identity_residuals,
     unit_difference_residual,
 )
 from .timeseries import (
@@ -72,7 +72,7 @@ __all__ = [
     "indefinite_sum",
     "random_polynomial",
     "scaled_difference_residual",
-    "step_identity_reports",
+    "step_identity_residuals",
     "unit_difference_residual",
     "TimeSeries",
     "corrected_sum",

@@ -39,7 +39,7 @@ from .sumcalc import (
     downsampled_sum,
     indefinite_sum,
     random_polynomial,
-    step_identity_reports,
+    step_identity_residuals,
 )
 from .timeseries import (
     error_report,
@@ -62,49 +62,30 @@ def _run_coeffs(args: argparse.Namespace) -> int:
     if args.max_order < 0:
         raise ValueError("--max-order must be >= 0")
     family = correction_family(args.max_order)
-    table = classical_numbers(family)
     chosen = family.unit_weights if args.star else family.weights
     label = "F_r*" if args.star else "F_r"
-    out = csv.writer(sys.stdout, lineterminator="\n") if args.format == "csv" else None
-
+    as_csv = args.format == "csv"
+    orders = range(args.max_order + 1)
     if args.eval_at is not None:
         point = parse_rational(args.eval_at)
-        header = ["r", f"{label}({format_rational(point)})"]
-        body = [
-            [str(r), format_rational(chosen[r](point))]
-            for r in range(args.max_order + 1)
-        ]
-        if out is not None:
-            out.writerow(["r", "value"])
-            out.writerows(body)
-        else:
-            _print_aligned([header] + body)
-        return 0
-
-    if out is not None:
-        out.writerow(["r", "F_r_coeffs", "F_r_star_coeffs", "B_r", "G_r"])
-        for r in range(args.max_order + 1):
-            out.writerow(
-                [
-                    r,
-                    family.weights[r].text(),
-                    family.unit_weights[r].text(),
-                    format_rational(table.bernoulli[r]),
-                    format_rational(table.gregory[r]),
-                ]
-            )
+        header = ["r", "value" if as_csv else f"{label}({format_rational(point)})"]
+        rows = [[str(r), format_rational(chosen[r](point))] for r in orders]
     else:
-        rows = [["r", f"{label}(x)", "B_r", "G_r"]]
-        for r in range(args.max_order + 1):
-            rows.append(
-                [
-                    str(r),
-                    chosen[r].pretty(var="x"),
-                    format_rational(table.bernoulli[r]),
-                    format_rational(table.gregory[r]),
-                ]
-            )
-        _print_aligned(rows)
+        table = classical_numbers(family)
+        if as_csv:
+            header = ["r", "F_r_coeffs", "F_r_star_coeffs", "B_r", "G_r"]
+            polys = [[family.weights[r].text(), family.unit_weights[r].text()] for r in orders]
+        else:
+            header = ["r", f"{label}(x)", "B_r", "G_r"]
+            polys = [[chosen[r].pretty(var="x")] for r in orders]
+        rows = [
+            [str(r), *polys[r], format_rational(table.bernoulli[r]), format_rational(table.gregory[r])]
+            for r in orders
+        ]
+    if as_csv:
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
+    else:
+        _print_aligned([header, *rows])
     return 0
 
 
@@ -124,7 +105,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     for i in range(args.trials):
         f = random_polynomial(rng, args.degree)
         trial_ok = True
-        residuals = step_identity_reports(f, grid + [0] if args.classical else grid, family)
+        residuals = step_identity_residuals(f, grid + [0] if args.classical else grid, family)
         for x, (step_form, unit_form) in zip(grid, residuals):
             ok = step_form.is_zero and unit_form.is_zero
             print(f"trial {i:03d} x={format_rational(x)}: {'pass' if ok else 'FAIL'}")

@@ -9,9 +9,9 @@ denominator, the layout of FLINT's ``fmpq_poly``: numerators ``(n0, n1, n2)``
 over ``d`` represent ``(n0 + n1*t + n2*t**2) / d``.  Trailing zero numerators
 are trimmed and the content ``gcd(d, n0, n1, ...)`` is divided out, so every
 polynomial has exactly one representation (the zero polynomial has no
-numerators and ``d = 1``).  Arithmetic runs on Python ints with one gcd per
-result; the ascending rational coefficients are exposed as ``coeffs``, a
-tuple of lowest-terms Fractions built only when it is read.
+numerators and ``d = 1``).  Arithmetic and printing run on Python ints with
+one gcd per result; ``coeffs`` builds the ascending lowest-terms Fractions
+anew on each read.
 
 A power series is a finite list of polynomial coefficients in a second,
 fully symbolic variable: ``coeffs[r]`` is a :class:`Polynomial` in ``x``
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -46,9 +46,15 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    if value.denominator == 1:
-        return _decimal(value.numerator)
-    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    return _ratio(value.numerator, value.denominator)
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms as ``"p/q"``, or ``"p"`` when it is an integer."""
+    g = gcd(num, den)
+    if g == den:
+        return _decimal(num // den)
+    return f"{_decimal(num // g)}/{_decimal(den // g)}"
 
 
 # str() of an int of at most this many bits (about 600 digits) stays under
@@ -161,7 +167,7 @@ class Polynomial:
     3
     """
 
-    __slots__ = ("_num", "_den", "_coeffs")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
@@ -169,14 +175,12 @@ class Polynomial:
         self._num, self._den = _canonical(
             [c.numerator * (den // c.denominator) for c in values], den
         )
-        self._coeffs: Optional[tuple[Fraction, ...]] = None
 
     @classmethod
     def _from_ints(cls, num: list[int], den: int) -> "Polynomial":
         """The polynomial with integer numerators num over den > 0."""
         p = object.__new__(cls)
         p._num, p._den = _canonical(num, den)
-        p._coeffs = None
         return p
 
     # -- constructors -------------------------------------------------
@@ -199,11 +203,8 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """Ascending coefficients as lowest-terms Fractions."""
-        if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple(Fraction(c, den) for c in self._num)
-        return self._coeffs
+        """Ascending coefficients as lowest-terms Fractions, built on each read."""
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self) -> int:
@@ -213,10 +214,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._num
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coefficient(len(self._num) - 1)
 
     @property
     def constant_term(self) -> Fraction:
@@ -232,7 +229,7 @@ class Polynomial:
         """Comma-separated ascending coefficients; the CLI wire format."""
         if not self._num:
             return "0"
-        return ",".join(format_rational(c) for c in self.coeffs)
+        return ",".join(_ratio(c, self._den) for c in self._num)
 
     def __repr__(self) -> str:
         return f"Polynomial('{self.pretty()}')"
@@ -242,17 +239,17 @@ class Polynomial:
         if not self._num:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(self._num) - 1, -1, -1):
+            c = self._num[i]
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
             if i == 0:
-                body = format_rational(mag)
+                body = _ratio(mag, self._den)
             else:
                 symbol = var if i == 1 else f"{var}^{i}"
-                body = symbol if mag == 1 else f"{format_rational(mag)}*{symbol}"
+                body = symbol if mag == self._den else f"{_ratio(mag, self._den)}*{symbol}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)
 
@@ -324,7 +321,7 @@ class Polynomial:
             return NotImplemented
         return self * (1 / Fraction(scalar))
 
-    # -- evaluation and calculus ----------------------------------------
+    # -- evaluation and substitution -----------------------------------
 
     def __call__(self, at: Scalar) -> Fraction:
         """Exact Horner evaluation at p/q on integers, sum n_i p^i q^(deg-i)."""
@@ -364,15 +361,6 @@ class Polynomial:
             out[i] *= power
             power *= q
         return Polynomial._from_ints(out, self._den * q**top)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial._from_ints([i * c for i, c in enumerate(self._num)][1:], self._den)
-
-    def antiderivative(self) -> "Polynomial":
-        """Antiderivative with zero constant term."""
-        scale = lcm(*range(1, len(self._num) + 1))
-        out = [0] + [c * (scale // (i + 1)) for i, c in enumerate(self._num)]
-        return Polynomial._from_ints(out, self._den * scale)
 
 
 class PowerSeries:

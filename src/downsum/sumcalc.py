@@ -107,7 +107,7 @@ def downsampled_sum(f: Polynomial, x: Scalar) -> Polynomial:
     return Polynomial._from_ints(*_newton_sum(*_forward_differences(f, x, f.degree + 1), x))
 
 
-def step_identity_reports(
+def step_identity_residuals(
     f: Polynomial, grid: Sequence[Scalar], family: CorrectionFamily
 ) -> list[tuple[Polynomial, Polynomial]]:
     """Both step-x identity residuals at every x of the grid, in grid order.
@@ -167,7 +167,7 @@ def scaled_difference_residual(
     LHS is the unit-step indefinite sum; RHS is the downsampled sum plus
     sum_{r=1}^{deg f + 1} w_r(x)/r! * (D_x^{r-1} f(n) - D_x^{r-1} f(0)) / x^{r-1}.
     """
-    return step_identity_reports(f, [x], family)[0][0]
+    return step_identity_residuals(f, [x], family)[0][0]
 
 
 def unit_difference_residual(
@@ -178,7 +178,7 @@ def unit_difference_residual(
     x * sum_{k<n/x} f(kx) = sum_{k<n} f(k)
                             + sum_r u_r(x)/r! * (D^{r-1} f(n) - D^{r-1} f(0)).
     """
-    return step_identity_reports(f, [x], family)[0][1]
+    return step_identity_residuals(f, [x], family)[0][1]
 
 
 def euler_maclaurin_residual(f: Polynomial) -> Polynomial:

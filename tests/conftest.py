@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from downsum import classical_numbers, correction_family
+from downsum import Polynomial, classical_numbers, correction_family
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +34,20 @@ def _certified_roots(p, lo, hi, steps):
 def certified_roots():
     """The sign-change root certificate, shared by criterion 9 and its tests."""
     return _certified_roots
+
+
+def _derivative(p):
+    """p' from the Fraction coefficients of p."""
+    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def _antiderivative(p):
+    """The antiderivative of p with zero constant term, from its Fraction coefficients."""
+    return Polynomial([0] + [c / (i + 1) for i, c in enumerate(p.coeffs)])
+
+
+@pytest.fixture(scope="session")
+def calculus():
+    """(derivative, antiderivative) on Fraction coefficients, the calculus of
+    the Euler-Maclaurin and Gregory oracles; independent of the integer layout."""
+    return _derivative, _antiderivative

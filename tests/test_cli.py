@@ -136,6 +136,7 @@ GAMMA_STDOUT = {
     220: "0.577130398822\n",
 }
 COEFFS_40_CSV = Path(__file__).parent / "data" / "coeffs_max_order_40.csv"
+COEFFS_40_TABLE = Path(__file__).parent / "data" / "coeffs_max_order_40.txt"
 
 
 class TestCoeffs:
@@ -143,6 +144,11 @@ class TestCoeffs:
         code, out, err = run(capsys, "coeffs", "--max-order", "40", "--format", "csv")
         assert (code, err) == (0, "")
         assert out.encode() == COEFFS_40_CSV.read_bytes()
+
+    def test_table_bytes(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--max-order", "40")
+        assert (code, err) == (0, "")
+        assert out.encode() == COEFFS_40_TABLE.read_bytes()
 
     def test_table(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--max-order", "3")

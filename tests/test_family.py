@@ -149,7 +149,7 @@ class TestGeneration:
         assert w6 == P([Fr(1, 42), 0, Fr(-7, 4), 0, 12, 0, Fr(-863, 84)])
         assert w6.constant_term == bernoulli_by_recurrence(6)[6] == Fr(1, 42)
         assert w6(Fr(2)) == Fr((-1) ** 6 * factorial(12), (1 - 12) * factorial(6) * 2 ** 7)
-        assert w6.leading_coefficient == factorial(6) * gregory_by_expansion(6)[6]
+        assert w6.coefficient(6) == factorial(6) * gregory_by_expansion(6)[6]
 
     def test_matches_series_expansion(self):
         weights, unit_weights = family_by_series(30)
@@ -228,7 +228,7 @@ class TestStructure:
         bernoulli = bernoulli_by_recurrence(20)
         for r in range(21):
             assert family20.weights[r].constant_term == bernoulli[r]
-            assert family20.weights[r].leading_coefficient == factorial(r) * gregory[r]
+            assert family20.weights[r].coefficient(r) == factorial(r) * gregory[r]
             assert constants20.bernoulli[r] == bernoulli[r]
         for r in range(11):
             assert constants20.gregory[r] == gregory[r]

@@ -1,6 +1,6 @@
 """Every ```python block of README.md runs as written, every ``$ downsum``
-transcript prints what it shows, and the package exports resolve on the
-standard library alone."""
+transcript prints what it shows, and the package imports only the
+standard library."""
 
 import ast
 import pathlib
@@ -10,7 +10,6 @@ import sys
 
 import pytest
 
-import downsum
 from downsum import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -35,11 +34,6 @@ def test_readme_has_transcripts():
 def test_readme_transcript_output(capsys, command, output):
     assert cli.main(shlex.split(command)) == 0
     assert capsys.readouterr().out == output
-
-
-def test_public_names_resolve():
-    for name in downsum.__all__:
-        assert hasattr(downsum, name), name
 
 
 def test_library_imports_only_the_standard_library():
