@@ -32,8 +32,8 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import DownsumError
-from .exact import Polynomial, format_rational, parse_rational
-from .family import classical_numbers, correction_family
+from .exact import Polynomial, _ratio, format_rational, parse_rational
+from .family import _values_at, classical_numbers, correction_family
 from .sumcalc import (
     alternating_residual,
     downsampled_sum,
@@ -61,22 +61,24 @@ def _print_aligned(rows: Sequence[Sequence[str]]) -> None:
 def _run_coeffs(args: argparse.Namespace) -> int:
     if args.max_order < 0:
         raise ValueError("--max-order must be >= 0")
-    family = correction_family(args.max_order)
-    chosen = family.unit_weights if args.star else family.weights
     label = "F_r*" if args.star else "F_r"
     as_csv = args.format == "csv"
     orders = range(args.max_order + 1)
     if args.eval_at is not None:
         point = parse_rational(args.eval_at)
+        q = point.denominator
+        values, den = _values_at(args.max_order, point.numerator, q, args.star)
         header = ["r", "value" if as_csv else f"{label}({format_rational(point)})"]
-        rows = [[str(r), format_rational(chosen[r](point))] for r in orders]
+        rows = [[str(r), _ratio(values[r], den * q**r)] for r in orders]
     else:
+        family = correction_family(args.max_order)
         table = classical_numbers(family)
         if as_csv:
             header = ["r", "F_r_coeffs", "F_r_star_coeffs", "B_r", "G_r"]
             polys = [[family.weights[r].text(), family.unit_weights[r].text()] for r in orders]
         else:
             header = ["r", f"{label}(x)", "B_r", "G_r"]
+            chosen = family.unit_weights if args.star else family.weights
             polys = [[chosen[r].pretty(var="x")] for r in orders]
         rows = [
             [str(r), *polys[r], format_rational(table.bernoulli[r]), format_rational(table.gregory[r])]

@@ -78,11 +78,11 @@ def _decimal(value: int, width: int = 0) -> str:
     return _decimal(high, width - h) + _decimal(low, h)
 
 
-def _canonical(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    """Trim trailing zeros of num/den and divide out the content (den > 0)."""
+def _canonical(num: list[int], den: int, lowest: bool = False) -> tuple[tuple[int, ...], int]:
+    """Trim trailing zeros of num/den and divide out the content (den > 0) unless lowest."""
     while num and not num[-1]:
         num.pop()
-    g = gcd(den, *num)
+    g = 1 if lowest else gcd(den, *num)
     if g != 1:
         num = [c // g for c in num]
         den //= g
@@ -177,10 +177,10 @@ class Polynomial:
         )
 
     @classmethod
-    def _from_ints(cls, num: list[int], den: int) -> "Polynomial":
-        """The polynomial with integer numerators num over den > 0."""
+    def _from_ints(cls, num: list[int], den: int, lowest: bool = False) -> "Polynomial":
+        """The polynomial with integer numerators num over den > 0 (see _canonical)."""
         p = object.__new__(cls)
-        p._num, p._den = _canonical(num, den)
+        p._num, p._den = _canonical(num, den, lowest)
         return p
 
     # -- constructors -------------------------------------------------

@@ -32,6 +32,21 @@ G_n = g_n / (n! * L), are the first entries of rows of falling-factorial
 moments L * integral_0^1 x^m (x)_n dx, each row read off the one before by
 (x)_{n+1} = (x)_n * (x - n).  Since r! * G_r = g_r / L and L is divisible
 by r-m, every w_r has integer numerators over the single denominator L * D.
+
+At one fixed point x the R+1 values need no family.  Expanding the
+denominator of the generating function,
+
+    ((1 + x*z)**(1/x) - 1) / z  =  sum_j  v_j(x) * z**j / (j+1)!,
+    v_j(x) = (1 - x)(1 - 2x)...(1 - jx),
+
+and matching z**n in the product with sum_r w_r(x) z**r / r! gives
+w_0 = 1 and w_n = -(1/(n+1)) * sum_{j=1..n} C(n+1, j+1) * v_j * w_{n-j}.  The
+reversals satisfy the same recurrence with (x - 1)(x - 2)...(x - j) in place
+of v_j, which needs no division by x.  For x = p/q every F_n =
+w_n(p/q) * q**n * L * D is an integer (it is the Horner sum of w_n's integer
+numerators), so the recurrence runs on integers, with V_j = q**j * v_j(p/q)
+= (q - p)(q - 2p)...(q - jp) (or (p - q)(p - 2q)...(p - jq) for u), F_0 = L * D
+and an exact division by n+1.
 """
 
 from __future__ import annotations
@@ -129,6 +144,29 @@ def _numerators(max_order: int) -> tuple[int, int, list[int], list[int]]:
     return scale, den, _bernoulli_numerators(max_order, den), _gregory_numerators(max_order, scale)
 
 
+def _values_at(max_order: int, p: int, q: int, unit: bool = False) -> tuple[list[int], int]:
+    """(F, L * D) with w_r(p/q) = F[r] / (L * D * q**r) for r <= R, or u_r with unit.
+
+    The fixed-point recurrence of the module docstring on integers; q > 0.
+    No family is built, and every division is exact.
+    """
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    den = lcm(*range(1, max_order + 2)) * _bernoulli_denominator(max_order)
+    a, b = (p, q) if unit else (q, p)
+    v = [1]  # V_j = (a - b)(a - 2b)...(a - jb)
+    for l in range(1, max_order + 1):
+        v.append(v[-1] * (a - l * b))
+    f = [den]
+    for n in range(1, max_order + 1):
+        acc, c = 0, n + 1  # c = C(n+1, j+1)
+        for j in range(1, n + 1):
+            c = c * (n - j + 1) // (j + 1)
+            acc += c * v[j] * f[n - j]
+        f.append(-acc // (n + 1))
+    return f, den
+
+
 @lru_cache(maxsize=None)
 def correction_family(max_order: int) -> CorrectionFamily:
     """Generate weights w_0..w_R and reversals u_0..u_R, exactly.
@@ -148,9 +186,10 @@ def correction_family(max_order: int) -> CorrectionFamily:
         num = [r * scaled_b[r - m] * stirling[r - m - 1] for m in range(r)] + [den * g[r]]
         w = Polynomial._from_ints(num, scale * den)
         # w keeps all r+1 numerators, as its top one D * g_r is nonzero, so
-        # reversed they are u_r's, already in lowest terms.
+        # reversed they are u_r's, already in lowest terms: only w's zero
+        # low coefficients, now at the top, are trimmed.
         weights.append(w)
-        unit_weights.append(Polynomial._from_ints(list(w._num[::-1]), w._den))
+        unit_weights.append(Polynomial._from_ints(list(w._num[::-1]), w._den, lowest=True))
     return CorrectionFamily(max_order, tuple(weights), tuple(unit_weights))
 
 

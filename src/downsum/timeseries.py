@@ -1,11 +1,12 @@
 """Floating-point applications: downsampling correction, acceleration, quadrature.
 
-Everything symbolic stays exact in :mod:`downsum.family`; this module builds
-the weights each call needs, no further than its samples reach, and applies
-them as floats.  The corrected window sums and the Gregory rule are one
-step-h corrected sum, a coarse sum plus weighted boundary differences, with
-weights w_r(x)/(r!*x^(r-1)) at step x and G_r at step 1.  Summation order is
-fixed left-to-right so results are bit-for-bit reproducible.
+Everything symbolic stays exact in :mod:`downsum.family`; this module reads
+each weight it needs, no further than its samples reach, as one correctly
+rounded division of two integers from the family's integer rows, and
+applies them as floats.  The corrected window sums and the Gregory rule are
+one step-h corrected sum, a coarse sum plus weighted boundary differences,
+with weights w_r(x)/(r!*x^(r-1)) at step x and G_r at step 1.  Summation
+order is fixed left-to-right so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DownsumError, ParseError
-from .family import CorrectionFamily, _gregory_numerators, correction_family
+from .family import _gregory_numerators, _values_at
 
 
 @dataclass(frozen=True)
@@ -186,16 +186,16 @@ def forward_difference(s: TimeSeries, t: int, step: int, order: int) -> float:
             f"{last}, series has {len(s)}"
         )
     total = 0.0
-    for j in range(order + 1):
-        term = comb(order, j) * s[t + j * step]
+    for j, sample in enumerate(s.values[t:last + 1:step]):
+        term = comb(order, j) * sample
         total += term if (order - j) % 2 == 0 else -term
     return total
 
 
-def _finite(value: float, what: str) -> float:
-    """value, or OverflowError when it left the float range (inf or nan)."""
+def _finite(value: float, what: str, *args: object) -> float:
+    """value, or OverflowError naming what.format(*args) when it left the float range."""
     if not math.isfinite(value):
-        raise OverflowError(f"{what} is not finite: {value}")
+        raise OverflowError(f"{what.format(*args)} is not finite: {value}")
     return value
 
 
@@ -213,9 +213,9 @@ def windowed_sum(s: TimeSeries, t0: int, n: int, x: int) -> float:
     if t0 < 0 or t0 + n > len(s):
         raise DownsumError(f"window [{t0}, {t0 + n}) exceeds series of length {len(s)}")
     total = 0.0
-    for k in range(n // x):
-        total += s[t0 + k * x]
-    return _finite(x * total, f"window sum at t0={t0}, n={n}, x={x}")
+    for sample in s.values[t0:t0 + n:x]:
+        total += sample
+    return _finite(x * total, "window sum at t0={}, n={}, x={}", t0, n, x)
 
 
 def _corrected_sums(
@@ -235,8 +235,9 @@ def _corrected_sums(
     reach = (len(s) - 1 - t0 - n) // step + 1
     for r, weight in enumerate(weights(min(order, reach)), 1):
         span = forward_difference(s, t0 + n, step, r - 1) - forward_difference(s, t0, step, r - 1)
-        what = f"order-{r} corrected sum at t0={t0}, n={n}, x={step}"
-        total = _finite(total + weight * span, what)
+        total = _finite(
+            total + weight * span, "order-{} corrected sum at t0={}, n={}, x={}", r, t0, n, step
+        )
         yield total
     if order > reach:
         raise DownsumError(
@@ -245,27 +246,31 @@ def _corrected_sums(
         )
 
 
-def _step_weights(family: CorrectionFamily, x: int, order: int) -> Iterator[float]:
-    """float(w_r(x)/r!/x^(r-1)) for r = 1..order, lazily."""
+def _step_weights(x: int, order: int) -> Iterator[float]:
+    """float(w_r(x)/(r! * x^(r-1))) for r = 1..order, once the first is asked for.
+
+    With w_r(x) = F_r / (L * D) from family._values_at, each is one correctly
+    rounded int division F_r / (L * D * r! * x^(r-1)).
+    """
+    values, den = _values_at(order, x, 1)
     for r in range(1, order + 1):
-        yield float(family.weights[r](Fraction(x)) / factorial(r) / Fraction(x) ** (r - 1))
+        yield values[r] / den
+        den *= (r + 1) * x
 
 
 def corrected_sum(s: TimeSeries, t0: int, n: int, x: int, order: int) -> float:
     """Windowed sum plus the first `order` boundary correction terms.
 
     Each term is w_r(x)/r! * (D_x^{r-1} s at t0+n minus at t0) / x^{r-1},
-    with w_r from a correction_family built, once the window checks pass, no
-    further than the series reaches.  A negative order raises ValueError
+    with the values w_r(x) read, once the window checks pass, no further
+    than the series reaches.  A negative order raises ValueError
     before any sum.  A sample missing past the window (up to
     t0+n+(order-1)*x) raises DownsumError and a total past the float range
     OverflowError; both name the first order that fails.
     """
     if order < 0:
         raise ValueError("correction order must be >= 0")
-    *_, total = _corrected_sums(
-        s, t0, n, x, order, lambda k: _step_weights(correction_family(k), x, k)
-    )
+    *_, total = _corrected_sums(s, t0, n, x, order, partial(_step_weights, x))
     return total
 
 
@@ -276,25 +281,17 @@ def error_report(
 
     Ground truth is the plain unit sum over the same window; rows come out
     sorted by (x, R) regardless of the order factors were given in.  A
-    negative max_correction raises ValueError before any window check.  All
-    factors share the smallest one's correction_family, built as for corrected_sum.
+    negative max_correction raises ValueError before any window check.  Each
+    factor reads its own weights at its x, as corrected_sum does.
     """
     if max_correction < 0:
         raise ValueError("max_order must be >= 0")
     truth = windowed_sum(s, t0, n, 1)
-    family = None
-
-    def weights(x: int, k: int) -> Iterator[float]:
-        nonlocal family
-        if family is None:  # the smallest factor asks first, for the most orders
-            family = correction_family(k)
-        return _step_weights(family, x, k)
-
     rows = []
     for x in sorted(set(xs)):
-        sums = _corrected_sums(s, t0, n, x, max_correction, partial(weights, x))
+        sums = _corrected_sums(s, t0, n, x, max_correction, partial(_step_weights, x))
         for order, total in enumerate(sums):
-            rows.append((x, order, _finite(abs(truth - total), f"error at x={x}, R={order}")))
+            rows.append((x, order, _finite(abs(truth - total), "error at x={}, R={}", x, order)))
     return tuple(rows)
 
 

@@ -553,7 +553,7 @@ class TestDownsample:
         ],
     )
     def test_unreachable_order_fails_fast(self, capsys, tmp_path, monkeypatch, options, built, code, err):
-        """Past the series' tail the family is built only up to the last
+        """Past the series' tail the weights are read only up to the last
         order the series reaches, and the next order's error is what the
         user sees.
 
@@ -561,17 +561,18 @@ class TestDownsample:
         (60 - t0) // x + 1, the largest r with t0 + 60 + (r-1)*x <= 120.  A
         window the smallest factor's sum rejects (a factor < 1, a negative
         or non-divisible length, a window outside the series) fails before
-        any family is built.
+        any weight is read.
         """
         source = tmp_path / "bump.csv"
         write_bump_csv(source)
         orders = []
+        values_at = downsum.timeseries._values_at
 
-        def recording(order):
+        def recording(order, *rest):
             orders.append(order)
-            return correction_family(order)
+            return values_at(order, *rest)
 
-        monkeypatch.setattr(downsum.timeseries, "correction_family", recording)
+        monkeypatch.setattr(downsum.timeseries, "_values_at", recording)
         result = run(
             capsys,
             "downsample", "--input", str(source), "--col", "1", "--window", "60",

@@ -8,7 +8,8 @@ of z/log(1+z), (x)_n multiplied out as a Polynomial product, the
 Gregory-Stirling convolution the closed form collapses, the generating
 function itself expanded as power series (log, then exp, then reciprocal),
 and its value at x = 1/k, where it is the reciprocal of a degree k-1
-polynomial in z.
+polynomial in z.  The values at a point read off the fixed-point recurrence
+are checked against the closed-form family evaluated by Horner's rule.
 """
 
 from fractions import Fraction as Fr
@@ -28,7 +29,7 @@ from downsum import (
     unit_weight_recurrence_residual,
     weight_recurrence_residual,
 )
-from downsum.family import _gregory_numerators
+from downsum.family import _gregory_numerators, _values_at
 
 P = Polynomial
 
@@ -191,6 +192,38 @@ class TestGeneration:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             CorrectionFamily(2, (P([1]),), (P([1]),))
+
+
+POINTS = [Fr(0), Fr(1), Fr(-1), Fr(1, 2), Fr(-2, 5), Fr(7, 2), Fr(1, 3)] + [Fr(k) for k in range(2, 9)]
+
+
+class TestValuesAtAPoint:
+    """family._values_at gives w_r(x) and u_r(x) without the family."""
+
+    @pytest.fixture(scope="class")
+    def family200(self):
+        return correction_family(200)
+
+    @pytest.mark.parametrize("unit", [False, True], ids=["w", "u"])
+    def test_matches_the_family_at_every_order_to_200(self, family200, unit):
+        polys = family200.unit_weights if unit else family200.weights
+        for x in POINTS:
+            values, den = _values_at(200, x.numerator, x.denominator, unit)
+            assert len(values) == 201
+            for r, (value, poly) in enumerate(zip(values, polys)):
+                assert Fr(value, den * x.denominator ** r) == poly(x), (x, r)
+
+    @pytest.mark.parametrize("unit", [False, True], ids=["w", "u"])
+    def test_lower_orders_give_the_same_values(self, unit):
+        """A smaller R has a smaller denominator L * D but the same values."""
+        top, top_den = _values_at(40, -2, 5, unit)
+        for max_order in (0, 1, 2, 7, 39):
+            values, den = _values_at(max_order, -2, 5, unit)
+            assert [Fr(v, den) for v in values] == [Fr(v, top_den) for v in top[:max_order + 1]]
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="^max_order must be >= 0$"):
+            _values_at(-1, 1, 1)
 
 
 class TestStructure:

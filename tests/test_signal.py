@@ -3,8 +3,10 @@
 import csv
 import math
 import os
+import random
 import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -385,6 +387,47 @@ class TestErrorReport:
             for x in (2, 3, 4, 5):
                 assert err[x, 3] <= 1e-9 * abs(truth), (t0, x)
 
+    def test_bits_match_the_golden_file(self):
+        """Every err equals, bit for bit, the value recorded before the weights
+        came from the fixed-point recurrence (the closed-form family then)."""
+        assert error_report_bits() == ERROR_REPORT_BITS.read_text().splitlines()
+
+
+ERROR_REPORT_BITS = Path(__file__).parent / "data" / "error_report_bits.txt"
+
+
+def _random_walk(length, seed):
+    """A seeded random walk: the running sum of uniform steps in [-1, 1)."""
+    rng = random.Random(seed)
+    values, level = [], 0.0
+    for _ in range(length):
+        level += rng.uniform(-1.0, 1.0)
+        values.append(level)
+    return TimeSeries(tuple(values), "walk")
+
+
+def error_report_bits():
+    """Every err of error_report as float.hex, one line per row.
+
+    Factors 1..8 and orders 0..8 on the Gaussian bump and a 2000-sample
+    random walk: each factor alone on windows of several lengths that reach
+    order 8, then several factors sharing one window.
+    """
+    lines = []
+    for s, starts, multiples, shared in (
+        (gaussian_bump(), (0, 11), (0, 1, 2, 5, 9), ((0, 24, (1, 2, 3, 4, 6, 8)), (2, 60, (6, 1, 5, 2, 4, 3)))),
+        (_random_walk(2000, 20211), (0, 977), (1, 3, 10, 64, 200), ((0, 840, tuple(range(8, 0, -1))),)),
+    ):
+        calls = [
+            (t0, k * x, (x,))
+            for x in range(1, 9) for t0 in starts for k in multiples
+            if t0 + k * x + 7 * x <= len(s) - 1
+        ]
+        for t0, n, xs in calls + list(shared):
+            for x, order, err in error_report(s, t0, n, xs, 8):
+                lines.append(f"{s.name} t0={t0} n={n} xs={','.join(map(str, xs))} {x} {order} {err.hex()}")
+    return lines
+
 
 class TestEulerTransform:
     def test_ln2(self):
@@ -490,7 +533,7 @@ class TestGregoryIntegral:
 
 @pytest.fixture
 def built(monkeypatch):
-    """The orders of every family and Gregory row timeseries builds, in call order."""
+    """The orders of every weight row and Gregory row timeseries builds, in call order."""
     orders = []
 
     def recording(build):
@@ -500,13 +543,13 @@ def built(monkeypatch):
 
         return record
 
-    monkeypatch.setattr(timeseries, "correction_family", recording(correction_family))
+    monkeypatch.setattr(timeseries, "_values_at", recording(timeseries._values_at))
     monkeypatch.setattr(timeseries, "_gregory_numerators", recording(timeseries._gregory_numerators))
     return orders
 
 
 class TestWeightsSizedToSeries:
-    """Each call builds its weights once, no further than the series reaches.
+    """Each call builds one row of weights per factor, no further than the series reaches.
 
     On 20 samples the window [0, 4) at step x reaches order 1 + 15 // x:
     order r reads sample 4 + (r - 1) * x, and the last sample is 19.  So
@@ -539,9 +582,11 @@ class TestWeightsSizedToSeries:
         euler_mascheroni(6)
         assert built == [3, 5, 6]
 
-    def test_error_report_builds_one_family_for_every_factor(self, built):
+    def test_error_report_builds_one_row_per_factor(self, built):
+        correction_family.cache_clear()
         assert len(error_report(gaussian_bump(), 0, 60, [5, 2, 3], 4)) == 3 * 5
-        assert built == [4]
+        assert built == [4, 4, 4]
+        assert correction_family.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "call, error, message",
