@@ -16,8 +16,6 @@ from .family import (
     classical_numbers,
     coefficient_table,
     correction_family,
-    falling_factorial,
-    reversed_falling_factorial,
     unit_weight_recurrence_residual,
     weight_recurrence_residual,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "classical_numbers",
     "coefficient_table",
     "correction_family",
-    "falling_factorial",
-    "reversed_falling_factorial",
     "unit_weight_recurrence_residual",
     "weight_recurrence_residual",
     "alternating_residual",

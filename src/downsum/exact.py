@@ -25,20 +25,30 @@ Everything here is an immutable value; operations are pure.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)$", re.IGNORECASE)
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into a Fraction.
+    """Parse ``"p/q"`` or ``"p"`` (or a decimal such as ``"2.5e3"``) into a Fraction.
 
-    Tolerates surrounding whitespace and a unicode minus sign.
+    Tolerates surrounding whitespace and a unicode minus sign.  A decimal
+    exponent past the interpreter's int->str digit limit is rejected, as the
+    written-out number would be, before Fraction builds its power of ten.
     """
     cleaned = text.strip().replace("−", "-")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        exponent = _EXPONENT.search(cleaned)
+        if limit and exponent and abs(int(exponent[1])) > limit:
+            raise ValueError("decimal exponent past the int digit limit")
         return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
@@ -186,14 +196,6 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
     def from_text(cls, text: str) -> "Polynomial":
         """Parse comma-separated ascending rational coefficients."""
         parts = text.split(",")
@@ -214,10 +216,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._num
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coefficient(0)
 
     def coefficient(self, degree: int) -> Fraction:
         """Coefficient of t**degree (zero beyond the stored length)."""
@@ -300,7 +298,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             a, b = self._num, other._num
             if not a or not b:
-                return Polynomial.zero()
+                return Polynomial()
             width = len(b)
             out = [0] * (len(a) + width - 1)
             for i, x in enumerate(a):
@@ -379,7 +377,7 @@ class PowerSeries:
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
-        return cls([Polynomial.one()] + [Polynomial.zero()] * order)
+        return cls([Polynomial((1,))] + [Polynomial()] * order)
 
     @property
     def order(self) -> int:
@@ -420,7 +418,7 @@ class PowerSeries:
         self._check_order(other)
         out = []
         for n in range(self.order + 1):
-            acc = Polynomial.zero()
+            acc = Polynomial()
             for k in range(n + 1):
                 acc = acc + self.coeffs[k] * other.coeffs[n - k]
             out.append(acc)
@@ -431,11 +429,11 @@ class PowerSeries:
 
         Requires the constant coefficient to be the constant polynomial 1.
         """
-        if self.coeffs[0] != Polynomial.one():
+        if self.coeffs[0] != Polynomial((1,)):
             raise ValueError(f"constant coefficient is {self.coeffs[0]!r}, expected 1")
-        out = [Polynomial.one()]
+        out = [Polynomial((1,))]
         for n in range(1, self.order + 1):
-            acc = Polynomial.zero()
+            acc = Polynomial()
             for k in range(1, n + 1):
                 acc = acc + self.coeffs[k] * out[n - k]
             out.append(-acc)
@@ -448,9 +446,9 @@ class PowerSeries:
         """
         if not self.coeffs[0].is_zero:
             raise ValueError(f"constant coefficient is {self.coeffs[0]!r}, expected 0")
-        out = [Polynomial.one()]
+        out = [Polynomial((1,))]
         for n in range(self.order):
-            acc = Polynomial.zero()
+            acc = Polynomial()
             for k in range(n + 1):
                 acc = acc + (k + 1) * self.coeffs[k + 1] * out[n - k]
             out.append(acc / (n + 1))

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, isqrt, lcm, prod
 
 from .exact import Polynomial
@@ -84,10 +83,6 @@ class CoefficientTable:
 
     bernoulli: tuple[Fraction, ...]
     gregory: tuple[Fraction, ...]
-
-    @property
-    def max_order(self) -> int:
-        return len(self.bernoulli) - 1
 
 
 def _bernoulli_denominator(max_order: int) -> int:
@@ -167,7 +162,6 @@ def _values_at(max_order: int, p: int, q: int, unit: bool = False) -> tuple[list
     return f, den
 
 
-@lru_cache(maxsize=None)
 def correction_family(max_order: int) -> CorrectionFamily:
     """Generate weights w_0..w_R and reversals u_0..u_R, exactly.
 
@@ -195,9 +189,9 @@ def correction_family(max_order: int) -> CorrectionFamily:
 
 def classical_numbers(family: CorrectionFamily) -> CoefficientTable:
     """Extract B_r = weights[r](0) and G_r = unit_weights[r](0)/r!."""
-    bernoulli = tuple(w.constant_term for w in family.weights)
+    bernoulli = tuple(w.coefficient(0) for w in family.weights)
     gregory = tuple(
-        u.constant_term / factorial(r) for r, u in enumerate(family.unit_weights)
+        u.coefficient(0) / factorial(r) for r, u in enumerate(family.unit_weights)
     )
     return CoefficientTable(bernoulli, gregory)
 
@@ -219,39 +213,26 @@ def coefficient_table(max_order: int) -> CoefficientTable:
     return CoefficientTable(bernoulli, tuple(gregory))
 
 
-def falling_factorial(m: int) -> Polynomial:
-    """The degree-m polynomial x(x-1)(x-2)...(x-m+1); 1 for m = 0."""
-    result = Polynomial.one()
-    for l in range(m):
-        result = result * Polynomial((-l, 1))
-    return result
-
-
-def reversed_falling_factorial(k: int) -> Polynomial:
-    """(1-x)(1-2x)...(1-kx); 1 for k = 0.
-
-    This is the coefficient reversal of (x-1)(x-2)...(x-k), which is why it
-    pairs with the plain falling factorial across the two recurrence forms.
-    """
-    result = Polynomial.one()
-    for l in range(1, k + 1):
-        result = result * Polynomial((1, -l))
-    return result
-
-
 def unit_weight_recurrence_residual(family: CorrectionFamily, r: int) -> Polynomial:
-    """sum_{k=0}^{r-1} C(r,k) * (x)_{r-k} * u_k(x); zero for a correct family."""
+    """sum_{k=0}^{r-1} C(r,k) * (x)_{r-k} * u_k(x); zero for a correct family.
+
+    (x)_m = x(x-1)...(x-m+1), the falling factorial, gains one factor per
+    term as k runs down from r-1.
+    """
     if not 2 <= r <= family.max_order:
         raise ValueError(f"order {r} outside 2..{family.max_order}")
-    acc = Polynomial.zero()
-    for k in range(r):
-        acc = acc + comb(r, k) * falling_factorial(r - k) * family.unit_weights[k]
+    acc, falling = Polynomial(), Polynomial((1,))
+    for k in range(r - 1, -1, -1):
+        falling = falling * Polynomial((k + 1 - r, 1))  # (x)_{r-k}
+        acc = acc + comb(r, k) * falling * family.unit_weights[k]
     return acc
 
 
 def weight_recurrence_residual(family: CorrectionFamily, r: int) -> Polynomial:
-    """sum_{k=0}^{r-1} C(r,k) * v_{r-k-1}(x) * w_k(x) with v the reversed
-    falling factorial; zero for a correct family.
+    """sum_{k=0}^{r-1} C(r,k) * v_{r-k-1}(x) * w_k(x); zero for a correct family.
+
+    v_j(x) = (1-x)(1-2x)...(1-jx), the reversal of (x-1)(x-2)...(x-j) and 1
+    for j = 0, gains one factor per term as k runs down from r-1.
 
     The index r-k-1 (rather than r-k) is forced by substituting the
     reversal relation u_r(x) = x^r w_r(1/x) into the unit-weight recurrence;
@@ -260,8 +241,8 @@ def weight_recurrence_residual(family: CorrectionFamily, r: int) -> Polynomial:
     """
     if not 2 <= r <= family.max_order:
         raise ValueError(f"order {r} outside 2..{family.max_order}")
-    acc = Polynomial.zero()
-    for k in range(r):
-        acc = acc + comb(r, k) * reversed_falling_factorial(r - k - 1) * family.weights[k]
+    acc, reversed_falling = Polynomial(), Polynomial((1,))
+    for k in range(r - 1, -1, -1):
+        reversed_falling = reversed_falling * Polynomial((1, k + 1 - r))  # v_{r-k-1}
+        acc = acc + comb(r, k) * reversed_falling * family.weights[k]
     return acc
-

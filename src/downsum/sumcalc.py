@@ -52,7 +52,7 @@ def forward_difference(f: Polynomial, step: Scalar, order: int) -> Polynomial:
     if order < 0:
         raise ValueError("difference order must be >= 0")
     if order > f.degree:
-        return Polynomial.zero()
+        return Polynomial()
     step = Fraction(step)
     a, b = step.numerator, step.denominator
     differences, den = _forward_differences(f, step, order + 1)

@@ -12,6 +12,7 @@ import math
 import re
 import shlex
 import sys
+import time
 from fractions import Fraction as Fr
 from math import comb, factorial
 from pathlib import Path
@@ -780,6 +781,23 @@ class TestParsing:
         assert code == 0
         assert "coeffs" in out and "accelerate" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["sum", "--poly", "1", "--n", "{}"],
+        ["sum", "--poly", "1,{}", "--n", "2"],
+        ["sum", "--poly", "1", "--n", "2", "--downsample-x", "{}"],
+        ["coeffs", "--max-order", "2", "--eval", "{}"],
+        ["verify", "--degree", "1", "--trials", "1", "--seed", "1", "--x-grid", "2,{}"],
+    ])
+    def test_huge_decimal_exponent_exits_2_fast(self, capsys, argv):
+        """Every rational option goes through parse_rational, which rejects an
+        exponent past the int digit limit before Fraction expands it."""
+        text = "1e-99999999999"
+        start = time.perf_counter()
+        code, out, err = run(capsys, *(arg.format(text) for arg in argv))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"downsum: ValueError: not a rational number: {text!r}\n"
+
 
 def _parse(parser, argv):
     out, err = io.StringIO(), io.StringIO()
@@ -929,6 +947,27 @@ def test_reader_reads_every_deck_and_readme_argv(tmp_path, monkeypatch):
     assert len(argvs) > 100
     for argv in argvs:
         assert _assert_read_as_argparse(argv) is not None, argv
+
+
+def test_each_request_builds_at_most_one_family(tmp_path, monkeypatch):
+    """The benchmark's requests and the documented commands each call
+    correction_family at most once, so a cache of families would never be hit."""
+    calls = []
+
+    def counting(max_order):
+        calls.append(max_order)
+        return correction_family(max_order)
+
+    monkeypatch.setattr(downsum.cli, "correction_family", counting)
+    monkeypatch.setattr(downsum.sumcalc, "correction_family", counting)
+    monkeypatch.chdir(tmp_path)
+    builds = 0
+    for argv in [*_deck_argvs(tmp_path, monkeypatch), *_readme_argvs()]:
+        calls.clear()
+        _run_in_process(argv)
+        assert len(calls) <= 1, argv
+        builds += len(calls)
+    assert builds > 10
 
 
 # Bounded argument vectors: every subcommand with in-range, out-of-range and

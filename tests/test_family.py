@@ -12,6 +12,9 @@ polynomial in z.  The values at a point read off the fixed-point recurrence
 are checked against the closed-form family evaluated by Horner's rule.
 """
 
+import gc
+import random
+import weakref
 from fractions import Fraction as Fr
 from math import comb, factorial, lcm, perm
 
@@ -24,8 +27,6 @@ from downsum import (
     classical_numbers,
     coefficient_table,
     correction_family,
-    falling_factorial,
-    reversed_falling_factorial,
     unit_weight_recurrence_residual,
     weight_recurrence_residual,
 )
@@ -74,6 +75,22 @@ def reversal(w, degree):
     """x^degree * w(1/x), the coefficients of w reversed at degree >= deg w."""
     padded = list(w.coeffs) + [Fr(0)] * (degree + 1 - len(w.coeffs))
     return P(reversed(padded))
+
+
+def falling_factorial(m):
+    """x(x-1)(x-2)...(x-m+1) multiplied out; 1 for m = 0."""
+    result = P([1])
+    for l in range(m):
+        result = result * P([-l, 1])
+    return result
+
+
+def reversed_falling_factorial(j):
+    """(1-x)(1-2x)...(1-jx) multiplied out; 1 for j = 0."""
+    result = P([1])
+    for l in range(1, j + 1):
+        result = result * P([1, -l])
+    return result
 
 
 def family_by_series(max_order):
@@ -148,7 +165,7 @@ class TestGeneration:
         """
         w6 = family20.weights[6]
         assert w6 == P([Fr(1, 42), 0, Fr(-7, 4), 0, 12, 0, Fr(-863, 84)])
-        assert w6.constant_term == bernoulli_by_recurrence(6)[6] == Fr(1, 42)
+        assert w6.coefficient(0) == bernoulli_by_recurrence(6)[6] == Fr(1, 42)
         assert w6(Fr(2)) == Fr((-1) ** 6 * factorial(12), (1 - 12) * factorial(6) * 2 ** 7)
         assert w6.coefficient(6) == factorial(6) * gregory_by_expansion(6)[6]
 
@@ -192,6 +209,12 @@ class TestGeneration:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             CorrectionFamily(2, (P([1]),), (P([1]),))
+
+    def test_family_is_not_retained(self):
+        """A family its caller drops is freed: the package keeps no reference."""
+        ref = weakref.ref(correction_family(30))
+        gc.collect()
+        assert ref() is None
 
 
 POINTS = [Fr(0), Fr(1), Fr(-1), Fr(1, 2), Fr(-2, 5), Fr(7, 2), Fr(1, 3)] + [Fr(k) for k in range(2, 9)]
@@ -260,7 +283,7 @@ class TestStructure:
         gregory = gregory_by_expansion(20)
         bernoulli = bernoulli_by_recurrence(20)
         for r in range(21):
-            assert family20.weights[r].constant_term == bernoulli[r]
+            assert family20.weights[r].coefficient(0) == bernoulli[r]
             assert family20.weights[r].coefficient(r) == factorial(r) * gregory[r]
             assert constants20.bernoulli[r] == bernoulli[r]
         for r in range(11):
@@ -290,7 +313,7 @@ class TestClassicalNumbers:
 
     def test_scalar_route_max_order(self):
         table = coefficient_table(3)
-        assert table.max_order == 3
+        assert len(table.bernoulli) == len(table.gregory) == 4
         with pytest.raises(ValueError):
             coefficient_table(-1)
 
@@ -314,26 +337,6 @@ class TestClassicalNumbers:
         for n in range(max_order + 1):
             assert g[n] == scale * sum(c / (k + 1) for k, c in enumerate(falling.coeffs)), n
             falling = falling * P([-n, 1])
-
-
-class TestFactorialPolynomials:
-    def test_falling_factorial(self):
-        assert falling_factorial(0) == P([1])
-        assert falling_factorial(2) == P([0, -1, 1])
-        assert falling_factorial(3) == P([0, 2, -3, 1])
-
-    def test_reversed_falling_factorial(self):
-        assert reversed_falling_factorial(0) == P([1])
-        assert reversed_falling_factorial(1) == P([1, -1])
-        assert reversed_falling_factorial(2) == P([1, -3, 2])
-
-    def test_reversal_pairing(self):
-        # (1-x)(1-2x)...(1-kx) reverses (x-1)(x-2)...(x-k).
-        for k in range(1, 6):
-            product = falling_factorial(k + 1)
-            assert product.constant_term == 0  # so dividing by x is exact
-            shifted = P(product.coeffs[1:])
-            assert reversed_falling_factorial(k) == reversal(shifted, k)
 
 
 class TestRecurrences:
@@ -377,6 +380,25 @@ class TestRecurrences:
         residual = unit_weight_recurrence_residual(corrupted, 2)
         assert residual == P([0, -2, 2])  # 2x(x-1)
 
+    def test_residuals_match_termwise_sums(self, family20):
+        """On families with every member perturbed, both residuals equal their
+        sums written out term by term, each product multiplied out anew."""
+        rng = random.Random(19)
+
+        def perturbed(polys):
+            noise = [P([Fr(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)]) for _ in polys]
+            return tuple(p + e for p, e in zip(polys, noise))
+
+        for _ in range(3):
+            corrupted = CorrectionFamily(20, perturbed(family20.weights), perturbed(family20.unit_weights))
+            for r in range(2, 21):
+                unit, primary = Polynomial(), Polynomial()
+                for k in range(r):
+                    unit = unit + comb(r, k) * falling_factorial(r - k) * corrupted.unit_weights[k]
+                    primary = primary + comb(r, k) * reversed_falling_factorial(r - k - 1) * corrupted.weights[k]
+                assert unit_weight_recurrence_residual(corrupted, r) == unit, r
+                assert weight_recurrence_residual(corrupted, r) == primary, r
+
     def test_out_of_range_order(self, family20):
         with pytest.raises(ValueError):
             unit_weight_recurrence_residual(family20, 1)
@@ -392,7 +414,7 @@ class TestRecurrences:
             acc = Polynomial()
             for k in range(r - 1):
                 acc = acc + comb(r, k) * falling_factorial(r - k) * rebuilt[k]
-            assert acc.constant_term == 0  # so dividing by r*x is exact
+            assert acc.coefficient(0) == 0  # so dividing by r*x is exact
             top = -Polynomial(acc.coeffs[1:]) / r
             rebuilt.append(top)
         for r in range(21):

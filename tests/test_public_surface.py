@@ -9,6 +9,7 @@ A later deletion that breaks ``from downsum import *`` or ``perfbench/run.py
 import argparse
 import ast
 import builtins
+import functools
 import importlib
 import importlib.util
 import json
@@ -68,6 +69,30 @@ def test_no_raise_escapes_the_cli():
                 if not issubclass(raised, exit_two):
                     escaping.append(f"{path.name}:{node.lineno} {name}")
     assert not escaping
+
+
+def _resolve_decorator(module, node):
+    """The object a decorator expression names in module, or None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve_decorator(module, node.value), node.attr, None)
+    return getattr(module, node.id, None) if isinstance(node, ast.Name) else None
+
+
+def test_no_function_caches_its_results():
+    """No function or method in the package is wrapped in a functools cache,
+    so nothing it returns outlives the caller's last reference."""
+    caches = (functools.lru_cache, functools.cache, functools.cached_property)
+    cached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = downsum if path.stem == "__init__" else importlib.import_module(f"downsum.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    if _resolve_decorator(module, decorator) in caches:
+                        cached.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not cached
 
 
 def test_every_trace_target_resolves_and_import_installs_nothing():
