@@ -342,24 +342,6 @@ class Polynomial:
         c = _taylor_shift([n * b ** (top - i) for i, n in enumerate(self._num)], a)
         return Polynomial._from_ints([x * b**j for j, x in enumerate(c)], self._den * b**top)
 
-    def scale_argument(self, factor: Scalar) -> "Polynomial":
-        """The polynomial q(t) = p(factor * t)."""
-        factor = _as_fraction(factor)
-        if not self._num:
-            return self
-        p, q = factor.numerator, factor.denominator
-        out = []
-        power = 1
-        for c in self._num:
-            out.append(c * power)
-            power *= p
-        top = len(out) - 1
-        power = 1
-        for i in range(top, -1, -1):
-            out[i] *= power
-            power *= q
-        return Polynomial._from_ints(out, self._den * q**top)
-
 
 class PowerSeries:
     """Truncated formal power series whose coefficients are Polynomials.

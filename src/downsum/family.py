@@ -115,28 +115,28 @@ def _bernoulli_numerators(max_order: int, den: int) -> list[int]:
     return b[: max_order + 1]
 
 
-def _gregory_numerators(max_order: int, scale: int) -> list[int]:
-    """g_n = scale * integral_0^1 (x)_n dx for n <= R, from falling-factorial moments.
+def _gregory_numerators(max_order: int) -> tuple[int, list[int]]:
+    """(L, g) with L = lcm(1..R+1) and g_n = L * integral_0^1 (x)_n dx for n <= R.
 
-    row[m] holds scale * integral_0^1 x^m (x)_n dx; (x)_{n+1} = (x)_n * (x - n)
-    turns it into the next row, one entry shorter.  scale must be divisible
-    by 1..R+1; then G_n = g_n / (n! * scale).
+    row[m] holds L * integral_0^1 x^m (x)_n dx; (x)_{n+1} = (x)_n * (x - n)
+    turns it into the next row, one entry shorter.  G_n = g_n / (n! * L).
     """
+    scale = lcm(*range(1, max_order + 2))
     row = [scale // (m + 1) for m in range(max_order + 1)]
     g = [row[0]]
     for n in range(max_order):
         row = [b - n * a for a, b in zip(row, row[1:])]
         g.append(row[0])
-    return g
+    return scale, g
 
 
 def _numerators(max_order: int) -> tuple[int, int, list[int], list[int]]:
     """(L, D, b, g): the two denominators and the numerator rows b_0..b_R, g_0..g_R."""
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    scale = lcm(*range(1, max_order + 2))
+    scale, g = _gregory_numerators(max_order)
     den = _bernoulli_denominator(max_order)
-    return scale, den, _bernoulli_numerators(max_order, den), _gregory_numerators(max_order, scale)
+    return scale, den, _bernoulli_numerators(max_order, den), g
 
 
 def _values_at(max_order: int, p: int, q: int, unit: bool = False) -> tuple[list[int], int]:

@@ -201,23 +201,22 @@ def gregory_residual(f: Polynomial) -> Polynomial:
 
 
 def alternating_residual(f: Polynomial) -> Polynomial:
-    """Residual of the alternating form at even upper limits n = 2m.
+    """Residual of Euler's alternating form, a polynomial in even upper limits n.
 
-    sum_{k<2m} (-1)^k f(k) = sum_{r>=0} (-1)^{r+1}/2^{r+1} (D^r f(2m) - D^r f(0))
-    checked as an identity of polynomials in m.  The left side is built
-    honestly as the indefinite sum of h(j) = f(2j) - f(2j+1), which equals
-    the signed sum pairwise; the right side is the x = 2 instance of the
-    reversed identity, whose weights collapse to u_r(2)/r! = (-1)^r/2^r.
-    A span s(n) becomes s(2m) by scaling its j-th numerator by 2^j.
+    sum_{k<n} (-1)^k f(k) = sum_{r>=0} (-1)^{r+1}/2^{r+1} (D^r f(n) - D^r f(0))
+    for every even n.  There the left side is 2 * sum_{k<n/2} f(2k) minus
+    sum_{k<n} f(k), Newton's formula at steps 2 and 1, and the right side is
+    the reversed identity at x = 2, where u_r(2)/r! = (-1)^r/2^r.  A
+    polynomial in n that vanishes at every even n is zero, so the residual
+    is one linear combination of the two sums and the unit spans, as in
+    step_identity_residuals.
     """
-    paired = indefinite_sum(f.scale_argument(2) - f.shift(1).scale_argument(2))
     differences, den = _forward_differences(f, 1, f.degree + 1)
+    unit_sum, unit_sum_den = _newton_sum(differences, den, 1)
+    coarse_sum, coarse_den = _newton_sum(*_forward_differences(f, 2, f.degree + 1), 2)
     return _linear_combination(
-        [(1, paired._den, paired._num)]
-        + [
-            ((-1) ** r, 2 ** (r + 1) * den, [c << j for j, c in enumerate([0, *d[1:]])])
-            for r, d in enumerate(differences)
-        ]
+        [(1, coarse_den, coarse_sum), (-1, unit_sum_den, unit_sum)]
+        + [((-1) ** r, 2 ** (r + 1) * den, [0, *d[1:]]) for r, d in enumerate(differences)]
     )
 
 

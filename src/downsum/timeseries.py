@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from math import comb, lcm
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DownsumError, ParseError
@@ -330,9 +330,9 @@ def _gregory_floats(order: int) -> Iterator[float]:
     G_r = g_r / (r! * L) is one correctly rounded int division, the value
     float(G_r) has.  order must be >= 0.
     """
-    scale = lcm(*range(1, order + 2))
+    scale, numerators = _gregory_numerators(order)
     r_factorial = 1
-    for r, g in enumerate(_gregory_numerators(order, scale)[1:], 1):
+    for r, g in enumerate(numerators[1:], 1):
         r_factorial *= r
         yield g / (r_factorial * scale)
 

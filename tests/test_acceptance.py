@@ -131,7 +131,7 @@ def test_criterion_4_structure(family20):
     ok = True
     for r in range(2, 21):
         u = family20.unit_weights[r]
-        ok = ok and u.scale_argument(-1) == u
+        ok = ok and all(u.coefficient(m) == 0 for m in range(1, r + 1, 2))
         ok = ok and unit_weight_recurrence_residual(family20, r).is_zero
         ok = ok and weight_recurrence_residual(family20, r).is_zero
     for r in range(21):

@@ -138,6 +138,8 @@ GAMMA_STDOUT = {
 }
 COEFFS_40_CSV = Path(__file__).parent / "data" / "coeffs_max_order_40.csv"
 COEFFS_40_TABLE = Path(__file__).parent / "data" / "coeffs_max_order_40.txt"
+# Each "$ downsum <argv>" line is followed by that verify run's stdout.
+VERIFY_CLASSICAL = Path(__file__).parent / "data" / "verify_classical.txt"
 
 
 class TestCoeffs:
@@ -225,6 +227,17 @@ class TestVerify:
         assert lines[-1] == "3/3 passed"
         assert sum(1 for line in lines if ": pass" in line) == 3 * 8
 
+    def test_classical_bytes(self, capsys):
+        expected = VERIFY_CLASSICAL.read_text()
+        argvs = [shlex.split(line[len("$ downsum "):]) for line in expected.splitlines() if line.startswith("$ ")]
+        assert len(argvs) >= 20
+        produced = []
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            produced.append(f"$ downsum {shlex.join(argv)}\n{out}")
+        assert "".join(produced).encode() == VERIFY_CLASSICAL.read_bytes()
+
     def test_classical_flag(self, capsys):
         code, out, _ = run(
             capsys,
@@ -272,8 +285,8 @@ class TestVerify:
         """The default grid holds x = 1, which reuses the unit table.
 
         Steps differenced: 1 (the unit table), -2, -1, -1/2, 1/3, 1/2, 2, 3
-        and 0 from the grid, then 1 for the paired polynomial of the
-        alternating form and 1 for the alternating form's own table.
+        and 0 from the grid, then the alternating form's unit table (1) and
+        its step-2 table (2).
         """
         steps = []
 

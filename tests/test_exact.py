@@ -193,11 +193,6 @@ class TestCalculus:
 
 
 class TestPolynomialAlgebra:
-    def test_scale_argument(self):
-        p = P([1, 2, 3])
-        assert p.scale_argument(2) == P([1, 4, 12])
-        assert p.scale_argument(Fr(1, 2))(Fr(4)) == p(Fr(2))
-
     def test_scalar_ops(self):
         p = P([1, 2])
         assert 3 * p == P([3, 6])
@@ -241,10 +236,6 @@ def _ref_shift(a, step):
         for j in range(i + 1):
             out[j] += c * comb(i, j) * step ** (i - j)
     return _trim(out)
-
-
-def _ref_scale_argument(a, factor):
-    return _trim(c * factor**i for i, c in enumerate(a))
 
 
 def coefficient_lists(max_degree=7):
@@ -308,10 +299,9 @@ class TestAgainstFractionOracle:
             assert list((p / s).coeffs) == [c / s for c in a]
 
     @given(coefficient_lists(), WIDE_RATIONAL)
-    def test_shift_scale_and_evaluation(self, a, s):
+    def test_shift_and_evaluation(self, a, s):
         p, a = P(a), _trim(a)
         assert list(p.shift(s).coeffs) == _ref_shift(a, s)
-        assert list(p.scale_argument(s).coeffs) == _ref_scale_argument(a, s)
         assert p(s) == _ref_eval(a, s)
         assert p(int(s)) == _ref_eval(a, int(s))
 
