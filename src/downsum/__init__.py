@@ -32,7 +32,6 @@ from .sumcalc import (
     unit_difference_residual,
 )
 from .timeseries import (
-    TimeSeries,
     corrected_sum,
     error_report,
     euler_mascheroni,
@@ -70,7 +69,6 @@ __all__ = [
     "scaled_difference_residual",
     "step_identity_residuals",
     "unit_difference_residual",
-    "TimeSeries",
     "corrected_sum",
     "error_report",
     "euler_mascheroni",

@@ -29,7 +29,7 @@ import argparse
 import csv
 import random
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import DownsumError
 from .exact import Polynomial, _ratio, format_rational, parse_rational
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
     """The namespace ``build_parser().parse_args(argv)`` returns, or None.
 
     Reads only a known subcommand followed by exact long flags of it: a
@@ -294,7 +294,7 @@ def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     return args
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
     if args is None:

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)$", re.IGNORECASE)
 
@@ -259,7 +259,7 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __bool__(self) -> bool:
         return bool(self._num)

@@ -51,38 +51,36 @@ and an exact division by n+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, isqrt, lcm, prod
 
 from .exact import Polynomial
 
 
-@dataclass(frozen=True)
 class CorrectionFamily:
     """The first max_order+1 correction weights and their reversals.
 
     weights[r] multiplies the step-x difference of order r-1; unit_weights[r]
     is its coefficient reversal and multiplies the unit-step difference of
-    order r-1 in the dual form of the identity.
+    order r-1 in the dual form of the identity.  The fields are read-only.
     """
 
-    max_order: int
-    weights: tuple[Polynomial, ...]
-    unit_weights: tuple[Polynomial, ...]
+    __slots__ = ("_fields", "__weakref__")
 
-    def __post_init__(self) -> None:
-        expected = self.max_order + 1
-        if len(self.weights) != expected or len(self.unit_weights) != expected:
+    def __init__(self, max_order: int, weights: tuple, unit_weights: tuple) -> None:
+        expected = max_order + 1
+        if len(weights) != expected or len(unit_weights) != expected:
             raise ValueError("family lists must have max_order+1 entries")
+        self._fields = (max_order, weights, unit_weights)
+
+    max_order = property(lambda self: self._fields[0])
+    weights = property(lambda self: self._fields[1])
+    unit_weights = property(lambda self: self._fields[2])
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Bernoulli numbers B_0..B_R and Gregory coefficients G_0..G_R."""
-
-    bernoulli: tuple[Fraction, ...]
-    gregory: tuple[Fraction, ...]
+#: Bernoulli numbers B_0..B_R and Gregory coefficients G_0..G_R.
+CoefficientTable = namedtuple("CoefficientTable", ["bernoulli", "gregory"])
 
 
 def _bernoulli_denominator(max_order: int) -> int:

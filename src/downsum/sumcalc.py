@@ -31,9 +31,9 @@ denominator, integer accumulation and one normalisation.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
 from .errors import DownsumError
 from .exact import Polynomial, Scalar, _forward_differences, _horner, _linear_combination

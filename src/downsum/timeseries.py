@@ -6,7 +6,10 @@ rounded division of two integers from the family's integer rows, and
 applies them as floats.  The corrected window sums and the Gregory rule are
 one step-h corrected sum, a coarse sum plus weighted boundary differences,
 with weights w_r(x)/(r!*x^(r-1)) at step x and G_r at step 1.  Summation
-order is fixed left-to-right so results are bit-for-bit reproducible.
+order is fixed left-to-right so results are bit-for-bit reproducible.  A
+series is any sequence of floats, s[i] the sample at time i; load_series and
+gaussian_bump return tuples.  Indices are checked against len(s), so an empty
+series sums to 0.0 over an empty window and raises DownsumError for a sample.
 """
 
 from __future__ import annotations
@@ -14,42 +17,23 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DownsumError, ParseError
 from .family import _gregory_numerators, _values_at
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """Real-valued samples at unit spacing: values[i] is the reading at time i."""
-
-    values: tuple[float, ...]
-    name: str = "series"
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise DownsumError(f"time series {self.name!r} has no samples")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, index: int) -> float:
-        return self.values[index]
-
-
-def load_series(path: str, column: int, has_header: bool = False) -> TimeSeries:
-    """Read one column of a CSV file as a float time series.
+def load_series(path: str, column: int, has_header: bool = False) -> tuple[float, ...]:
+    """Read one column of a CSV file as a tuple of floats.
 
     Rows and columns are 0-based; row numbers in errors count physical file
     rows, header included.  A negative column, short rows and unparseable or
     non-finite fields raise ParseError with the offending location, and so
     does a row the CSV reader rejects (a field over the reader's field size
-    limit, say); an empty result raises DownsumError.  I/O problems propagate
-    as OSError.
+    limit, say); a file with no data rows raises DownsumError.  I/O problems
+    propagate as OSError.
 
     Two paths read the file and give the same values, or the same error.  A
     file with no quote, CR or NUL, whose lines all fit the CSV field size
@@ -63,8 +47,7 @@ def load_series(path: str, column: int, has_header: bool = False) -> TimeSeries:
         values = _checked_column(path, column, has_header)
     if not values:
         raise DownsumError(f"no data rows in {path}")
-    name = os.path.splitext(os.path.basename(path))[0]
-    return TimeSeries(tuple(values), name)
+    return tuple(values)
 
 
 # Characters per read of the bulk path, the partial last line carried over.
@@ -168,7 +151,7 @@ def _parse_sample(text: str, row: int, column: int) -> float:
     return value
 
 
-def forward_difference(s: TimeSeries, t: int, step: int, order: int) -> float:
+def forward_difference(s: Sequence[float], t: int, step: int, order: int) -> float:
     """order-fold forward difference of the samples at time t with the given step.
 
     Computed directly from the binomial expansion
@@ -186,7 +169,7 @@ def forward_difference(s: TimeSeries, t: int, step: int, order: int) -> float:
             f"{last}, series has {len(s)}"
         )
     total = 0.0
-    for j, sample in enumerate(s.values[t:last + 1:step]):
+    for j, sample in enumerate(s[t:last + 1:step]):
         term = comb(order, j) * sample
         total += term if (order - j) % 2 == 0 else -term
     return total
@@ -199,7 +182,7 @@ def _finite(value: float, what: str, *args: object) -> float:
     return value
 
 
-def windowed_sum(s: TimeSeries, t0: int, n: int, x: int) -> float:
+def windowed_sum(s: Sequence[float], t0: int, n: int, x: int) -> float:
     """x * sum_{k=0}^{n/x-1} s[t0 + k*x] — the coarse surrogate for the window sum.
 
     A sum that leaves the float range raises OverflowError.
@@ -213,13 +196,13 @@ def windowed_sum(s: TimeSeries, t0: int, n: int, x: int) -> float:
     if t0 < 0 or t0 + n > len(s):
         raise DownsumError(f"window [{t0}, {t0 + n}) exceeds series of length {len(s)}")
     total = 0.0
-    for sample in s.values[t0:t0 + n:x]:
+    for sample in s[t0:t0 + n:x]:
         total += sample
     return _finite(x * total, "window sum at t0={}, n={}, x={}", t0, n, x)
 
 
 def _corrected_sums(
-    s: TimeSeries, t0: int, n: int, step: int, order: int,
+    s: Sequence[float], t0: int, n: int, step: int, order: int,
     weights: Callable[[int], Iterable[float]],
 ) -> Iterator[float]:
     """windowed_sum(s, t0, n, step), then the total after each boundary term.
@@ -258,7 +241,7 @@ def _step_weights(x: int, order: int) -> Iterator[float]:
         den *= (r + 1) * x
 
 
-def corrected_sum(s: TimeSeries, t0: int, n: int, x: int, order: int) -> float:
+def corrected_sum(s: Sequence[float], t0: int, n: int, x: int, order: int) -> float:
     """Windowed sum plus the first `order` boundary correction terms.
 
     Each term is w_r(x)/r! * (D_x^{r-1} s at t0+n minus at t0) / x^{r-1},
@@ -275,7 +258,7 @@ def corrected_sum(s: TimeSeries, t0: int, n: int, x: int, order: int) -> float:
 
 
 def error_report(
-    s: TimeSeries, t0: int, n: int, xs: Sequence[int], max_correction: int
+    s: Sequence[float], t0: int, n: int, xs: Sequence[int], max_correction: int
 ) -> tuple[tuple[int, int, float], ...]:
     """Rows (x, R, err) of err = |true window sum - corrected sum|, R = 0..max_correction.
 
@@ -345,7 +328,7 @@ def euler_mascheroni(n_terms: int) -> float:
     count raises ValueError.
     """
     if n_terms < 0:
-        raise ValueError("max_order must be >= 0")
+        raise ValueError("number of terms must be >= 0")
     total = 0.0
     for r, gregory in enumerate(_gregory_floats(n_terms), 1):
         term = gregory / r
@@ -353,7 +336,7 @@ def euler_mascheroni(n_terms: int) -> float:
     return total
 
 
-def gregory_integral(s: TimeSeries, n: int, order: int) -> float:
+def gregory_integral(s: Sequence[float], n: int, order: int) -> float:
     """Quadrature over [0, n]: unit sum plus Gregory boundary corrections.
 
     integral ~= sum_{k<n} s[k] + sum_{r=1}^{order} G_r (D^{r-1} s(n) - D^{r-1} s(0)).
@@ -366,7 +349,7 @@ def gregory_integral(s: TimeSeries, n: int, order: int) -> float:
     return total
 
 
-def gaussian_bump(length: int = 121, center: float = 25.0, width: float = 25.0) -> TimeSeries:
+def gaussian_bump(length: int = 121, center: float = 25.0, width: float = 25.0) -> tuple[float, ...]:
     """The documented synthetic test signal: exp(-((t-center)/width)^2).
 
     The defaults are the acceptance configuration: smooth, bounded, with
@@ -374,7 +357,4 @@ def gaussian_bump(length: int = 121, center: float = 25.0, width: float = 25.0) 
     starting at t = 0, so every correction order up to 4 has something
     left to correct at factors 2..5.
     """
-    values = tuple(
-        math.exp(-(((t - center) / width) ** 2)) for t in range(length)
-    )
-    return TimeSeries(values, "gaussian-bump")
+    return tuple(math.exp(-(((t - center) / width) ** 2)) for t in range(length))

@@ -758,6 +758,11 @@ class TestAccelerate:
         code, out, err = run(capsys, "accelerate", "--target", "gamma", "--terms", str(terms))
         assert (code, out, err) == (0, GAMMA_STDOUT[terms], "")
 
+    @pytest.mark.parametrize("terms", [["--terms", "-1"], ["--terms=-3"]])
+    def test_gamma_negative_terms_names_the_count(self, capsys, terms):
+        code, out, err = run(capsys, "accelerate", "--target", "gamma", *terms)
+        assert (code, out, err) == (2, "", "downsum: ValueError: number of terms must be >= 0\n")
+
     def test_gamma_requires_terms(self, capsys):
         code, _, err = run(capsys, "accelerate", "--target", "gamma")
         assert code == 2

@@ -121,6 +121,13 @@ class TestPolynomialBasics:
         assert P([1, 2]) == P([Fr(1), Fr(2), 0])
         assert hash(P([1, 2])) == hash(P([1, 2, 0]))
         assert P([1]) != P([2])
+        # The integer route and the Fraction route meet in one representation.
+        for built, ints in (
+            (P([Fr(1, 2), Fr(-3, 4)]), P._from_ints([4, -6, 0], 8)),
+            (P([0, 0]), P._from_ints([0], 7)),
+            (P([Fr(6, 3)]), P._from_ints([2], 1, lowest=True)),
+        ):
+            assert built == ints and hash(built) == hash(ints)
 
     def test_pretty(self):
         assert P([Fr(-1, 2), Fr(1, 2)]).pretty(var="x") == "1/2*x - 1/2"
@@ -355,11 +362,17 @@ class TestAgainstFractionOracle:
     @given(coefficient_lists(max_degree=3), coefficient_lists(max_degree=3), WIDE_RATIONAL)
     def test_equality_agrees_with_hash(self, a, b, s):
         # Equal values built along different routes share one representation.
-        for p, q in ((P(a), P(b)), (P(a) * s * 2 / 2, P(a) * s), (P(a) + P(b) - P(b), P(a))):
+        pa = P(a)
+        routes = (
+            (pa, P(b)),
+            (pa * s * 2 / 2, pa * s),
+            (pa + P(b) - P(b), pa),
+            (_linear_combination([(3, 3 * pa._den, pa._num)]), pa),
+        )
+        for p, q in routes:
             assert (p == q) == (_trim(p.coeffs) == _trim(q.coeffs))
             if p == q:
                 assert hash(p) == hash(q)
-        assert hash(P(a)) == hash(tuple(_trim(a)))
 
 
 def _random_series(rng, order, unit_constant=False, zero_constant=False):

@@ -13,6 +13,8 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -93,6 +95,43 @@ def test_no_function_caches_its_results():
                     if _resolve_decorator(module, decorator) in caches:
                         cached.append(f"{path.name}:{node.lineno} {node.name}")
     assert not cached
+
+
+HEAVY_MODULES = ("typing", "dataclasses", "inspect")
+
+
+def test_no_module_imports_typing_or_dataclasses():
+    """Annotation names come from collections.abc and records are plain
+    classes or named tuples, so the package never asks for either module."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            banned = [root for root in roots if root in ("typing", "dataclasses")]
+            found += [f"{path.name}:{node.lineno} {root}" for root in banned]
+    assert not found
+
+
+def _loaded_in_fresh_interpreter(statement):
+    """The HEAVY_MODULES in sys.modules after a new interpreter runs statement."""
+    probe = f"import sys\n{statement}\nprint(*[m for m in {HEAVY_MODULES!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return set(result.stdout.split())
+
+
+def test_cli_import_loads_no_heavy_module():
+    """A cold ``import downsum.cli`` adds none of typing, dataclasses or
+    inspect to what the bare interpreter (site hooks included) has loaded."""
+    already = _loaded_in_fresh_interpreter("pass")
+    assert _loaded_in_fresh_interpreter("import downsum.cli") - already == set()
 
 
 def test_every_trace_target_resolves_and_import_installs_nothing():

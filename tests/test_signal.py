@@ -13,7 +13,6 @@ import pytest
 from downsum import (
     DownsumError,
     ParseError,
-    TimeSeries,
     coefficient_table,
     corrected_sum,
     error_report,
@@ -32,32 +31,63 @@ GAMMA = 0.5772156649
 
 
 def ramp(length):
-    return TimeSeries(tuple(float(k) for k in range(length)))
+    return tuple(float(k) for k in range(length))
 
 
-class TestTimeSeries:
-    def test_basic(self):
-        s = TimeSeries((1.0, 2.0), "pair")
-        assert len(s) == 2
-        assert s[1] == 2.0
+# (function, arguments after the series, its result on an empty series or the
+# error it raises).  Only an empty window sums to 0.0; every call that reads
+# a sample, or asks for a correction beyond the series, is refused.
+EMPTY_SERIES_CALLS = [
+    (forward_difference, (0, 1, 0), DownsumError),
+    (forward_difference, (0, 2, 3), DownsumError),
+    (forward_difference, (-1, 1, 0), DownsumError),
+    (forward_difference, (0, 0, 0), ValueError),
+    (windowed_sum, (0, 0, 1), 0.0),
+    (windowed_sum, (0, 0, 3), 0.0),
+    (windowed_sum, (0, 2, 1), DownsumError),
+    (windowed_sum, (1, 0, 1), DownsumError),
+    (windowed_sum, (0, 0, 0), ValueError),
+    (corrected_sum, (0, 0, 2, 0), 0.0),
+    (corrected_sum, (0, 0, 2, 1), DownsumError),
+    (corrected_sum, (0, 4, 2, 0), DownsumError),
+    (corrected_sum, (0, 0, 2, -1), ValueError),
+    (error_report, (0, 0, [2, 1], 0), ((1, 0, 0.0), (2, 0, 0.0))),
+    (error_report, (0, 0, [], 3), ()),
+    (error_report, (0, 0, [1], 1), DownsumError),
+    (error_report, (0, 3, [1], 0), DownsumError),
+    (error_report, (0, 0, [1], -1), ValueError),
+    (gregory_integral, (0, 0), 0.0),
+    (gregory_integral, (0, 2), DownsumError),
+    (gregory_integral, (1, 0), DownsumError),
+    (gregory_integral, (0, -1), ValueError),
+    (euler_transform, (0,), DownsumError),
+    (euler_transform, (-1,), ValueError),
+]
 
-    def test_empty_rejected(self):
-        with pytest.raises(DownsumError, match="^time series 'series' has no samples$"):
-            TimeSeries(())
+
+@pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+@pytest.mark.parametrize(
+    "function, args, expected", EMPTY_SERIES_CALLS,
+    ids=[f"{function.__name__}{args}" for function, args, _ in EMPTY_SERIES_CALLS],
+)
+def test_empty_series(empty, function, args, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            function(empty, *args)
+    else:
+        assert function(empty, *args) == expected
 
 
 class TestLoadSeries:
     def test_plain_two_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("0,1.5\n1,2.0\n")
-        s = load_series(str(path), 1)
-        assert s.values == (1.5, 2.0)
-        assert s.name == "data"
+        assert load_series(str(path), 1) == (1.5, 2.0)
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("t,v\n0,1.5\n1,2.5\n")
-        assert load_series(str(path), 1, has_header=True).values == (1.5, 2.5)
+        assert load_series(str(path), 1, has_header=True) == (1.5, 2.5)
 
     def test_bad_field_reports_location(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -96,7 +126,7 @@ class TestLoadSeries:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("0,1.0\n\n1,2.0\n")
-        assert load_series(str(path), 1).values == (1.0, 2.0)
+        assert load_series(str(path), 1) == (1.0, 2.0)
 
     def test_negative_column_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -133,7 +163,7 @@ class TestLoadSeries:
             raise AssertionError("a plain file reached the checked csv.reader loop")
 
         monkeypatch.setattr(timeseries, "_checked_column", refuse)
-        assert load_series(str(path), 2, has_header=True).values == tuple(b for _, _, b in rows)
+        assert load_series(str(path), 2, has_header=True) == tuple(b for _, _, b in rows)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_is_read_once(self, tmp_path):
@@ -143,7 +173,7 @@ class TestLoadSeries:
         os.mkfifo(path)
         loaded = []
         reader = threading.Thread(
-            target=lambda: loaded.append(load_series(str(path), 1).values), daemon=True
+            target=lambda: loaded.append(load_series(str(path), 1)), daemon=True
         )
         reader.start()
         path.write_text('0,"1.5"\n1,2.5\n')
@@ -193,7 +223,7 @@ def reference_outcome(path, column, has_header):
 
 def load_outcome(path, column, has_header):
     try:
-        return load_series(path, column, has_header).values
+        return load_series(path, column, has_header)
     except (DownsumError, UnicodeDecodeError) as exc:
         return (type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
 
@@ -259,25 +289,25 @@ def test_load_series_matches_csv_reader(tmp_path, name, has_header):
 
 class TestSampleDifferences:
     def test_step_two_on_squares(self):
-        s = TimeSeries((0.0, 1.0, 4.0, 9.0, 16.0))
+        s = (0.0, 1.0, 4.0, 9.0, 16.0)
         assert forward_difference(s, 0, 2, 1) == 4.0
 
     def test_order_zero(self):
-        s = TimeSeries((5.0, 7.0))
+        s = (5.0, 7.0)
         assert forward_difference(s, 1, 1, 0) == 7.0
 
     def test_linear_second_difference_vanishes(self):
-        s = TimeSeries((0.0, 1.0, 2.0, 3.0))
+        s = (0.0, 1.0, 2.0, 3.0)
         assert forward_difference(s, 0, 1, 2) == 0.0
 
     def test_out_of_range(self):
-        s = TimeSeries((0.0, 1.0, 2.0))
+        s = (0.0, 1.0, 2.0)
         with pytest.raises(DownsumError, match=r"^difference of order 1 at t=1 \(step 2\) needs sample 3, series has 3$"):
             forward_difference(s, 1, 2, 1)
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
-            forward_difference(TimeSeries((1.0,)), 0, 0, 0)
+            forward_difference((1.0,), 0, 0, 0)
 
 
 class TestWindowedSum:
@@ -306,12 +336,12 @@ class TestWindowedSum:
             windowed_sum(ramp(8), 0, 4, 0)
 
     def test_overflow_raises(self):
-        huge = TimeSeries((1e308,) * 10)
+        huge = (1e308,) * 10
         with pytest.raises(OverflowError):
             windowed_sum(huge, 0, 4, 2)
 
     def test_negative_window_rejected(self):
-        squares = TimeSeries(tuple(float(k * k) for k in range(10)))
+        squares = tuple(float(k * k) for k in range(10))
         with pytest.raises(ValueError, match="window length"):
             windowed_sum(squares, 4, -4, 2)
         with pytest.raises(ValueError, match="window length"):
@@ -334,7 +364,7 @@ class TestCorrectedSum:
     def test_overflowing_correction_raises(self):
         # The window sum 2 * (s[0] + s[2]) is 0, but the order-1 span
         # s[4] - s[0] = 3.4e308 leaves the float range.
-        s = TimeSeries((-1.7e308, 0.0, 1.7e308, 0.0, 1.7e308, 0.0))
+        s = (-1.7e308, 0.0, 1.7e308, 0.0, 1.7e308, 0.0)
         assert windowed_sum(s, 0, 4, 2) == 0.0
         with pytest.raises(OverflowError):
             corrected_sum(s, 0, 4, 2, 1)
@@ -364,7 +394,7 @@ class TestErrorReport:
 
     def test_overflowing_error_raises(self):
         # Both sums are finite (1.6e308 and -1.6e308); their distance is not.
-        s = TimeSeries((-4e307, 1.2e308, -4e307, 1.2e308))
+        s = (-4e307, 1.2e308, -4e307, 1.2e308)
         with pytest.raises(OverflowError):
             error_report(s, 0, 4, [2], 0)
 
@@ -377,8 +407,15 @@ class TestErrorReport:
         bump = gaussian_bump()
         assert len(error_report(bump, 0, 60, [2, 2], 1)) == 2
 
+    def test_list_gives_the_bits_of_the_tuple(self):
+        bump = gaussian_bump()
+        for t0, n, xs in ((0, 60, [5, 2, 3, 4]), (11, 48, [1, 6, 8])):
+            rows = [(x, order, err.hex()) for x, order, err in error_report(bump, t0, n, xs, 8)]
+            from_list = error_report(list(bump), t0, n, xs, 8)
+            assert [(x, order, err.hex()) for x, order, err in from_list] == rows
+
     def test_polynomial_samples_corrected_to_rounding(self):
-        s = TimeSeries(tuple(float(k * k) for k in range(80)))
+        s = tuple(float(k * k) for k in range(80))
         # At t0 = 7 the order-3 tail reaches sample 7 + 60 + 2 * 5 = 77.
         for t0 in (0, 7):
             truth = windowed_sum(s, t0, 60, 1)
@@ -402,7 +439,7 @@ def _random_walk(length, seed):
     for _ in range(length):
         level += rng.uniform(-1.0, 1.0)
         values.append(level)
-    return TimeSeries(tuple(values), "walk")
+    return tuple(values)
 
 
 def error_report_bits():
@@ -413,9 +450,9 @@ def error_report_bits():
     order 8, then several factors sharing one window.
     """
     lines = []
-    for s, starts, multiples, shared in (
-        (gaussian_bump(), (0, 11), (0, 1, 2, 5, 9), ((0, 24, (1, 2, 3, 4, 6, 8)), (2, 60, (6, 1, 5, 2, 4, 3)))),
-        (_random_walk(2000, 20211), (0, 977), (1, 3, 10, 64, 200), ((0, 840, tuple(range(8, 0, -1))),)),
+    for name, s, starts, multiples, shared in (
+        ("gaussian-bump", gaussian_bump(), (0, 11), (0, 1, 2, 5, 9), ((0, 24, (1, 2, 3, 4, 6, 8)), (2, 60, (6, 1, 5, 2, 4, 3)))),
+        ("walk", _random_walk(2000, 20211), (0, 977), (1, 3, 10, 64, 200), ((0, 840, tuple(range(8, 0, -1))),)),
     ):
         calls = [
             (t0, k * x, (x,))
@@ -424,7 +461,7 @@ def error_report_bits():
         ]
         for t0, n, xs in calls + list(shared):
             for x, order, err in error_report(s, t0, n, xs, 8):
-                lines.append(f"{s.name} t0={t0} n={n} xs={','.join(map(str, xs))} {x} {order} {err.hex()}")
+                lines.append(f"{name} t0={t0} n={n} xs={','.join(map(str, xs))} {x} {order} {err.hex()}")
     return lines
 
 
@@ -484,7 +521,7 @@ class TestEulerMascheroni:
 
     def test_negative_terms_rejected(self):
         # A negative count is an error, not the empty sum 0.0.
-        with pytest.raises(ValueError, match="^max_order must be >= 0$"):
+        with pytest.raises(ValueError, match="^number of terms must be >= 0$"):
             euler_mascheroni(-3)
 
 
@@ -497,23 +534,23 @@ class TestGregoryIntegral:
             assert list(timeseries._gregory_floats(k)) == exact[1:k + 1], k
 
     def test_constant(self):
-        s = TimeSeries((1.0,) * 7)
+        s = (1.0,) * 7
         assert gregory_integral(s, 5, 1) == 5.0
 
     def test_squares(self):
-        s = TimeSeries(tuple(float(k * k) for k in range(8)))
+        s = tuple(float(k * k) for k in range(8))
         estimate = gregory_integral(s, 4, 3)
         assert abs(estimate - 64.0 / 3.0) < 1e-12
 
     def test_higher_order_beats_lower(self):
-        s = TimeSeries(tuple(1.0 / (1.0 + t) for t in range(14)))
+        s = tuple(1.0 / (1.0 + t) for t in range(14))
         exact = math.log(9.0)
         rough = abs(gregory_integral(s, 8, 1) - exact)
         sharp = abs(gregory_integral(s, 8, 6) - exact)
         assert sharp < rough
 
     def test_out_of_range(self):
-        s = TimeSeries((1.0,) * 5)
+        s = (1.0,) * 5
         with pytest.raises(DownsumError, match="^order-2 correction at window end 4 needs sample 5,"):
             gregory_integral(s, 4, 3)
 
@@ -527,7 +564,7 @@ class TestGregoryIntegral:
     )
     def test_non_finite_raises(self, values, n, order):
         with pytest.raises(OverflowError):
-            gregory_integral(TimeSeries(values), n, order)
+            gregory_integral(values, n, order)
 
 
 @pytest.fixture
@@ -631,8 +668,8 @@ class TestGaussianBump:
         bump = gaussian_bump()
         assert len(bump) == 121
         assert bump[25] == 1.0
-        assert max(bump.values) == 1.0
-        assert all(0.0 < v <= 1.0 for v in bump.values)
+        assert max(bump) == 1.0
+        assert all(0.0 < v <= 1.0 for v in bump)
 
     def test_custom_parameters(self):
         bump = gaussian_bump(length=11, center=5.0, width=2.0)
