@@ -36,9 +36,11 @@ def load_series(path: str, column: int, has_header: bool = False) -> tuple[float
     propagate as OSError.
 
     Two paths read the file and give the same values, or the same error.  A
-    file with no quote, CR or NUL, whose lines all fit the CSV field size
-    limit and whose fields all parse, is split in bulk; any other file goes
-    through the checked csv.reader loop, the only source of error locations.
+    plain ASCII file with no quote, CR or NUL, whose lines all fit the CSV
+    field size limit, whose data rows all hold the same number of fields and
+    whose fields all parse, is split in bulk, one split per block; any other
+    file goes through the checked csv.reader loop, the only source of error
+    locations.
     """
     if column < 0:
         raise ParseError("column index must be >= 0", row=0, column=column)
@@ -50,55 +52,74 @@ def load_series(path: str, column: int, has_header: bool = False) -> tuple[float
     return tuple(values)
 
 
-# Characters per read of the bulk path, the partial last line carried over.
-# The block bounds the transient line and field lists: on a 5000-row,
-# three-column file the loader's peak allocation is 21 KiB above the
-# csv.reader loop's at 8 KiB blocks, and 177 KiB above it at 32 KiB.
-_BLOCK = 8192
+# Bytes per read of the bulk path, the partial last line carried over.  The
+# block bounds the transient field list: on a 5000-row, three-column file
+# the loader's tracemalloc peak is 216 / 274 / 372 / 603 KiB at 8 / 16 / 32 /
+# 64 KiB blocks, against 190 KiB for the csv.reader loop.  32 KiB loads the
+# benchmark's signal files fastest.
+_BLOCK = 32768
+
+# Every byte but the field and line separators: deleting these leaves each
+# line of k fields as b"," * (k - 1) + b"\n".
+_NOT_SEPARATOR = bytes(byte for byte in range(256) if byte not in b",\n")
 
 
 def _bulk_column(path: str, column: int, has_header: bool) -> list[float] | None:
-    """The column's finite samples by str.split, or None for the checked loop.
+    """The column's finite samples by bytes.split, or None for the checked loop.
 
-    Without quotes, CR or NUL a csv.reader row is the line split on commas,
-    so splitting whole blocks gives the reader's fields.  None means the file
-    holds something only the checked loop handles or reports: one of those
-    characters, a line past the reader's field size limit, bytes that do not
-    decode, or a missing, unparseable or non-finite field.  The checked loop
-    then reads the file again, so a pipe or FIFO goes to it unread.
+    Without quotes, CR or NUL a csv.reader row of an ASCII file is its line
+    split on commas.  Once every line of a block is shown to hold the first
+    data row's k fields, the block split on commas and newlines lists the
+    fields row by row, and every k-th is the column's.  None means the file
+    holds something only the checked loop handles or reports: a non-ASCII
+    byte or one of those characters, a line past the reader's field size
+    limit, a blank line, a row of another length, or a missing, unparseable
+    or non-finite field.  float(bytes) rejects the \x1c-\x1f that float(str)
+    strips, so such fields go to the checked loop too.  That loop reads the
+    file again, so a pipe or FIFO goes to it unread.
     """
     if not os.path.isfile(path):
         return None
     limit = csv.field_size_limit()
     values: list[float] = []
-    carry = ""
+    carry = b""
     skip_header = has_header
-    with open(path, newline="") as handle:
-        try:
-            while True:
-                block = handle.read(_BLOCK)
-                if '"' in block or "\r" in block or "\0" in block:
+    shape = b""
+    with open(path, "rb") as handle:
+        while True:
+            block = handle.read(_BLOCK)
+            if not block.isascii() or b'"' in block or b"\r" in block or b"\0" in block:
+                return None
+            text = carry + block
+            if len(text) > limit and max(map(len, text.split(b"\n"))) > limit:
+                return None
+            if block:
+                end = text.rfind(b"\n") + 1
+                lines, carry = text[:end], text[end:]
+            else:
+                lines = text + b"\n" if text else b""  # the last line may lack its newline
+            if skip_header and lines:
+                lines = lines[lines.index(b"\n") + 1:]
+                skip_header = False
+            if lines:
+                if not shape:
+                    fields = lines.count(b",", 0, lines.index(b"\n")) + 1
+                    if column >= fields:
+                        return None
+                    shape = b"," * (fields - 1) + b"\n"
+                if lines.translate(None, _NOT_SEPARATOR) != shape * lines.count(b"\n"):
                     return None
-                text = carry + block
-                lines = text.split("\n")
-                carry = lines.pop() if block else ""
-                if len(text) > limit and max(map(len, lines + [carry])) > limit:
+                try:
+                    samples = list(map(
+                        float, lines[:-1].replace(b"\n", b",").split(b",")[column::fields]
+                    ))
+                except ValueError:
                     return None
-                if skip_header and lines:
-                    del lines[0]
-                    skip_header = False
-                samples = list(map(float, [
-                    line.split(",", column + 1)[column]
-                    for line in lines
-                    if line and not line.isspace()
-                ]))
                 if not all(map(math.isfinite, samples)):
                     return None
                 values += samples
-                if not block:
-                    return values
-        except (ValueError, IndexError, OverflowError):
-            return None  # undecodable bytes, a bad field, a column past every row
+            if not block:
+                return values
 
 
 def _checked_column(path: str, column: int, has_header: bool) -> list[float]:

@@ -6,9 +6,13 @@ import os
 import random
 import re
 import threading
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downsum import (
     DownsumError,
@@ -154,16 +158,40 @@ class TestLoadSeries:
         assert (excinfo.value.row, excinfo.value.column) == (2, 1)
         assert "(row 2, column 1)" in str(excinfo.value)
 
-    def test_plain_file_takes_bulk_path(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("trailing_newline", [True, False], ids=["newline", "no-newline"])
+    @pytest.mark.parametrize("has_header", [False, True], ids=["rows", "header"])
+    @pytest.mark.parametrize("width, column", [(3, 0), (3, 1), (3, 2), (2, 0), (2, 1)])
+    def test_plain_file_takes_bulk_path(
+        self, tmp_path, monkeypatch, width, column, has_header, trailing_newline
+    ):
         path = tmp_path / "plain.csv"
-        rows = [(t, math.sin(t / 100), math.cos(t / 70)) for t in range(5000)]
-        path.write_text("t,a,b\n" + "".join(f"{t},{a!r},{b!r}\n" for t, a, b in rows))
+        rows = [(float(t), math.sin(t / 100), math.cos(t / 70))[:width] for t in range(5000)]
+        text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        header = ",".join("tab"[:width]) + "\n" if has_header else ""
+        path.write_text(header + (text if trailing_newline else text[:-1]))
 
         def refuse(*args):
             raise AssertionError("a plain file reached the checked csv.reader loop")
 
         monkeypatch.setattr(timeseries, "_checked_column", refuse)
-        assert load_series(str(path), 2, has_header=True) == tuple(b for _, _, b in rows)
+        assert load_series(str(path), column, has_header) == tuple(row[column] for row in rows)
+
+    def test_bulk_peak_memory_near_checked_loop(self, tmp_path):
+        # The bulk path holds one block's field list at a time; a larger
+        # _BLOCK raises its peak, which must stay near the row-by-row loop's.
+        path = tmp_path / "plain.csv"
+        path.write_text("".join(f"{t},{math.sin(t / 100)!r},{math.cos(t / 70)!r}\n" for t in range(5000)))
+
+        def peak(load):
+            load(str(path), 2, False)
+            tracemalloc.start()
+            try:
+                load(str(path), 2, False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(load_series) <= peak(timeseries._checked_column) + 256 * 1024
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_is_read_once(self, tmp_path):
@@ -271,6 +299,14 @@ DIFFERENTIAL_FILES = {
     "nul": b"0,1.5\n1,2\x005\n",
     "nul-unread": b"0,1.5,a\x00b\n1,2.5,c\n",
     "non-utf8": b"t,v\n0,1.5\n1,\xff\n",
+    "extra-field": b"0,1.5\n1,2.5,3\n2,3.5\n",
+    "short-first-row": b"0,1.5\n1,2.5,3\n2,3.5,4\n",
+    "utf8-header": "t,\u00e9\n0,1.5\n1,2.5\n".encode(),
+    "info-separator": b"0,\x1c1.5\n1,2.5\x1f\n",
+    "single-column-blank": b"1.5\n\n2.5\n",
+    "trailing-blank": b"t,v\n0,1.5\n1,2.5\n\n",
+    "wide-header": b"t,v,w\n0,1.5\n1,2.5\n",
+    "ragged-same-commas": b"0,1.5\n1\n2,2.5,3\n",
     "blocks": block_straddling_csv(bad_last=False),
     "blocks-bad-last": block_straddling_csv(bad_last=True),
 }
@@ -285,6 +321,25 @@ def test_load_series_matches_csv_reader(tmp_path, name, has_header):
         assert load_outcome(str(path), column, has_header) == reference_outcome(
             str(path), column, has_header
         ), column
+
+
+CSV_BYTES = [bytes([byte]) for byte in b'0123456789,\n.e- "\r\x1c'] + ["\u00e9".encode()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.lists(st.sampled_from(CSV_BYTES), max_size=60).map(b"".join),
+    block=st.sampled_from([1, 2, 5, timeseries._BLOCK]),
+)
+def test_drawn_files_match_csv_reader(tmp_path_factory, data, block):
+    path = tmp_path_factory.mktemp("drawn") / "drawn.csv"
+    path.write_bytes(data)
+    with mock.patch.object(timeseries, "_BLOCK", block):
+        for has_header in (False, True):
+            for column in (0, 1, 2):
+                assert load_outcome(str(path), column, has_header) == reference_outcome(
+                    str(path), column, has_header
+                ), (column, has_header)
 
 
 class TestSampleDifferences:
