@@ -158,29 +158,22 @@ def _run_downsample(args: argparse.Namespace) -> int:
 
 
 def _run_accelerate(args: argparse.Namespace) -> int:
-    if args.terms_file is not None:
-        if args.target is not None:
-            raise ValueError("--terms-file and --target are mutually exclusive")
-        if args.order is None:
-            raise ValueError("--terms-file requires --order")
-        if args.terms is not None:
-            raise ValueError("--terms-file takes --order, not --terms")
-        value = euler_transform(load_terms(args.terms_file), args.order)
-    elif args.target == "gamma":
-        if args.terms is None:
-            raise ValueError("--target gamma requires --terms")
-        if args.order is not None:
-            raise ValueError("--target gamma takes --terms, not --order")
+    if args.terms_file is not None and args.target is not None:
+        raise ValueError("--terms-file and --target are mutually exclusive")
+    if args.terms_file is None and args.target is None:
+        raise ValueError("choose --target gamma, --target ln2, or --terms-file")
+    mode = "--terms-file" if args.terms_file is not None else f"--target {args.target}"
+    count, other = ("terms", "order") if args.target == "gamma" else ("order", "terms")
+    if getattr(args, count) is None:
+        raise ValueError(f"{mode} requires --{count}")
+    if getattr(args, other) is not None:
+        raise ValueError(f"{mode} takes --{count}, not --{other}")
+    if args.target == "gamma":
         value = euler_mascheroni(args.terms)
     elif args.target == "ln2":
-        if args.order is None:
-            raise ValueError("--target ln2 requires --order")
-        if args.terms is not None:
-            raise ValueError("--target ln2 takes --order, not --terms")
-        terms = [1.0 / (k + 1) for k in range(args.order + 1)]
-        value = euler_transform(terms, args.order)
+        value = euler_transform([1.0 / (k + 1) for k in range(args.order + 1)], args.order)
     else:
-        raise ValueError("choose --target gamma, --target ln2, or --terms-file")
+        value = euler_transform(load_terms(args.terms_file), args.order)
     print(f"{value:.12g}")
     return 0
 

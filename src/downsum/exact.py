@@ -10,8 +10,9 @@ over ``d`` represent ``(n0 + n1*t + n2*t**2) / d``.  Trailing zero numerators
 are trimmed and the content ``gcd(d, n0, n1, ...)`` is divided out, so every
 polynomial has exactly one representation (the zero polynomial has no
 numerators and ``d = 1``).  Arithmetic and printing run on Python ints with
-one gcd per result; ``coeffs`` builds the ascending lowest-terms Fractions
-anew on each read.
+one gcd per result: every sum goes through ``_linear_combination`` and every
+product through ``_convolve``, the one row sum and the one row product.
+``coeffs`` builds the ascending lowest-terms Fractions anew on each read.
 
 A power series is a finite list of polynomial coefficients in a second,
 fully symbolic variable: ``coeffs[r]`` is a :class:`Polynomial` in ``x``
@@ -118,6 +119,16 @@ def _linear_combination(terms: Iterable[tuple[int, int, Sequence[int]]]) -> "Pol
         out.extend([0] * (len(num) - len(out)))
         out[:len(num)] = [o + factor * n for o, n in zip(out, num)]
     return Polynomial._from_ints(out, den)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The integer row of the product (a_0 + a_1 t + ...) * (b_0 + b_1 t + ...), untrimmed."""
+    width = len(b)
+    out = [0] * max(len(a) + width - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
+    return out
 
 
 def _horner(num: Sequence[int], p: int, q: int) -> tuple[int, int]:
@@ -266,25 +277,10 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _plus(self, num: Sequence[int], den: int) -> "Polynomial":
-        """self + num/den, over the least common denominator."""
-        a = self._num
-        g = gcd(self._den, den)
-        to_a, to_b = den // g, self._den // g
-        if to_a != 1:
-            a = [c * to_a for c in a]
-        if to_b != 1:
-            num = [c * to_b for c in num]
-        if len(a) < len(num):
-            a, num = num, a
-        out = [x + y for x, y in zip(a, num)]
-        out.extend(a[len(num):])
-        return Polynomial._from_ints(out, self._den * to_a)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._plus(other._num, other._den)
+        return _linear_combination([(1, self._den, self._num), (1, other._den, other._num)])
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._from_ints([-c for c in self._num], self._den)
@@ -292,19 +288,11 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._plus([-c for c in other._num], other._den)
+        return _linear_combination([(1, self._den, self._num), (-1, other._den, other._num)])
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            a, b = self._num, other._num
-            if not a or not b:
-                return Polynomial()
-            width = len(b)
-            out = [0] * (len(a) + width - 1)
-            for i, x in enumerate(a):
-                if x:
-                    out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
-            return Polynomial._from_ints(out, self._den * other._den)
+            return Polynomial._from_ints(_convolve(self._num, other._num), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             factor = other.numerator
             return Polynomial._from_ints(

@@ -22,16 +22,17 @@ Gregory number:
 Both come from P_r(y) = r! * [z^r] (z / log(1+z)) * (1+z)**y, whose y^k
 coefficient is the factor beside B_{r-k}: P_r(0) = r! * G_r, and
 P_r'(y) = r * (y)_{r-1}, the falling factorial, whose coefficients are
-the s(r-1, .).  So the family and the classical constants are all read off
-integer rows.  The Bernoulli numerators b_n = B_n * D, with D = 2 * (product
-of the primes p <= R+1), are integers by von Staudt-Clausen; the even ones
-come from the tangent numbers T_k (Brent and Harvey, arXiv:1108.0286) as
-b_{2k} = (-1)^(k-1) * 2k * T_k * D / (4^k * (4^k - 1)).  The Gregory
-numerators g_n = L * integral_0^1 (x)_n dx, with L = lcm(1..R+1), so that
-G_n = g_n / (n! * L), are the first entries of rows of falling-factorial
-moments L * integral_0^1 x^m (x)_n dx, each row read off the one before by
-(x)_{n+1} = (x)_n * (x - n).  Since r! * G_r = g_r / L and L is divisible
-by r-m, every w_r has integer numerators over the single denominator L * D.
+the s(r-1, .).  So the family is read off integer rows, and the classical
+constants off the family.  The Bernoulli numerators b_n = B_n * D, with
+D = 2 * (product of the primes p <= R+1), are integers by von Staudt-Clausen;
+the even ones come from the tangent numbers T_k (Brent and Harvey,
+arXiv:1108.0286) as b_{2k} = (-1)^(k-1) * 2k * T_k * D / (4^k * (4^k - 1)).
+The Gregory numerators g_n = L * integral_0^1 (x)_n dx, with L = lcm(1..R+1),
+so that G_n = g_n / (n! * L), are the first entries of rows of
+falling-factorial moments L * integral_0^1 x^m (x)_n dx, each row read off
+the one before by (x)_{n+1} = (x)_n * (x - n).  Since r! * G_r = g_r / L and
+L is divisible by r-m, every w_r has integer numerators over the single
+denominator L * D.
 
 At one fixed point x the R+1 values need no family.  Expanding the
 denominator of the generating function,
@@ -52,10 +53,9 @@ and an exact division by n+1.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb, factorial, isqrt, lcm, prod
 
-from .exact import Polynomial
+from .exact import Polynomial, _convolve, _linear_combination
 
 
 class CorrectionFamily:
@@ -128,15 +128,6 @@ def _gregory_numerators(max_order: int) -> tuple[int, list[int]]:
     return scale, g
 
 
-def _numerators(max_order: int) -> tuple[int, int, list[int], list[int]]:
-    """(L, D, b, g): the two denominators and the numerator rows b_0..b_R, g_0..g_R."""
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    scale, g = _gregory_numerators(max_order)
-    den = _bernoulli_denominator(max_order)
-    return scale, den, _bernoulli_numerators(max_order, den), g
-
-
 def _values_at(max_order: int, p: int, q: int, unit: bool = False) -> tuple[list[int], int]:
     """(F, L * D) with w_r(p/q) = F[r] / (L * D * q**r) for r <= R, or u_r with unit.
 
@@ -168,7 +159,11 @@ def correction_family(max_order: int) -> CorrectionFamily:
     and D * g_r for m = r; u_r has the same numerators in reverse order.
     The coefficient vanishes wherever r-m is odd and at least 3, with B_{r-m}.
     """
-    scale, den, b, g = _numerators(max_order)
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    scale, g = _gregory_numerators(max_order)
+    den = _bernoulli_denominator(max_order)
+    b = _bernoulli_numerators(max_order, den)
     scaled_b = [b[k] * (scale // k) if k else 0 for k in range(max_order + 1)]
     stirling = [1]  # s(r-1, 0..r-1), one row per order r >= 1
     weights, unit_weights = [], []
@@ -195,52 +190,45 @@ def classical_numbers(family: CorrectionFamily) -> CoefficientTable:
 
 
 def coefficient_table(max_order: int) -> CoefficientTable:
-    """Bernoulli and Gregory numbers B_0..B_R and G_0..G_R, without the family.
+    """Bernoulli and Gregory numbers B_0..B_R and G_0..G_R, read off the family.
 
-    The same integer numerators as :func:`correction_family`, with
-    B_n = b_n/D from the tangent numbers and G_n = g_n/(n! * L) from the
-    falling-factorial moment rows; no Stirling number is built.
+    The same as classical_numbers(correction_family(max_order)): the integer
+    Bernoulli and Gregory rows are built once, inside the family.
     """
-    scale, den, b, g = _numerators(max_order)
-    bernoulli = tuple(Fraction(n, den) for n in b)
-    gregory = []
-    n_factorial = 1
-    for n, numerator in enumerate(g):
-        n_factorial *= n or 1
-        gregory.append(Fraction(numerator, n_factorial * scale))
-    return CoefficientTable(bernoulli, tuple(gregory))
+    return classical_numbers(correction_family(max_order))
+
+
+def _recurrence_residual(weights: tuple, r: int, linear) -> Polynomial:
+    """sum_{k<r} C(r,k) * p_k(x) * weights[k] on integer rows, for 2 <= r < len(weights).
+
+    p_k is the product of the rows linear(c), c = j+1-r, for j = r-1 down to
+    k: (c, 1) builds (x)_{r-k} and (1, c) builds v_{r-k-1}.  Each term is one
+    _convolve, and one _linear_combination sums the terms.
+    """
+    if not 2 <= r < len(weights):
+        raise ValueError(f"order {r} outside 2..{len(weights) - 1}")
+    terms, running = [], [1]
+    for k in range(r - 1, -1, -1):
+        running = _convolve(running, linear(k + 1 - r))
+        terms.append((comb(r, k), weights[k]._den, _convolve(running, weights[k]._num)))
+    return _linear_combination(terms)
 
 
 def unit_weight_recurrence_residual(family: CorrectionFamily, r: int) -> Polynomial:
     """sum_{k=0}^{r-1} C(r,k) * (x)_{r-k} * u_k(x); zero for a correct family.
 
-    (x)_m = x(x-1)...(x-m+1), the falling factorial, gains one factor per
-    term as k runs down from r-1.
+    (x)_m = x(x-1)...(x-m+1) is the falling factorial; the shared
+    _recurrence_residual sums the terms.
     """
-    if not 2 <= r <= family.max_order:
-        raise ValueError(f"order {r} outside 2..{family.max_order}")
-    acc, falling = Polynomial(), Polynomial((1,))
-    for k in range(r - 1, -1, -1):
-        falling = falling * Polynomial((k + 1 - r, 1))  # (x)_{r-k}
-        acc = acc + comb(r, k) * falling * family.unit_weights[k]
-    return acc
+    return _recurrence_residual(family.unit_weights, r, lambda c: (c, 1))
 
 
 def weight_recurrence_residual(family: CorrectionFamily, r: int) -> Polynomial:
     """sum_{k=0}^{r-1} C(r,k) * v_{r-k-1}(x) * w_k(x); zero for a correct family.
 
-    v_j(x) = (1-x)(1-2x)...(1-jx), the reversal of (x-1)(x-2)...(x-j) and 1
-    for j = 0, gains one factor per term as k runs down from r-1.
-
-    The index r-k-1 (rather than r-k) is forced by substituting the
-    reversal relation u_r(x) = x^r w_r(1/x) into the unit-weight recurrence;
-    the off-by-one variant already fails at r = 2, which the test suite
-    demonstrates explicitly.
+    v_j(x) = (1-x)(1-2x)...(1-jx) is the reversal of (x-1)(x-2)...(x-j); the
+    shared _recurrence_residual sums the terms.  Substituting u_r(x) =
+    x^r w_r(1/x) into the unit-weight recurrence forces the index r-k-1:
+    the variant with r-k already fails at r = 2, as a test shows.
     """
-    if not 2 <= r <= family.max_order:
-        raise ValueError(f"order {r} outside 2..{family.max_order}")
-    acc, reversed_falling = Polynomial(), Polynomial((1,))
-    for k in range(r - 1, -1, -1):
-        reversed_falling = reversed_falling * Polynomial((1, k + 1 - r))  # v_{r-k-1}
-        acc = acc + comb(r, k) * reversed_falling * family.weights[k]
-    return acc
+    return _recurrence_residual(family.weights, r, lambda c: (1, c))

@@ -779,6 +779,25 @@ class TestAccelerate:
         assert code == 2
         assert "ValueError" in err
 
+    @pytest.mark.parametrize("options, message", [
+        ([], "choose --target gamma, --target ln2, or --terms-file"),
+        (["--terms-file", "t.txt", "--target", "gamma"],
+         "--terms-file and --target are mutually exclusive"),
+        (["--terms-file", "t.txt"], "--terms-file requires --order"),
+        (["--target", "gamma"], "--target gamma requires --terms"),
+        (["--target", "ln2"], "--target ln2 requires --order"),
+        (["--terms-file", "t.txt", "--order", "3", "--terms", "3"],
+         "--terms-file takes --order, not --terms"),
+        (["--target", "gamma", "--terms", "3", "--order", "3"],
+         "--target gamma takes --terms, not --order"),
+        (["--target", "ln2", "--order", "3", "--terms", "3"],
+         "--target ln2 takes --order, not --terms"),
+    ])
+    def test_mode_errors_are_pinned(self, capsys, options, message):
+        """The file is never opened: the mode is checked before any load."""
+        code, out, err = run(capsys, "accelerate", *options)
+        assert (code, out, err) == (2, "", f"downsum: ValueError: {message}\n")
+
 
 class TestParsing:
     def test_unknown_flag(self, capsys):

@@ -24,7 +24,6 @@ from downsum import (
     CorrectionFamily,
     Polynomial,
     PowerSeries,
-    classical_numbers,
     coefficient_table,
     correction_family,
     unit_weight_recurrence_residual,
@@ -77,19 +76,40 @@ def reversal(w, degree):
     return P(reversed(padded))
 
 
+def _ref_add(a, b):
+    """Sum of two ascending Fraction lists, untrimmed."""
+    width = max(len(a), len(b))
+    return [x + y for x, y in zip(a + [Fr(0)] * (width - len(a)), b + [Fr(0)] * (width - len(b)))]
+
+
+def _ref_mul(a, b):
+    """Product of two ascending Fraction lists, untrimmed."""
+    out = [Fr(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
 def falling_factorial(m):
-    """x(x-1)(x-2)...(x-m+1) multiplied out; 1 for m = 0."""
-    result = P([1])
+    """x(x-1)(x-2)...(x-m+1) multiplied out, as a Fraction list; [1] for m = 0."""
+    result = [Fr(1)]
     for l in range(m):
-        result = result * P([-l, 1])
+        result = _ref_mul(result, [Fr(-l), Fr(1)])
     return result
 
 
 def reversed_falling_factorial(j):
-    """(1-x)(1-2x)...(1-jx) multiplied out; 1 for j = 0."""
-    result = P([1])
+    """(1-x)(1-2x)...(1-jx) multiplied out, as a Fraction list; [1] for j = 0."""
+    result = [Fr(1)]
     for l in range(1, j + 1):
-        result = result * P([1, -l])
+        result = _ref_mul(result, [Fr(1), Fr(-l)])
     return result
 
 
@@ -300,18 +320,6 @@ class TestClassicalNumbers:
         assert constants20.gregory[2] == Fr(-1, 12)
         assert constants20.gregory[3] == Fr(1, 24)
 
-    def test_scalar_route_agrees_with_family_route(self, family20):
-        """The table and the family's constant terms agree.
-
-        Both routes read the same integer Bernoulli and Gregory rows, so
-        this checks the read-off (B_r = w_r(0), G_r = u_r(0)/r!), not the
-        rows; test_table_against_recurrences checks those independently.
-        """
-        scalar = coefficient_table(20)
-        via_family = classical_numbers(family20)
-        assert scalar.bernoulli == via_family.bernoulli
-        assert scalar.gregory == via_family.gregory
-
     def test_scalar_route_max_order(self):
         table = coefficient_table(3)
         assert len(table.bernoulli) == len(table.gregory) == 4
@@ -364,7 +372,7 @@ class TestRecurrences:
         """
         acc = Polynomial()
         for k in range(2):
-            acc = acc + comb(2, k) * reversed_falling_factorial(2 - k) * family20.weights[k]
+            acc = acc + comb(2, k) * P(reversed_falling_factorial(2 - k)) * family20.weights[k]
         assert acc == P([0, -1, 1])
         assert not acc.is_zero
 
@@ -383,22 +391,32 @@ class TestRecurrences:
 
     def test_residuals_match_termwise_sums(self, family20):
         """On families with every member perturbed, both residuals equal their
-        sums written out term by term, each product multiplied out anew."""
+        sums written out term by term on Fraction lists, each product
+        multiplied out anew; orders 2 and 3 reach the top order r = max_order."""
         rng = random.Random(19)
 
         def perturbed(polys):
-            noise = [P([Fr(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)]) for _ in polys]
-            return tuple(p + e for p, e in zip(polys, noise))
+            noise = [[Fr(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)] for _ in polys]
+            return tuple(P(_ref_add(list(p.coeffs), e)) for p, e in zip(polys, noise))
 
-        for _ in range(3):
-            corrupted = CorrectionFamily(20, perturbed(family20.weights), perturbed(family20.unit_weights))
-            for r in range(2, 21):
-                unit, primary = Polynomial(), Polynomial()
-                for k in range(r):
-                    unit = unit + comb(r, k) * falling_factorial(r - k) * corrupted.unit_weights[k]
-                    primary = primary + comb(r, k) * reversed_falling_factorial(r - k - 1) * corrupted.weights[k]
-                assert unit_weight_recurrence_residual(corrupted, r) == unit, r
-                assert weight_recurrence_residual(corrupted, r) == primary, r
+        def termwise(weights, r, row):
+            total = []
+            for k in range(r):
+                term = _ref_mul(row(k), list(weights[k].coeffs))
+                total = _ref_add(total, [comb(r, k) * c for c in term])
+            return _trim(total)
+
+        for max_order in [20, 20, 20, 2, 3]:
+            corrupted = CorrectionFamily(
+                max_order,
+                perturbed(family20.weights[: max_order + 1]),
+                perturbed(family20.unit_weights[: max_order + 1]),
+            )
+            for r in range(2, max_order + 1):
+                unit = termwise(corrupted.unit_weights, r, lambda k: falling_factorial(r - k))
+                primary = termwise(corrupted.weights, r, lambda k: reversed_falling_factorial(r - k - 1))
+                assert list(unit_weight_recurrence_residual(corrupted, r).coeffs) == unit, (max_order, r)
+                assert list(weight_recurrence_residual(corrupted, r).coeffs) == primary, (max_order, r)
 
     def test_out_of_range_order(self, family20):
         with pytest.raises(ValueError):
@@ -414,7 +432,7 @@ class TestRecurrences:
         for r in range(2, 22):
             acc = Polynomial()
             for k in range(r - 1):
-                acc = acc + comb(r, k) * falling_factorial(r - k) * rebuilt[k]
+                acc = acc + comb(r, k) * P(falling_factorial(r - k)) * rebuilt[k]
             assert acc.coefficient(0) == 0  # so dividing by r*x is exact
             top = -Polynomial(acc.coeffs[1:]) / r
             rebuilt.append(top)
