@@ -23,7 +23,6 @@ from .sumcalc import (
     alternating_residual,
     downsampled_sum,
     euler_maclaurin_residual,
-    forward_difference,
     gregory_residual,
     indefinite_sum,
     random_polynomial,
@@ -62,7 +61,6 @@ __all__ = [
     "alternating_residual",
     "downsampled_sum",
     "euler_maclaurin_residual",
-    "forward_difference",
     "gregory_residual",
     "indefinite_sum",
     "random_polynomial",

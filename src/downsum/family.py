@@ -113,8 +113,8 @@ def _bernoulli_numerators(max_order: int, den: int) -> list[int]:
     return b[: max_order + 1]
 
 
-def _gregory_numerators(max_order: int) -> tuple[int, list[int]]:
-    """(L, g) with L = lcm(1..R+1) and g_n = L * integral_0^1 (x)_n dx for n <= R.
+def _gregory_numerators(max_order: int) -> tuple[list[int], int]:
+    """(g, L) with g_n = L * integral_0^1 (x)_n dx for n <= R and L = lcm(1..R+1).
 
     row[m] holds L * integral_0^1 x^m (x)_n dx; (x)_{n+1} = (x)_n * (x - n)
     turns it into the next row, one entry shorter.  G_n = g_n / (n! * L).
@@ -125,7 +125,7 @@ def _gregory_numerators(max_order: int) -> tuple[int, list[int]]:
     for n in range(max_order):
         row = [b - n * a for a, b in zip(row, row[1:])]
         g.append(row[0])
-    return scale, g
+    return g, scale
 
 
 def _values_at(max_order: int, p: int, q: int, unit: bool = False) -> tuple[list[int], int]:
@@ -161,7 +161,7 @@ def correction_family(max_order: int) -> CorrectionFamily:
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    scale, g = _gregory_numerators(max_order)
+    g, scale = _gregory_numerators(max_order)
     den = _bernoulli_denominator(max_order)
     b = _bernoulli_numerators(max_order, den)
     scaled_b = [b[k] * (scale // k) if k else 0 for k in range(max_order + 1)]

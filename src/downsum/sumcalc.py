@@ -21,10 +21,10 @@ evaluation points.
 Everything runs on the integer-numerator layout of :mod:`downsum.exact`.
 The indefinite and the downsampled sum are both Newton's forward-difference
 formula, at steps 1 and x, read off one table of integer step-x difference
-quotients over one denominator (see ``forward_difference``); the same table
-gives the difference spans of the identities.  A weight value at x is one
-integer Horner pass, kept as a numerator/denominator pair.  Each residual
-is a single linear combination of these integer pieces: one common
+quotients over one denominator (see ``exact._forward_differences``); the
+same table gives the difference spans of the identities.  A weight value at
+x is one integer Horner pass, kept as a numerator/denominator pair.  Each
+residual is a single linear combination of these integer pieces: one common
 denominator, integer accumulation and one normalisation.
 """
 
@@ -38,25 +38,6 @@ from math import factorial
 from .errors import DownsumError
 from .exact import Polynomial, Scalar, _forward_differences, _horner, _linear_combination
 from .family import CorrectionFamily, correction_family
-
-
-def forward_difference(f: Polynomial, step: Scalar, order: int) -> Polynomial:
-    """order-fold forward difference of f with the given step.
-
-    D_x f(t) = f(t+x) - f(t); order 0 is the identity.  Each application
-    drops the degree by one, so the result is zero once order > deg f.
-    The orders run on the integer difference quotients D_x^k f / x^k of
-    _forward_differences; the result is order k times x^k = a^k / b^k,
-    normalised once.
-    """
-    if order < 0:
-        raise ValueError("difference order must be >= 0")
-    if order > f.degree:
-        return Polynomial()
-    step = Fraction(step)
-    a, b = step.numerator, step.denominator
-    differences, den = _forward_differences(f, step, order + 1)
-    return Polynomial._from_ints([c * a**order for c in differences[order]], den * b**order)
 
 
 def _newton_sum(
@@ -116,11 +97,12 @@ def step_identity_residuals(
     scaled_difference_residual and unit_difference_residual.  The two
     identities share the gap indefinite_sum(f) - downsampled_sum(f, x) up
     to sign.  One table of step-x difference quotients per step (see
-    forward_difference), the unit one built once per call and reused at
-    x = 1, gives both the sum (Newton's formula, δ_m(0)) and the spans
-    δ_{r-1}(n) - δ_{r-1}(0) (the quotients without their constant terms).
-    At x = 0 the sum is the integral and the quotients are derivatives, so
-    the two are the Euler–Maclaurin and the Gregory residuals.
+    exact._forward_differences), the unit one built once per call and
+    reused at x = 1, gives both the sum (Newton's formula, δ_m(0)) and the
+    spans δ_{r-1}(n) - δ_{r-1}(0) (the quotients without their constant
+    terms).  At x = 0 the sum is the integral and the quotients are
+    derivatives, so the two are the Euler–Maclaurin and the Gregory
+    residuals.
 
     Everything stays on integers.  The weight values come from integer
     Horner on the weight numerators: for x = a/b, w_r(x) = h_r / (e_r * b^deg),

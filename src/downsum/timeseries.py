@@ -250,16 +250,16 @@ def _corrected_sums(
         )
 
 
-def _step_weights(x: int, order: int) -> Iterator[float]:
-    """float(w_r(x)/(r! * x^(r-1))) for r = 1..order, once the first is asked for.
-
-    With w_r(x) = F_r / (L * D) from family._values_at, each is one correctly
-    rounded int division F_r / (L * D * r! * x^(r-1)).
-    """
-    values, den = _values_at(order, x, 1)
-    for r in range(1, order + 1):
-        yield values[r] / den
+def _float_weights(numerators: Sequence[int], den: int, x: int) -> Iterator[float]:
+    """numerators[r] / (den * r! * x^(r-1)) for r >= 1, one correctly rounded int division each."""
+    for r in range(1, len(numerators)):
+        yield numerators[r] / den
         den *= (r + 1) * x
+
+
+def _step_weights(x: int, order: int) -> Iterator[float]:
+    """float(w_r(x)/(r! * x^(r-1))) for r = 1..order, w_r(x) = F_r / (L * D) from _values_at."""
+    return _float_weights(*_values_at(order, x, 1), x)
 
 
 def corrected_sum(s: Sequence[float], t0: int, n: int, x: int, order: int) -> float:
@@ -328,17 +328,8 @@ def euler_transform(terms: Sequence[float], order: int) -> float:
 
 
 def _gregory_floats(order: int) -> Iterator[float]:
-    """float(G_r) for r = 1..order, from the Gregory numerators alone.
-
-    Only the g_r of the family's integer rows are built, and
-    G_r = g_r / (r! * L) is one correctly rounded int division, the value
-    float(G_r) has.  order must be >= 0.
-    """
-    scale, numerators = _gregory_numerators(order)
-    r_factorial = 1
-    for r, g in enumerate(numerators[1:], 1):
-        r_factorial *= r
-        yield g / (r_factorial * scale)
+    """float(G_r) = g_r / (r! * L) for r = 1..order, from the Gregory numerators alone."""
+    return _float_weights(*_gregory_numerators(order), 1)
 
 
 def euler_mascheroni(n_terms: int) -> float:

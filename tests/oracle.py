@@ -1,0 +1,107 @@
+"""Fraction-list oracles for the exact layer.
+
+A polynomial here is a plain list of ascending Fraction coefficients, with
+trailing zeros trimmed.  Nothing here imports ``downsum``: every routine is
+the textbook definition written out term by term, so a test that builds its
+expected value from these never re-runs the integer kernels it checks.
+
+- Arithmetic: ``combination`` (a sum of scalar multiples), ``mul``,
+  ``value``, ``shift`` (binomial expansion of p(t + step)), ``derivative``,
+  ``antiderivative`` and ``difference`` (the binomial sum of shifts).
+- Rows: the falling factorial (x)_m and its reversal (1-x)(1-2x)...(1-jx).
+- Constants: Bernoulli numbers from ``sum_{j<=m} C(m+1, j) B_j = 0`` (so
+  ``B_1 = -1/2``) and Gregory coefficients from the series of z/log(1+z).
+"""
+
+from fractions import Fraction
+from math import comb
+
+
+def trim(coeffs):
+    """The coefficients as Fractions, trailing zeros removed."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def combination(terms):
+    """sum c * a over the (c, a) pairs, a a coefficient list."""
+    out = []
+    for c, a in terms:
+        out += [Fraction(0)] * (len(a) - len(out))
+        for i, x in enumerate(a):
+            out[i] += c * x
+    return trim(out)
+
+
+def mul(a, b):
+    """The product of two coefficient lists, one term at a time."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out)
+
+
+def value(a, at):
+    """a(at), summed term by term."""
+    return sum((c * at**i for i, c in enumerate(a)), Fraction(0))
+
+
+def shift(a, step):
+    """a(t + step), each power expanded by the binomial theorem."""
+    out = [Fraction(0)] * len(a)
+    for i, c in enumerate(a):
+        for j in range(i + 1):
+            out[j] += c * comb(i, j) * Fraction(step) ** (i - j)
+    return trim(out)
+
+
+def derivative(a):
+    return trim(i * c for i, c in enumerate(a))[1:]
+
+
+def antiderivative(a):
+    """The antiderivative with zero constant term."""
+    return trim([0] + [Fraction(c) / (i + 1) for i, c in enumerate(a)])
+
+
+def difference(a, step, order):
+    """The order-fold step difference sum_j (-1)^(order-j) C(order, j) a(t + j*step)."""
+    return combination(
+        ((-1) ** (order - j) * comb(order, j), shift(a, j * step)) for j in range(order + 1)
+    )
+
+
+def falling_factorial(m):
+    """x(x-1)...(x-m+1) multiplied out; [1] for m = 0."""
+    row = [Fraction(1)]
+    for l in range(m):
+        row = mul(row, [-l, 1])
+    return row
+
+
+def reversed_falling_factorial(j):
+    """(1-x)(1-2x)...(1-jx) multiplied out; [1] for j = 0."""
+    row = [Fraction(1)]
+    for l in range(1, j + 1):
+        row = mul(row, [1, -l])
+    return row
+
+
+def bernoulli(count):
+    """B_0..B_count by the recurrence sum_{j<=m} C(m+1, j) B_j = 0."""
+    values = [Fraction(1)]
+    for m in range(1, count + 1):
+        values.append(-sum(comb(m + 1, j) * values[j] for j in range(m)) / (m + 1))
+    return values
+
+
+def gregory(count):
+    """G_0..G_count, the series coefficients of z/log(1+z)."""
+    log_over_z = [Fraction((-1) ** m, m + 1) for m in range(count + 1)]
+    values = [Fraction(1)]
+    for n in range(1, count + 1):
+        values.append(-sum(log_over_z[k] * values[n - k] for k in range(1, n + 1)))
+    return values

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, one verdict line each.
 
-Every oracle used here is computed inside this file (classical Bernoulli
-recurrence, direct expansion of z/log(1+z), closed-form formulas, literal
-sums) so a pass never relies on the code under test agreeing with itself.
+Every oracle used here is computed in the tests, without the package
+(classical Bernoulli recurrence and direct expansion of z/log(1+z) from
+tests/oracle.py, closed-form formulas, literal sums), so a pass never relies
+on the code under test agreeing with itself.
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 verdict lines on passing runs too).
 """
@@ -10,7 +11,7 @@ verdict lines on passing runs too).
 import random
 import time
 from fractions import Fraction as Fr
-from math import comb, factorial, log
+from math import factorial, log
 
 import pytest
 
@@ -32,27 +33,14 @@ from downsum import (
     weight_recurrence_residual,
 )
 
+from . import oracle
+
 P = Polynomial
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
     print(f"[criterion {number}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {number}: {detail}"
-
-
-def bernoulli_oracle(count):
-    values = [Fr(1)]
-    for m in range(1, count + 1):
-        values.append(-sum(comb(m + 1, j) * values[j] for j in range(m)) / (m + 1))
-    return values
-
-
-def gregory_oracle(count):
-    log_over_z = [Fr((-1) ** m, m + 1) for m in range(count + 1)]
-    values = [Fr(1)]
-    for n in range(1, count + 1):
-        values.append(-sum(log_over_z[k] * values[n - k] for k in range(1, n + 1)))
-    return values
 
 
 def test_criterion_1_first_weights_reproduced():
@@ -77,9 +65,9 @@ def test_criterion_1_first_weights_reproduced():
     # constant term = B_6 (Bernoulli recurrence), value at 2 = the
     # central-binomial closed form, leading coefficient = 6! * G_6.
     expected_sixth = P([Fr(1, 42), 0, Fr(-7, 4), 0, 12, 0, Fr(-863, 84)])
-    assert expected_sixth.coefficient(0) == bernoulli_oracle(6)[6]
+    assert expected_sixth.coefficient(0) == oracle.bernoulli(6)[6]
     assert expected_sixth(Fr(2)) == Fr(factorial(12), (1 - 12) * factorial(6) * 2 ** 7)
-    assert expected_sixth.coefficient(6) == factorial(6) * gregory_oracle(6)[6]
+    assert expected_sixth.coefficient(6) == factorial(6) * oracle.gregory(6)[6]
 
     start = time.perf_counter()
     family = correction_family(6)
@@ -98,8 +86,8 @@ def test_criterion_1_first_weights_reproduced():
 
 def test_criterion_2_classical_constants(family20, constants20):
     """B_r (r<=20) and G_r (r<=10) match independent oracles, exactly."""
-    bernoulli = bernoulli_oracle(20)
-    gregory = gregory_oracle(10)
+    bernoulli = oracle.bernoulli(20)
+    gregory = oracle.gregory(10)
     ok = (
         all(constants20.bernoulli[r] == bernoulli[r] for r in range(21))
         and all(constants20.gregory[r] == gregory[r] for r in range(11))
@@ -126,7 +114,7 @@ def test_criterion_3_closed_forms(family20):
 
 def test_criterion_4_structure(family20):
     """Evenness, both recurrences, and the leading-coefficient law, timed."""
-    gregory = gregory_oracle(20)
+    gregory = oracle.gregory(20)
     start = time.perf_counter()
     ok = True
     for r in range(2, 21):

@@ -4,8 +4,8 @@ The library builds the family and the constants from one closed form over
 integer Bernoulli (tangent-number), Gregory (falling-factorial moment) and
 Stirling rows.  The oracles below share no code with it: the first seven
 weights written out longhand, the Bernoulli recurrence, the series expansion
-of z/log(1+z), (x)_n multiplied out as a Polynomial product, the
-Gregory-Stirling convolution the closed form collapses, the generating
+of z/log(1+z) and (x)_n multiplied out on Fraction lists (tests/oracle.py),
+the Gregory-Stirling convolution the closed form collapses, the generating
 function itself expanded as power series (log, then exp, then reciprocal),
 and its value at x = 1/k, where it is the reciprocal of a degree k-1
 polynomial in z.  The values at a point read off the fixed-point recurrence
@@ -31,6 +31,8 @@ from downsum import (
 )
 from downsum.family import _gregory_numerators, _values_at
 
+from . import oracle
+
 P = Polynomial
 
 # w_0 .. w_5 and their reversals, written out longhand.
@@ -52,65 +54,10 @@ KNOWN_UNIT_WEIGHTS = [
 ]
 
 
-def bernoulli_by_recurrence(count):
-    """B_0..B_count via sum_{j<m} C(m+1,j) B_j = -(m+1) B_m."""
-    values = [Fr(1)]
-    for m in range(1, count + 1):
-        acc = sum(comb(m + 1, j) * values[j] for j in range(m))
-        values.append(-acc / (m + 1))
-    return values
-
-
-def gregory_by_expansion(count):
-    """G_0..G_count as the series coefficients of z/log(1+z)."""
-    log_over_z = [Fr((-1) ** m, m + 1) for m in range(count + 1)]
-    values = [Fr(1)]
-    for n in range(1, count + 1):
-        values.append(-sum(log_over_z[k] * values[n - k] for k in range(1, n + 1)))
-    return values
-
-
 def reversal(w, degree):
     """x^degree * w(1/x), the coefficients of w reversed at degree >= deg w."""
     padded = list(w.coeffs) + [Fr(0)] * (degree + 1 - len(w.coeffs))
     return P(reversed(padded))
-
-
-def _ref_add(a, b):
-    """Sum of two ascending Fraction lists, untrimmed."""
-    width = max(len(a), len(b))
-    return [x + y for x, y in zip(a + [Fr(0)] * (width - len(a)), b + [Fr(0)] * (width - len(b)))]
-
-
-def _ref_mul(a, b):
-    """Product of two ascending Fraction lists, untrimmed."""
-    out = [Fr(0)] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return coeffs
-
-
-def falling_factorial(m):
-    """x(x-1)(x-2)...(x-m+1) multiplied out, as a Fraction list; [1] for m = 0."""
-    result = [Fr(1)]
-    for l in range(m):
-        result = _ref_mul(result, [Fr(-l), Fr(1)])
-    return result
-
-
-def reversed_falling_factorial(j):
-    """(1-x)(1-2x)...(1-jx) multiplied out, as a Fraction list; [1] for j = 0."""
-    result = [Fr(1)]
-    for l in range(1, j + 1):
-        result = _ref_mul(result, [Fr(1), Fr(-l)])
-    return result
 
 
 def family_by_series(max_order):
@@ -133,15 +80,11 @@ def family_by_convolution(max_order):
     """w_0..w_R from [x^m] w_r = B_{r-m} * sum_{j<=m} (r)_j * G_j * s(r-j, r-m).
 
     The Stirling numbers s(n, k) are the coefficients of (x)_n multiplied
-    out as a Polynomial product of the (x - l).
+    out on Fraction lists.
     """
-    bernoulli = bernoulli_by_recurrence(max_order)
-    gregory = gregory_by_expansion(max_order)
-    stirling = [(Fr(1),)]
-    falling = P([1])
-    for n in range(max_order):
-        falling = falling * P([-n, 1])
-        stirling.append(falling.coeffs)
+    bernoulli = oracle.bernoulli(max_order)
+    gregory = oracle.gregory(max_order)
+    stirling = [oracle.falling_factorial(n) for n in range(max_order + 1)]
     weights = []
     for r in range(max_order + 1):
         weighted = [perm(r, j) * gregory[j] for j in range(r + 1)]
@@ -185,9 +128,9 @@ class TestGeneration:
         """
         w6 = family20.weights[6]
         assert w6 == P([Fr(1, 42), 0, Fr(-7, 4), 0, 12, 0, Fr(-863, 84)])
-        assert w6.coefficient(0) == bernoulli_by_recurrence(6)[6] == Fr(1, 42)
+        assert w6.coefficient(0) == oracle.bernoulli(6)[6] == Fr(1, 42)
         assert w6(Fr(2)) == Fr((-1) ** 6 * factorial(12), (1 - 12) * factorial(6) * 2 ** 7)
-        assert w6.coefficient(6) == factorial(6) * gregory_by_expansion(6)[6]
+        assert w6.coefficient(6) == factorial(6) * oracle.gregory(6)[6]
 
     def test_matches_series_expansion(self):
         weights, unit_weights = family_by_series(30)
@@ -301,8 +244,8 @@ class TestStructure:
                 assert u(x) == x ** r * w(1 / x)
 
     def test_constant_and_leading_duality(self, family20, constants20):
-        gregory = gregory_by_expansion(20)
-        bernoulli = bernoulli_by_recurrence(20)
+        gregory = oracle.gregory(20)
+        bernoulli = oracle.bernoulli(20)
         for r in range(21):
             assert family20.weights[r].coefficient(0) == bernoulli[r]
             assert family20.weights[r].coefficient(r) == factorial(r) * gregory[r]
@@ -329,8 +272,8 @@ class TestClassicalNumbers:
     def test_table_against_recurrences(self):
         """Every R in 0..9 (R//2 in {0, 1} and odd R), 120, and 221, one past
         the largest gamma order the benchmark asks for."""
-        bernoulli = bernoulli_by_recurrence(221)
-        gregory = gregory_by_expansion(221)
+        bernoulli = oracle.bernoulli(221)
+        gregory = oracle.gregory(221)
         for max_order in [*range(10), 120, 221]:
             table = coefficient_table(max_order)
             assert list(table.bernoulli) == bernoulli[: max_order + 1], max_order
@@ -339,13 +282,12 @@ class TestClassicalNumbers:
     def test_gregory_numerators_are_falling_factorial_moments(self):
         """g_n = L * sum_k s(n,k)/(k+1), with s(n,k) the coefficients of (x)_n."""
         max_order = 41
-        scale, g = _gregory_numerators(max_order)
+        g, scale = _gregory_numerators(max_order)
         assert scale == lcm(*range(1, max_order + 2))
         assert len(g) == max_order + 1
-        falling = P([1])
         for n in range(max_order + 1):
-            assert g[n] == scale * sum(c / (k + 1) for k, c in enumerate(falling.coeffs)), n
-            falling = falling * P([-n, 1])
+            falling = oracle.falling_factorial(n)
+            assert g[n] == scale * sum(c / (k + 1) for k, c in enumerate(falling)), n
 
 
 class TestRecurrences:
@@ -370,11 +312,11 @@ class TestRecurrences:
         conventions for the primary-family recurrence: the shifted variant
         leaves x^2 - x at r = 2.
         """
-        acc = Polynomial()
-        for k in range(2):
-            acc = acc + comb(2, k) * P(reversed_falling_factorial(2 - k)) * family20.weights[k]
-        assert acc == P([0, -1, 1])
-        assert not acc.is_zero
+        acc = oracle.combination(
+            (comb(2, k), oracle.mul(oracle.reversed_falling_factorial(2 - k), w.coeffs))
+            for k, w in enumerate(family20.weights[:2])
+        )
+        assert acc == [0, -1, 1]
 
     def test_mutation_detector(self, family20):
         corrupted = CorrectionFamily(
@@ -382,7 +324,7 @@ class TestRecurrences:
             family20.weights[:3],
             (
                 family20.unit_weights[0],
-                -family20.unit_weights[1],  # +(x-1)/2 instead of -(x-1)/2
+                P([-c for c in family20.unit_weights[1].coeffs]),  # +(x-1)/2 instead of -(x-1)/2
                 family20.unit_weights[2],
             ),
         )
@@ -397,14 +339,12 @@ class TestRecurrences:
 
         def perturbed(polys):
             noise = [[Fr(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)] for _ in polys]
-            return tuple(P(_ref_add(list(p.coeffs), e)) for p, e in zip(polys, noise))
+            return tuple(P(oracle.combination([(1, p.coeffs), (1, e)])) for p, e in zip(polys, noise))
 
         def termwise(weights, r, row):
-            total = []
-            for k in range(r):
-                term = _ref_mul(row(k), list(weights[k].coeffs))
-                total = _ref_add(total, [comb(r, k) * c for c in term])
-            return _trim(total)
+            return oracle.combination(
+                (comb(r, k), oracle.mul(row(k), weights[k].coeffs)) for k in range(r)
+            )
 
         for max_order in [20, 20, 20, 2, 3]:
             corrupted = CorrectionFamily(
@@ -413,8 +353,10 @@ class TestRecurrences:
                 perturbed(family20.unit_weights[: max_order + 1]),
             )
             for r in range(2, max_order + 1):
-                unit = termwise(corrupted.unit_weights, r, lambda k: falling_factorial(r - k))
-                primary = termwise(corrupted.weights, r, lambda k: reversed_falling_factorial(r - k - 1))
+                unit = termwise(corrupted.unit_weights, r, lambda k: oracle.falling_factorial(r - k))
+                primary = termwise(
+                    corrupted.weights, r, lambda k: oracle.reversed_falling_factorial(r - k - 1)
+                )
                 assert list(unit_weight_recurrence_residual(corrupted, r).coeffs) == unit, (max_order, r)
                 assert list(weight_recurrence_residual(corrupted, r).coeffs) == primary, (max_order, r)
 
@@ -428,16 +370,16 @@ class TestRecurrences:
         """Solving the unit-weight recurrence for its top term reproduces
         the generating-function output, order by order, with the division
         by r*x required to be exact."""
-        rebuilt = [Polynomial([1])]
+        rebuilt = [[1]]
         for r in range(2, 22):
-            acc = Polynomial()
-            for k in range(r - 1):
-                acc = acc + comb(r, k) * P(falling_factorial(r - k)) * rebuilt[k]
-            assert acc.coefficient(0) == 0  # so dividing by r*x is exact
-            top = -Polynomial(acc.coeffs[1:]) / r
-            rebuilt.append(top)
+            acc = oracle.combination(
+                (comb(r, k), oracle.mul(oracle.falling_factorial(r - k), rebuilt[k]))
+                for k in range(r - 1)
+            )
+            assert acc[0] == 0  # so dividing by r*x is exact
+            rebuilt.append([-c / r for c in acc[1:]])
         for r in range(21):
-            assert rebuilt[r] == family20.unit_weights[r], r
+            assert list(family20.unit_weights[r].coeffs) == rebuilt[r], r
 
 
 class TestSpecialValues:
@@ -477,7 +419,7 @@ class TestRootCounting:
         assert certified_roots(p, Fr(-1), Fr(1), 8) == 2
 
     def test_root_just_past_endpoint(self, certified_roots):
-        p = P([-1, 1]) * P([-(1 + Fr(1, 2048)), 1])  # roots at 1 and 1 + 1/2048
+        p = P(oracle.mul([-1, 1], [-(1 + Fr(1, 2048)), 1]))  # roots at 1 and 1 + 1/2048
         assert certified_roots(p, Fr(0), Fr(1), 8) == 1
         assert certified_roots(p, Fr(1), Fr(2), 2048) == 2
         assert certified_roots(p, 1 + Fr(1, 2048), Fr(2), 8) == 1
@@ -486,21 +428,20 @@ class TestRootCounting:
         assert certified_roots(p, Fr(1), Fr(2), 8) == 1
 
     def test_multiple_roots_counted_once(self, certified_roots):
-        p = P([Fr(-1, 2), 1]) * P([Fr(-1, 2), 1]) * P([2, 1])
+        p = P(oracle.mul(oracle.mul([Fr(-1, 2), 1], [Fr(-1, 2), 1]), [2, 1]))
         assert certified_roots(p, Fr(0), Fr(1), 4) == 1
 
     def test_constant_has_no_roots(self, certified_roots):
         assert certified_roots(P([5]), Fr(-1), Fr(1), 8) == 0
 
     def test_against_constructed_roots(self, certified_roots):
-        import random
-
         rng = random.Random(2024)
         for _ in range(20):
             roots = rng.sample(range(-8, 9), rng.randint(1, 5))
-            p = P([1])
+            row = [1]
             for root in roots:
-                p = p * P([-root, 1])
+                row = oracle.mul(row, [-root, 1])
+            p = P(row)
             # A step of 1/4 from a half-integer makes every integer a grid point.
             assert certified_roots(p, Fr(-17, 2), Fr(17, 2), 68) == len(roots)
             inside = [root for root in roots if -Fr(5, 2) < root < Fr(5, 2)]

@@ -25,6 +25,7 @@ import downsum.cli  # noqa: F401  (every downsum module is loaded before the sna
 from downsum import DownsumError
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ORACLE = Path(__file__).resolve().parent / "oracle.py"
 PACKAGE = Path(downsum.__file__).resolve().parent
 
 
@@ -71,6 +72,32 @@ def test_no_raise_escapes_the_cli():
                 if not issubclass(raised, exit_two):
                     escaping.append(f"{path.name}:{node.lineno} {name}")
     assert not escaping
+
+
+def test_no_public_name_is_defined_in_two_modules():
+    """Each public function or class has one home module: the same name
+    defined in two would be two spellings of one computation, or two
+    computations under one name."""
+    homes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                homes.setdefault(node.name, []).append(path.name)
+    assert {name: files for name, files in homes.items() if len(files) > 1} == {}
+
+
+def test_test_oracle_imports_only_the_standard_library():
+    """tests/oracle.py imports nothing from downsum, directly or through
+    another test module, so an expected value built on it never runs the
+    code it checks."""
+    imported = []
+    for node in ast.walk(ast.parse(ORACLE.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 def _resolve_decorator(module, node):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +15,15 @@ from downsum import (
     correction_family,
     downsampled_sum,
     euler_maclaurin_residual,
-    forward_difference,
     gregory_residual,
     indefinite_sum,
     random_polynomial,
     scaled_difference_residual,
     unit_difference_residual,
 )
+from downsum.exact import _forward_differences
+
+from . import oracle
 
 P = Polynomial
 
@@ -31,48 +33,38 @@ WIDE_RATIONAL = st.builds(Fr, st.integers(-1000, 1000), st.integers(1, 1000))
 NONZERO_STEP = st.builds(Fr, st.integers(-12, 12).filter(bool), st.integers(1, 12))
 
 
-def _value(coeffs, at):
-    """f(at) for ascending coefficients, summed term by term."""
-    return sum((c * at**i for i, c in enumerate(coeffs)), Fr(0))
+def kernel_differences(f, step, count):
+    """D_step^k f for k < count as Fraction lists: row k of the integer
+    difference quotients of _forward_differences, times step^k over their
+    one denominator."""
+    rows, den = _forward_differences(f, step, count)
+    return [[Fr(c) * Fr(step) ** k / den for c in row] for k, row in enumerate(rows)]
 
 
 class TestForwardDifference:
+    """The one exact difference routine, against the oracle's binomial sum of shifts."""
+
     def test_square_step_two(self):
-        assert forward_difference(P([0, 0, 1]), 2, 1) == P([4, 4])
+        assert kernel_differences(P([0, 0, 1]), 2, 2)[1] == [4, 4]
 
     def test_order_zero_is_identity(self):
         p = P([3, Fr(1, 2), 7])
-        assert forward_difference(p, Fr(5, 3), 0) == p
+        assert kernel_differences(p, Fr(5, 3), 1)[0] == list(p.coeffs)
 
     def test_degree_drop_to_zero(self):
-        assert forward_difference(P([0, 1]), Fr(9, 2), 2) == P()
-
-    def test_zero_step_annihilates(self):
-        assert forward_difference(P([1, 2, 3]), 0, 1) == P()
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            forward_difference(P([1]), 1, -1)
+        assert kernel_differences(P([0, 1]), Fr(9, 2), 3)[2] == []
 
     def test_matches_pointwise_definition(self):
-        # D^k f(t) = sum_j (-1)^(k-j) C(k,j) f(t + j*step), with f evaluated
-        # term by term, at every order up to one past the degree.
+        # D^k f(t) = sum_j (-1)^(k-j) C(k,j) f(t + j*step) as whole
+        # polynomials, at every order up to one past the degree.
         rng = random.Random(5)
         steps = [Fr(-3), Fr(-2, 3), Fr(5, 4), Fr(7)]
         for _ in range(20):
             f = random_polynomial(rng, 6)
             for step in steps + [Fr(rng.randint(-5, 5) or 1, rng.randint(1, 4))]:
-                at = Fr(rng.randint(-10, 10), rng.randint(1, 5))
-                for order in range(f.degree + 2):
-                    literal = sum(
-                        (
-                            (-1) ** (order - j) * comb(order, j) * _value(f.coeffs, at + j * step)
-                            for j in range(order + 1)
-                        ),
-                        Fr(0),
-                    )
-                    difference = forward_difference(f, step, order)
-                    assert _value(difference.coeffs, at) == literal, (f, step, order)
+                rows = kernel_differences(f, step, f.degree + 2)
+                for order, row in enumerate(rows):
+                    assert row == oracle.difference(f.coeffs, step, order), (f, step, order)
 
 
 class TestIndefiniteSum:
@@ -93,9 +85,9 @@ class TestIndefiniteSum:
         rng = random.Random(11)
         for _ in range(25):
             f = random_polynomial(rng, 10)
-            s = indefinite_sum(f)
-            assert forward_difference(s, 1, 1) == f
-            assert s(Fr(0)) == 0
+            s = indefinite_sum(f).coeffs
+            assert oracle.combination([(1, oracle.shift(s, 1)), (-1, s)]) == list(f.coeffs)
+            assert oracle.value(s, 0) == 0
 
     def test_linearity(self):
         rng = random.Random(13)
@@ -104,7 +96,11 @@ class TestIndefiniteSum:
             g = random_polynomial(rng, 7)
             a = Fr(rng.randint(-9, 9), rng.randint(1, 9))
             b = Fr(rng.randint(-9, 9), rng.randint(1, 9))
-            assert indefinite_sum(a * f + b * g) == a * indefinite_sum(f) + b * indefinite_sum(g)
+            combined = P(oracle.combination([(a, f.coeffs), (b, g.coeffs)]))
+            expected = oracle.combination(
+                [(a, indefinite_sum(f).coeffs), (b, indefinite_sum(g).coeffs)]
+            )
+            assert list(indefinite_sum(combined).coeffs) == expected
 
     def test_matches_literal_summation(self):
         rng = random.Random(17)
@@ -125,7 +121,7 @@ class TestAgainstLiteralSums:
     def test_indefinite_sum(self, coeffs):
         s = indefinite_sum(P(coeffs))
         for n in range(len(coeffs) + 1):
-            literal = sum((_value(coeffs, Fr(k)) for k in range(n)), Fr(0))
+            literal = sum((oracle.value(coeffs, Fr(k)) for k in range(n)), Fr(0))
             assert s(Fr(n)) == literal
 
     @given(st.lists(WIDE_RATIONAL, min_size=1, max_size=13), NONZERO_STEP)
@@ -133,7 +129,7 @@ class TestAgainstLiteralSums:
     def test_downsampled_sum(self, coeffs, x):
         coarse = downsampled_sum(P(coeffs), x)
         for j in range(len(coeffs) + 1):
-            literal = x * sum((_value(coeffs, k * x) for k in range(j)), Fr(0))
+            literal = x * sum((oracle.value(coeffs, k * x) for k in range(j)), Fr(0))
             assert coarse(j * x) == literal
 
 
@@ -220,8 +216,8 @@ class TestMasterIdentity:
         rng = random.Random(31)
         f = random_polynomial(rng, 5)
         for x in (Fr(2), Fr(-1, 2)):
-            for extra in (1, 2, 3):
-                assert forward_difference(f, x, f.degree + extra).is_zero
+            rows, _ = _forward_differences(f, x, f.degree + 4)
+            assert rows[f.degree + 1:] == [[], [], []]
 
     def test_family_too_short(self):
         f = P([0, 0, 0, 1])
@@ -243,20 +239,17 @@ class TestMasterIdentity:
 
 
 class TestDerivativeForm:
-    def test_squares_hand_expansion(self, calculus):
+    def test_squares_hand_expansion(self):
         # n^3/3 - n^2/2 + n/6 decomposed as integral + corrections.
-        derivative, antiderivative = calculus
-        f = P([0, 0, 1])
-        assert euler_maclaurin_residual(f).is_zero
-        s = indefinite_sum(f)
-        integral = antiderivative(f)
+        f = [0, 0, 1]
+        assert euler_maclaurin_residual(P(f)).is_zero
         # B_1 = -1/2 weights f(n) - f(0); B_2 = 1/6 weights f'(n) - f'(0).
-        rebuilt = (
-            integral
-            + Fr(-1, 2) * f
-            + Fr(1, 6) / factorial(2) * (derivative(f) - P())
-        )
-        assert rebuilt == s
+        rebuilt = oracle.combination([
+            (1, oracle.antiderivative(f)),
+            (Fr(-1, 2), f),
+            (Fr(1, 6) / factorial(2), oracle.derivative(f)),
+        ])
+        assert list(indefinite_sum(P(f)).coeffs) == rebuilt
 
     def test_constant(self):
         assert euler_maclaurin_residual(P([1])).is_zero
@@ -265,33 +258,30 @@ class TestDerivativeForm:
     def test_quartic(self):
         assert euler_maclaurin_residual(P([0, 0, 0, 0, 1])).is_zero
 
-    def test_matches_in_test_bernoulli_construction(self, calculus):
-        """Rebuild the derivative-form residual from scratch with Bernoulli
-        numbers from the classical recurrence; it must agree."""
-        derivative, antiderivative = calculus
-        bernoulli = [Fr(1)]
-        for m in range(1, 12):
-            bernoulli.append(-sum(comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
+    def test_matches_in_test_bernoulli_construction(self):
+        """Rebuild the derivative-form residual from scratch on Fraction lists,
+        with Bernoulli numbers from the classical recurrence; it must agree."""
+        bernoulli = oracle.bernoulli(11)
         rng = random.Random(37)
         for _ in range(8):
             f = random_polynomial(rng, 8)
-            residual = indefinite_sum(f) - antiderivative(f)
-            g = f
+            g = list(f.coeffs)
+            terms = [(1, indefinite_sum(f).coeffs), (-1, oracle.antiderivative(g))]
             for r in range(1, f.degree + 2):
-                span = g - P([g(Fr(0))])
-                residual = residual - bernoulli[r] / factorial(r) * span
-                g = derivative(g)
-            assert residual.is_zero
-            assert euler_maclaurin_residual(f) == residual
+                terms.append((-bernoulli[r] / factorial(r), [0, *g[1:]]))  # g(n) - g(0)
+                g = oracle.derivative(g)
+            residual = oracle.combination(terms)
+            assert residual == []
+            assert euler_maclaurin_residual(f) == P(residual)
 
 
 class TestQuadratureForm:
-    def test_linear_hand_expansion(self, calculus):
+    def test_linear_hand_expansion(self):
         # n^2/2 = n(n-1)/2 + (1/2) n with G_1 = 1/2 and no higher terms.
-        _, antiderivative = calculus
         f = P([0, 1])
         assert gregory_residual(f).is_zero
-        assert antiderivative(f) == indefinite_sum(f) + Fr(1, 2) * f
+        rebuilt = oracle.combination([(1, indefinite_sum(f).coeffs), (Fr(1, 2), f.coeffs)])
+        assert oracle.antiderivative(f.coeffs) == rebuilt
 
     def test_constant(self):
         assert gregory_residual(P([1])).is_zero
@@ -300,35 +290,30 @@ class TestQuadratureForm:
     def test_cubic(self):
         assert gregory_residual(P([0, 0, 0, 1])).is_zero
 
-    def test_matches_in_test_gregory_construction(self, calculus):
-        """Rebuild the quadrature-form residual from scratch with Gregory
-        coefficients from sum_{k<=n} G_k (-1)^(n-k)/(n-k+1) = 0 (the series
-        of z/log(1+z)) and pointwise unit differences; it must agree."""
-        _, antiderivative = calculus
-        gregory = [Fr(1)]
-        for n in range(1, 12):
-            gregory.append(-sum(gregory[k] * Fr((-1) ** (n - k), n - k + 1) for k in range(n)))
+    def test_matches_in_test_gregory_construction(self):
+        """Rebuild the quadrature-form residual from scratch on Fraction lists,
+        with Gregory coefficients from the series of z/log(1+z) and unit
+        differences from the binomial sum of shifts; it must agree."""
+        gregory = oracle.gregory(11)
         assert gregory[1:4] == [Fr(1, 2), Fr(-1, 12), Fr(1, 24)]
         rng = random.Random(59)
         for _ in range(8):
             f = random_polynomial(rng, 8)
-            residual = antiderivative(f) - indefinite_sum(f)
+            terms = [(1, oracle.antiderivative(f.coeffs)), (-1, indefinite_sum(f).coeffs)]
             for r in range(1, f.degree + 2):
-                # D^{r-1} f(t) = sum_j (-1)^(r-1-j) C(r-1, j) f(t + j)
-                difference = P()
-                for j in range(r):
-                    difference = difference + (-1) ** (r - 1 - j) * comb(r - 1, j) * f.shift(j)
-                span = difference - P([difference(Fr(0))])
-                residual = residual - gregory[r] * span
-            assert residual.is_zero
-            assert gregory_residual(f) == residual
+                difference = oracle.difference(f.coeffs, 1, r - 1)
+                terms.append((-gregory[r], [0, *difference[1:]]))
+            residual = oracle.combination(terms)
+            assert residual == []
+            assert gregory_residual(f) == P(residual)
 
 
 class TestAlternatingForm:
     def test_linear_hand_expansion(self):
         # sum_{k<n} (-1)^k k = -n/2 at even n; only the r = 0 term contributes.
         f = P([0, 1])
-        assert downsampled_sum(f, 2) - indefinite_sum(f) == P([0, Fr(-1, 2)])
+        lhs = oracle.combination([(1, downsampled_sum(f, 2).coeffs), (-1, indefinite_sum(f).coeffs)])
+        assert lhs == [0, Fr(-1, 2)]
         assert alternating_residual(f).is_zero
 
     def test_constant(self):
@@ -341,10 +326,10 @@ class TestAlternatingForm:
     def test_matches_literal_alternating_sum(self):
         rng = random.Random(41)
         f = random_polynomial(rng, 6)
-        lhs = downsampled_sum(f, 2) - indefinite_sum(f)
+        lhs = oracle.combination([(1, downsampled_sum(f, 2).coeffs), (-1, indefinite_sum(f).coeffs)])
         for m in (0, 1, 3, 9):
             literal = sum(((-1) ** k * f(Fr(k)) for k in range(2 * m)), Fr(0))
-            assert lhs(Fr(2 * m)) == literal
+            assert oracle.value(lhs, Fr(2 * m)) == literal
 
 
 class TestReductionsBatch:
