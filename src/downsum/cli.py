@@ -34,13 +34,7 @@ from collections.abc import Sequence
 from .errors import DownsumError
 from .exact import Polynomial, _ratio, format_rational, parse_rational
 from .family import _values_at, classical_numbers, correction_family
-from .sumcalc import (
-    alternating_residual,
-    downsampled_sum,
-    indefinite_sum,
-    random_polynomial,
-    step_identity_residuals,
-)
+from .sumcalc import downsampled_sum, random_polynomial, step_identity_residuals
 from .timeseries import (
     error_report,
     euler_mascheroni,
@@ -107,7 +101,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     for i in range(args.trials):
         f = random_polynomial(rng, args.degree)
         trial_ok = True
-        residuals = step_identity_residuals(f, grid + [0] if args.classical else grid, family)
+        residuals = step_identity_residuals(f, grid + [0, 2] if args.classical else grid, family)
         for x, (step_form, unit_form) in zip(grid, residuals):
             ok = step_form.is_zero and unit_form.is_zero
             print(f"trial {i:03d} x={format_rational(x)}: {'pass' if ok else 'FAIL'}")
@@ -119,8 +113,9 @@ def _run_verify(args: argparse.Namespace) -> int:
                 if not unit_form.is_zero:
                     print(f"  unit-weight residual = {unit_form.text()}")
         if args.classical:
-            # At the last step, x = 0, the two identities are Euler–Maclaurin and Gregory.
-            classical = (*residuals[-1], alternating_residual(f))
+            # At x = 0 the two identities are Euler–Maclaurin and Gregory; at x = 2
+            # the unit one is Euler's alternating form.
+            classical = (*residuals[-2], residuals[-1][1])
             for name, residual in zip(("euler-maclaurin", "gregory", "alternating"), classical):
                 print(f"trial {i:03d} {name}: {'pass' if residual.is_zero else 'FAIL'}")
                 if not residual.is_zero:
@@ -136,12 +131,8 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _run_sum(args: argparse.Namespace) -> int:
     f = Polynomial.from_text(args.poly)
     n = parse_rational(args.n)
-    if args.downsample_x is not None:
-        x = parse_rational(args.downsample_x)
-        value = downsampled_sum(f, x)(n)
-    else:
-        value = indefinite_sum(f)(n)
-    print(format_rational(value))
+    x = 1 if args.downsample_x is None else parse_rational(args.downsample_x)
+    print(format_rational(downsampled_sum(f, x)(n)))
     return 0
 
 

@@ -13,6 +13,10 @@ series is finite: D_x^{r-1} f vanishes identically once r-1 > deg f.  At
 x = 0 the coarse sum is the integral of f over [0, n] and the difference
 quotients D_x^{r-1} f / x^{r-1} are the derivatives f^(r-1).
 
+The three classical forms are this identity at two steps: at x = 0 both
+forms (Euler–Maclaurin, Gregory), at x = 2 the unit form (Euler's method for
+alternating series).
+
 Each ``*_residual`` function returns LHS - RHS as an explicit Polynomial in
 n, zero exactly when the identity holds.  The check is structural (all
 coefficients zero), never sampled, so a pass cannot be a coincidence of
@@ -96,13 +100,13 @@ def step_identity_residuals(
     Each entry is (scaled-difference residual, unit-difference residual); see
     scaled_difference_residual and unit_difference_residual.  The two
     identities share the gap indefinite_sum(f) - downsampled_sum(f, x) up
-    to sign.  One table of step-x difference quotients per step (see
-    exact._forward_differences), the unit one built once per call and
-    reused at x = 1, gives both the sum (Newton's formula, δ_m(0)) and the
-    spans δ_{r-1}(n) - δ_{r-1}(0) (the quotients without their constant
-    terms).  At x = 0 the sum is the integral and the quotients are
-    derivatives, so the two are the Euler–Maclaurin and the Gregory
-    residuals.
+    to sign.  One table of step-x difference quotients per distinct step
+    (see exact._forward_differences), built once per call however often the
+    grid names the step and whether or not it holds x = 1, gives both the
+    sum (Newton's formula, δ_m(0)) and the spans δ_{r-1}(n) - δ_{r-1}(0)
+    (the quotients without their constant terms).  At x = 0 the sum is the
+    integral and the quotients are derivatives, so the two are the
+    Euler–Maclaurin and the Gregory residuals.
 
     Everything stays on integers.  The weight values come from integer
     Horner on the weight numerators: for x = a/b, w_r(x) = h_r / (e_r * b^deg),
@@ -116,17 +120,16 @@ def step_identity_residuals(
     terms = f.degree + 1
     if family.max_order < terms:
         raise DownsumError(f"family has max_order {family.max_order}, identity needs {terms}")
-    unit_differences, unit_den = _forward_differences(f, 1, terms)
-    unit_sum, unit_sum_den = _newton_sum(unit_differences, unit_den, 1)
+    tables = {}
+    for x in [1, *steps]:
+        if x not in tables:
+            differences, den = _forward_differences(f, x, terms)
+            tables[x] = differences, den, *_newton_sum(differences, den, x)
+    unit_differences, unit_den, unit_sum, unit_sum_den = tables[1]
     residuals = []
     for x in steps:
         a, b = x.numerator, x.denominator
-        if x == 1:
-            step_differences, step_den = unit_differences, unit_den
-            coarse_sum, coarse_den = unit_sum, unit_sum_den
-        else:
-            step_differences, step_den = _forward_differences(f, x, terms)
-            coarse_sum, coarse_den = _newton_sum(step_differences, step_den, x)
+        step_differences, step_den, coarse_sum, coarse_den = tables[x]
         step_terms = [(1, unit_sum_den, unit_sum), (-1, coarse_den, coarse_sum)]
         unit_terms = [(1, coarse_den, coarse_sum), (-1, unit_sum_den, unit_sum)]
         for r, (step_d, unit_d) in enumerate(zip(step_differences, unit_differences), start=1):
@@ -183,23 +186,13 @@ def gregory_residual(f: Polynomial) -> Polynomial:
 
 
 def alternating_residual(f: Polynomial) -> Polynomial:
-    """Residual of Euler's alternating form, a polynomial in even upper limits n.
+    """Residual of Euler's alternating form: the unit-difference identity at x = 2.
 
-    sum_{k<n} (-1)^k f(k) = sum_{r>=0} (-1)^{r+1}/2^{r+1} (D^r f(n) - D^r f(0))
-    for every even n.  There the left side is 2 * sum_{k<n/2} f(2k) minus
-    sum_{k<n} f(k), Newton's formula at steps 2 and 1, and the right side is
-    the reversed identity at x = 2, where u_r(2)/r! = (-1)^r/2^r.  A
-    polynomial in n that vanishes at every even n is zero, so the residual
-    is one linear combination of the two sums and the unit spans, as in
-    step_identity_residuals.
+    There u_r(2)/r! = (-1)^r/2^r, so for every n
+    2 * sum_{k<n/2} f(2k) - sum_{k<n} f(k) = sum_r (-1)^r/2^r * (D^{r-1} f(n) - D^{r-1} f(0)),
+    and at even n the left side is sum_{k<n} (-1)^k f(k).
     """
-    differences, den = _forward_differences(f, 1, f.degree + 1)
-    unit_sum, unit_sum_den = _newton_sum(differences, den, 1)
-    coarse_sum, coarse_den = _newton_sum(*_forward_differences(f, 2, f.degree + 1), 2)
-    return _linear_combination(
-        [(1, coarse_den, coarse_sum), (-1, unit_sum_den, unit_sum)]
-        + [((-1) ** r, 2 ** (r + 1) * den, [0, *d[1:]]) for r, d in enumerate(differences)]
-    )
+    return unit_difference_residual(f, 2, correction_family(max(f.degree + 1, 1)))
 
 
 def random_polynomial(rng: random.Random, max_degree: int) -> Polynomial:

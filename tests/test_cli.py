@@ -8,6 +8,7 @@ import contextlib
 import csv
 import importlib.util
 import io
+import itertools
 import math
 import re
 import shlex
@@ -283,12 +284,13 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--degree", "2", "--trials", "1")
         assert code == 2
 
-    def test_unit_table_built_once_per_trial(self, capsys, monkeypatch):
-        """The default grid holds x = 1, which reuses the unit table.
+    def test_each_step_is_differenced_once_per_trial(self, capsys, monkeypatch):
+        """Each distinct step gets one difference table per trial.
 
-        Steps differenced: 1 (the unit table), -2, -1, -1/2, 1/3, 1/2, 2, 3
-        and 0 from the grid, then the alternating form's unit table (1) and
-        its step-2 table (2).
+        Default grid with --classical: 1 (the unit table), -2, -1, -1/2,
+        1/3, 1/2, 2, 3, then 0 for Euler–Maclaurin and Gregory; the
+        alternating form reads the table of 2, already built.  With the grid
+        1/2,2/4,2 and --classical: 1, 1/2 (also written 2/4), 2 and 0.
         """
         steps = []
 
@@ -298,9 +300,13 @@ class TestVerify:
 
         forward_differences = downsum.sumcalc._forward_differences
         monkeypatch.setattr(downsum.sumcalc, "_forward_differences", counting)
-        code, _, _ = run(capsys, "verify", "--degree", "6", "--trials", "1", "--seed", "1", "--classical")
-        assert code == 0
-        assert len(steps) == 11
+        verify = ["verify", "--degree", "6", "--trials", "1", "--seed", "1", "--classical"]
+        for grid, expected in (([], [1, -2, -1, Fr(-1, 2), Fr(1, 3), Fr(1, 2), 2, 3, 0]),
+                               (["--x-grid=1/2,2/4,2"], [1, Fr(1, 2), 2, 0])):
+            steps.clear()
+            code, _, _ = run(capsys, *verify, *grid)
+            assert code == 0
+            assert steps == expected, grid
 
 
 def _text_coeffs(text):
@@ -316,7 +322,7 @@ class TestVerifyFailure:
     form) and -delta x^m/r! * span (unit form).
     """
 
-    R, M, DELTA = 2, 1, Fr(3, 7)
+    M, DELTA = 1, Fr(3, 7)
     # Negative numerators and denominators != 1 exercise the sign of a^(r-1)
     # and the powers of b in the integer weight coefficients.
     GRID = (Fr(-2, 3), Fr(5, 2), Fr(-3))
@@ -367,16 +373,27 @@ class TestVerifyFailure:
                 assert _text_coeffs(unit_text) == oracle.combination([(unit_scale, unit_span)]), (r, x)
 
     def test_corrupted_constants_fail_classical(self, capsys, corrupt):
-        # m = 0 moves B_r = weights[r](0) and G_r = unit_weights[r](0)/r!.
-        corrupt(self.R, 0, self.DELTA)
-        code, out, _ = run(
-            capsys, "verify", "--degree", "3", "--trials", "1", "--seed", "5",
-            "--x-grid", "2", "--classical",
-        )
-        assert code == 1
-        assert "trial 000 euler-maclaurin: FAIL" in out
-        assert "trial 000 gregory: FAIL" in out
-        assert "trial 000 alternating: pass" in out
+        # m = 0 moves B_r = weights[r](0) and G_r = unit_weights[r](0)/r!; m = 1
+        # leaves both and still moves u_r(2), the alternating form's weight.
+        delta = self.DELTA
+        for r, m in itertools.product(range(2, 6), (0, 1)):
+            corrupt(r, m, delta)
+            code, out, _ = run(
+                capsys, "verify", "--degree", "5", "--trials", "1", "--seed", "3",
+                "--x-grid", "2", "--classical",
+            )
+            assert code == 1
+            verdict = "FAIL" if m == 0 else "pass"
+            assert f"trial 000 euler-maclaurin: {verdict}" in out, (r, m)
+            assert f"trial 000 gregory: {verdict}" in out, (r, m)
+            lines = out.splitlines()
+            at = lines.index("trial 000 alternating: FAIL")
+            f = _text_coeffs(lines[at + 1].removeprefix("  f = "))
+            assert len(f) == 6  # degree 5, so spans up to r = 5 are nonzero
+            residual = _text_coeffs(lines[at + 2].removeprefix("  residual = "))
+            unit_span = [0, *oracle.difference(f, 1, r - 1)[1:]]
+            scale = -delta * 2**m / factorial(r)
+            assert residual == oracle.combination([(scale, unit_span)]), (r, m)
 
 
 class TestSum:

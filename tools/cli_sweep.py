@@ -95,6 +95,11 @@ def argvs():
         classical=[None, True],
     ):
         yield ["verify", *options]
+    # Grids that repeat a step or write it unreduced.
+    for grid, classical in itertools.product(
+        (["--x-grid", "1/2,2/4,2"], ["--x-grid=2,2"]), ([], ["--classical"])
+    ):
+        yield ["verify", "--degree", "4", "--trials", "2", "--seed", "7", *grid, *classical]
     for options in _options(
         poly=["1", "0,1", "1,2,3", "1/2,-1/3,0,5", "", "a", "1e5000"],
         n=["10", "7/2", "-3", "0", "x", "1e5000"],
