@@ -97,11 +97,12 @@ def _run_verify(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
     print(f"x-grid: {','.join(format_rational(x) for x in grid)}")
+    fs = [random_polynomial(rng, args.degree) for _ in range(args.trials)]
     clean_trials = 0
-    for i in range(args.trials):
-        f = random_polynomial(rng, args.degree)
+    for i, (f, residuals) in enumerate(
+        zip(fs, step_identity_residuals(fs, grid + [0, 2] if args.classical else grid, family))
+    ):
         trial_ok = True
-        residuals = step_identity_residuals(f, grid + [0, 2] if args.classical else grid, family)
         for x, (step_form, unit_form) in zip(grid, residuals):
             ok = step_form.is_zero and unit_form.is_zero
             print(f"trial {i:03d} x={format_rational(x)}: {'pass' if ok else 'FAIL'}")

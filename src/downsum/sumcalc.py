@@ -26,10 +26,13 @@ Everything runs on the integer-numerator layout of :mod:`downsum.exact`.
 The indefinite and the downsampled sum are both Newton's forward-difference
 formula, at steps 1 and x, read off one table of integer step-x difference
 quotients over one denominator (see ``exact._forward_differences``); the
-same table gives the difference spans of the identities.  A weight value at
-x is one integer Horner pass, kept as a numerator/denominator pair.  Each
-residual is a single linear combination of these integer pieces: one common
-denominator, integer accumulation and one normalisation.
+same table gives the difference spans of the identities.  The weights of an
+identity depend on the step only, never on f: ``step_identity_residuals``
+takes all the polynomials to check at once, turns the weights at each
+distinct step into one integer row per call (one integer Horner pass per
+weight), and differences each polynomial once per distinct step.  Each
+residual is then integer multiply-adds over one common denominator and one
+normalisation.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DownsumError
-from .exact import Polynomial, Scalar, _forward_differences, _horner, _linear_combination
+from .exact import Polynomial, Scalar, _forward_differences, _horner
 from .family import CorrectionFamily, correction_family
 
 
@@ -92,55 +95,85 @@ def downsampled_sum(f: Polynomial, x: Scalar) -> Polynomial:
     return Polynomial._from_ints(*_newton_sum(*_forward_differences(f, x, f.degree + 1), x))
 
 
-def step_identity_residuals(
-    f: Polynomial, grid: Sequence[Scalar], family: CorrectionFamily
-) -> list[tuple[Polynomial, Polynomial]]:
-    """Both step-x identity residuals at every x of the grid, in grid order.
+def _weight_rows(family: CorrectionFamily, a: int, b: int, count: int) -> list[tuple[list[int], int]]:
+    """The multipliers -w_r(x)/r! and -u_r(x)/r!, r = 1..count, at x = a/b.
 
-    Each entry is (scaled-difference residual, unit-difference residual); see
-    scaled_difference_residual and unit_difference_residual.  The two
-    identities share the gap indefinite_sum(f) - downsampled_sum(f, x) up
-    to sign.  One table of step-x difference quotients per distinct step
-    (see exact._forward_differences), built once per call however often the
-    grid names the step and whether or not it holds x = 1, gives both the
-    sum (Newton's formula, δ_m(0)) and the spans δ_{r-1}(n) - δ_{r-1}(0)
-    (the quotients without their constant terms).  At x = 0 the sum is the
-    integral and the quotients are derivatives, so the two are the
-    Euler–Maclaurin and the Gregory residuals.
-
-    Everything stays on integers.  The weight values come from integer
-    Horner on the weight numerators: for x = a/b, w_r(x) = h_r / (e_r * b^deg),
-    so the step coefficient -w_r(x) / r! of the quotient span is the integer
-    pair -h_r / (e_r * b^deg * r!); the unit coefficient -u_r(x) / r! is
-    likewise -h / (e * b^deg * r!) from Horner on u_r.  Each residual is one
-    linear combination of the two sums and the deg f + 1 spans, normalised
-    once.
+    Two (numerators, denominator) rows, step weights first.  Integer Horner
+    gives w_r(a/b) = h_r / (e_r * b^deg), so -w_r(x)/r! = -h_r / (e_r * b^deg * r!),
+    and likewise for u_r; each row is put over the lcm of its denominators.
     """
-    steps = [Fraction(x) for x in grid]
-    terms = f.degree + 1
+    rows = []
+    for weights in (family.weights, family.unit_weights):
+        pairs = []
+        for r in range(1, count + 1):
+            h, b_power = _horner(weights[r]._num, a, b)
+            pairs.append((-h, weights[r]._den * b_power * factorial(r)))
+        den = lcm(*(d for _, d in pairs))
+        rows.append(([h * (den // d) for h, d in pairs], den))
+    return rows
+
+
+def step_identity_residuals(
+    fs: Sequence[Polynomial], grid: Sequence[Scalar], family: CorrectionFamily
+) -> list[list[tuple[Polynomial, Polynomial]]]:
+    """Both step-x identity residuals of each f in fs at every x of the grid.
+
+    One list per polynomial, in the order of fs, of one (scaled-difference,
+    unit-difference) pair per grid entry; see scaled_difference_residual and
+    unit_difference_residual.  At x = 0 the two are Euler–Maclaurin and
+    Gregory.  A step the grid repeats, or writes unreduced, is solved once.
+
+    The weight rows (see _weight_rows) depend on the step only: they are
+    built once per distinct step per call, up to the largest deg f + 1, and a
+    polynomial of lower degree reads a prefix.  Each polynomial gets one table
+    of difference quotients per distinct step and at step 1 (see
+    exact._forward_differences), which gives the sum (Newton's formula) and
+    the spans δ_{r-1}(n) - δ_{r-1}(0).  The two identities share the gap
+    indefinite_sum(f) - downsampled_sum(f, x) up to sign; a residual is the
+    gap plus the row's integer multiply-adds over the spans, over one
+    denominator and normalised once.
+    """
+    steps: dict[tuple[int, int], Fraction] = {}
+    keys = []
+    for x in grid:
+        x = Fraction(x)
+        keys.append((x.numerator, x.denominator))
+        steps.setdefault(keys[-1], x)
+    terms = max((f.degree + 1 for f in fs), default=0)
     if family.max_order < terms:
         raise DownsumError(f"family has max_order {family.max_order}, identity needs {terms}")
-    tables = {}
-    for x in [1, *steps]:
-        if x not in tables:
-            differences, den = _forward_differences(f, x, terms)
-            tables[x] = differences, den, *_newton_sum(differences, den, x)
-    unit_differences, unit_den, unit_sum, unit_sum_den = tables[1]
+    rows = {key: _weight_rows(family, *key, terms) for key in steps}
+    differenced = {(1, 1): Fraction(1), **steps}  # the unit table too
     residuals = []
-    for x in steps:
-        a, b = x.numerator, x.denominator
-        step_differences, step_den, coarse_sum, coarse_den = tables[x]
-        step_terms = [(1, unit_sum_den, unit_sum), (-1, coarse_den, coarse_sum)]
-        unit_terms = [(1, coarse_den, coarse_sum), (-1, unit_sum_den, unit_sum)]
-        for r, (step_d, unit_d) in enumerate(zip(step_differences, unit_differences), start=1):
-            weight, unit_weight = family.weights[r], family.unit_weights[r]
-            h, b_power = _horner(weight._num, a, b)
-            step_terms.append((-h, weight._den * b_power * factorial(r) * step_den, [0, *step_d[1:]]))
-            h, b_power = _horner(unit_weight._num, a, b)
-            unit_terms.append(
-                (-h, unit_weight._den * b_power * factorial(r) * unit_den, [0, *unit_d[1:]])
-            )
-        residuals.append((_linear_combination(step_terms), _linear_combination(unit_terms)))
+    for f in fs:
+        tables = {}
+        for key, x in differenced.items():
+            differences, den = _forward_differences(f, x, f.degree + 1)
+            tables[key] = differences, den, *_newton_sum(differences, den, x)
+        unit_differences, unit_den, fine, fine_den = tables[1, 1]
+        solved = {}
+        for key, step_rows in rows.items():
+            step_differences, step_den, coarse, coarse_den = tables[key]
+            gap_den = lcm(fine_den, coarse_den)
+            gap = [u * (gap_den // fine_den) - c * (gap_den // coarse_den) for u, c in zip(fine, coarse)]
+            pair = []
+            for sign, (row, row_den), differences, den in (
+                (1, step_rows[0], step_differences, step_den),
+                (-1, step_rows[1], unit_differences, unit_den),
+            ):
+                spans = [0] * len(gap)
+                for m, d in zip(row, differences):
+                    if m:
+                        spans[:len(d)] = [s + m * c for s, c in zip(spans, d)]
+                spans[0] = 0  # the spans are the quotients without their constant terms
+                span_den = row_den * den
+                out_den = lcm(gap_den, span_den)
+                g_scale, s_scale = sign * (out_den // gap_den), out_den // span_den
+                pair.append(Polynomial._from_ints(
+                    [g * g_scale + s * s_scale for g, s in zip(gap, spans)], out_den
+                ))
+            solved[key] = tuple(pair)
+        residuals.append([solved[key] for key in keys])
     return residuals
 
 
@@ -152,7 +185,7 @@ def scaled_difference_residual(
     LHS is the unit-step indefinite sum; RHS is the downsampled sum plus
     sum_{r=1}^{deg f + 1} w_r(x)/r! * (D_x^{r-1} f(n) - D_x^{r-1} f(0)) / x^{r-1}.
     """
-    return step_identity_residuals(f, [x], family)[0][0]
+    return step_identity_residuals([f], [x], family)[0][0][0]
 
 
 def unit_difference_residual(
@@ -163,7 +196,7 @@ def unit_difference_residual(
     x * sum_{k<n/x} f(kx) = sum_{k<n} f(k)
                             + sum_r u_r(x)/r! * (D^{r-1} f(n) - D^{r-1} f(0)).
     """
-    return step_identity_residuals(f, [x], family)[0][1]
+    return step_identity_residuals([f], [x], family)[0][0][1]
 
 
 def euler_maclaurin_residual(f: Polynomial) -> Polynomial:

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from downsum import classical_numbers, correction_family
+from downsum import CorrectionFamily, Polynomial, classical_numbers, correction_family
+
+from . import oracle
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +36,19 @@ def _certified_roots(p, lo, hi, steps):
 def certified_roots():
     """The sign-change root certificate, shared by criterion 9 and its tests."""
     return _certified_roots
+
+
+def _perturbed_family(family, bumps):
+    """The family with delta * x^m added to weights[r] and unit_weights[r], bumps = {r: (m, delta)}."""
+    weights, unit_weights = list(family.weights), list(family.unit_weights)
+    for r, (m, delta) in bumps.items():
+        bump = [0] * m + [delta]
+        for polys in (weights, unit_weights):
+            polys[r] = Polynomial(oracle.combination([(1, polys[r].coeffs), (1, bump)]))
+    return CorrectionFamily(family.max_order, tuple(weights), tuple(unit_weights))
+
+
+@pytest.fixture(scope="session")
+def perturbed_family():
+    """A family with some weights off by delta * x^m, shared by the failure tests."""
+    return _perturbed_family

@@ -8,13 +8,16 @@ expected value from these never re-runs the integer kernels it checks.
 - Arithmetic: ``combination`` (a sum of scalar multiples), ``mul``,
   ``value``, ``shift`` (binomial expansion of p(t + step)), ``derivative``,
   ``antiderivative`` and ``difference`` (the binomial sum of shifts).
+- Identities: ``span`` (a difference or derivative without its constant
+  term) and ``perturbed_residuals``, the residuals a weight family leaves
+  when delta * x^m is added to some of its weights.
 - Rows: the falling factorial (x)_m and its reversal (1-x)(1-2x)...(1-jx).
 - Constants: Bernoulli numbers from ``sum_{j<=m} C(m+1, j) B_j = 0`` (so
   ``B_1 = -1/2``) and Gregory coefficients from the series of z/log(1+z).
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 
 def trim(coeffs):
@@ -72,6 +75,35 @@ def difference(a, step, order):
     return combination(
         ((-1) ** (order - j) * comb(order, j), shift(a, j * step)) for j in range(order + 1)
     )
+
+
+def span(a, step, order):
+    """D^order a(n) - D^order a(0) at that step, the order-th derivative at step 0."""
+    if step == 0:
+        for _ in range(order):
+            a = derivative(a)
+        quotient = trim(a)
+    else:
+        quotient = difference(a, step, order)
+    return [Fraction(0), *quotient[1:]]
+
+
+def perturbed_residuals(f, x, bumps):
+    """(step-form, unit-form) residuals of f at step x when each bumped weight is off.
+
+    bumps maps r to (m, delta): weights[r] and unit_weights[r] both carry an
+    extra delta * x^m.  The exact weights cancel, so what is left is the
+    bump's correction term with its sign flipped: -delta x^m / r! times the
+    step-x span over x^(r-1) (a derivative at x = 0) in the step form, and
+    times the unit span in the unit form.
+    """
+    x = Fraction(x)
+    step_terms, unit_terms = [], []
+    for r, (m, delta) in bumps.items():
+        scale = -delta * x**m / factorial(r)
+        step_terms.append((scale / x ** (r - 1) if x else scale, span(f, x, r - 1)))
+        unit_terms.append((scale, span(f, 1, r - 1)))
+    return combination(step_terms), combination(unit_terms)
 
 
 def falling_factorial(m):

@@ -10,6 +10,7 @@ import importlib.util
 import io
 import itertools
 import math
+import random
 import re
 import shlex
 import sys
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 import downsum.cli
 import downsum.sumcalc
 import downsum.timeseries
-from downsum import CorrectionFamily, Polynomial, correction_family
+from downsum import correction_family, random_polynomial
 from downsum.cli import SUBCOMMANDS, _read_argv, build_parser, main
 
 from . import oracle
@@ -285,28 +286,41 @@ class TestVerify:
         assert code == 2
 
     def test_each_step_is_differenced_once_per_trial(self, capsys, monkeypatch):
-        """Each distinct step gets one difference table per trial.
+        """Each distinct step gets one weight row per request and one difference table per trial.
 
-        Default grid with --classical: 1 (the unit table), -2, -1, -1/2,
-        1/3, 1/2, 2, 3, then 0 for Euler–Maclaurin and Gregory; the
-        alternating form reads the table of 2, already built.  With the grid
-        1/2,2/4,2 and --classical: 1, 1/2 (also written 2/4), 2 and 0.
+        Default grid with --classical: tables at 1 (the unit table, which
+        also serves the grid's 1), -2, -1, -1/2, 1/3, 1/2, 2, 3, then 0 for
+        Euler–Maclaurin and Gregory; rows at the grid's steps and 0.  The
+        alternating form reads the table and the row of 2, already built.
+        With the grid 1/2,2/4,2 and --classical: 1/2 (also written 2/4), 2
+        and 0, after the unit table; the unit table needs no row of its own.
         """
-        steps = []
+        steps, rows = [], []
 
         def counting(f, step, count):
             steps.append(step)
             return forward_differences(f, step, count)
 
+        def counting_rows(family, a, b, count):
+            rows.append(Fr(a, b))
+            return weight_rows(family, a, b, count)
+
         forward_differences = downsum.sumcalc._forward_differences
+        weight_rows = downsum.sumcalc._weight_rows
         monkeypatch.setattr(downsum.sumcalc, "_forward_differences", counting)
-        verify = ["verify", "--degree", "6", "--trials", "1", "--seed", "1", "--classical"]
-        for grid, expected in (([], [1, -2, -1, Fr(-1, 2), Fr(1, 3), Fr(1, 2), 2, 3, 0]),
-                               (["--x-grid=1/2,2/4,2"], [1, Fr(1, 2), 2, 0])):
+        monkeypatch.setattr(downsum.sumcalc, "_weight_rows", counting_rows)
+        verify = ["verify", "--degree", "6", "--trials", "3", "--seed", "1", "--classical"]
+        default_tables = [1, -2, -1, Fr(-1, 2), Fr(1, 3), Fr(1, 2), 2, 3, 0]
+        for grid, expected_rows, expected_tables in (
+            ([], [-2, -1, Fr(-1, 2), Fr(1, 3), Fr(1, 2), 1, 2, 3, 0], default_tables),
+            (["--x-grid=1/2,2/4,2"], [Fr(1, 2), 2, 0], [1, Fr(1, 2), 2, 0]),
+        ):
             steps.clear()
+            rows.clear()
             code, _, _ = run(capsys, *verify, *grid)
             assert code == 0
-            assert steps == expected, grid
+            assert rows == expected_rows, grid
+            assert steps == expected_tables * 3, grid
 
 
 def _text_coeffs(text):
@@ -314,86 +328,124 @@ def _text_coeffs(text):
     return [Fr(c) for c in text.split(",")]
 
 
+def _verify_report(out):
+    """{(trial, label): (verdict, {field: coefficients})} read off verify's stdout."""
+    report = {}
+    for line in out.splitlines():
+        if line.startswith("trial "):
+            head, verdict = line.rsplit(": ", 1)
+            _, trial, label = head.split(" ", 2)
+            fields = {}
+            report[int(trial), label] = verdict, fields
+        elif line.startswith("  "):
+            name, text = line.strip().split(" = ")
+            fields[name] = _text_coeffs(text)
+    return report
+
+
 class TestVerifyFailure:
     """A corrupted weight family must make verify fail and print its residual.
 
-    The family is perturbed by delta * x^m in weights[r] and in unit_weights[r],
-    which leaves residuals of exactly -delta x^m/(r! x^(r-1)) * span (step
-    form) and -delta x^m/r! * span (unit form).
+    The family is perturbed by delta * x^m in weights[r] and in unit_weights[r];
+    oracle.perturbed_residuals gives the exact residuals that leaves.  The
+    three trials at SEED draw degrees 5, 3 and 5, so the second reads a
+    shorter prefix of each weight row and the third the whole row again; at
+    r = 4 and 5 every span of the degree-3 trial vanishes and it passes.
     """
 
     M, DELTA = 1, Fr(3, 7)
     # Negative numerators and denominators != 1 exercise the sign of a^(r-1)
     # and the powers of b in the integer weight coefficients.
     GRID = (Fr(-2, 3), Fr(5, 2), Fr(-3))
+    SEED, TRIALS, DEGREE = 449, 3, 5
 
     @pytest.fixture
-    def corrupt(self, monkeypatch):
+    def corrupt(self, monkeypatch, perturbed_family):
         def install(r, m, delta):
             def perturbed(max_order):
                 family = correction_family(max_order)
-                if r > max_order:
-                    return family
-                weights, unit_weights = list(family.weights), list(family.unit_weights)
-                bump = [0] * m + [delta]
-                for polys in (weights, unit_weights):
-                    polys[r] = Polynomial(oracle.combination([(1, polys[r].coeffs), (1, bump)]))
-                return CorrectionFamily(max_order, tuple(weights), tuple(unit_weights))
+                return perturbed_family(family, {r: (m, delta)}) if r <= max_order else family
 
             monkeypatch.setattr(downsum.cli, "correction_family", perturbed)
             monkeypatch.setattr(downsum.sumcalc, "correction_family", perturbed)
 
         return install
 
+    def trials(self):
+        """The polynomials verify draws: random_polynomial in turn on one seeded rng."""
+        rng = random.Random(self.SEED)
+        fs = [list(random_polynomial(rng, self.DEGREE).coeffs) for _ in range(self.TRIALS)]
+        assert [len(f) - 1 for f in fs] == [5, 3, 5]
+        return fs
+
+    def check(self, code, out, expected):
+        """expected holds each trial's f and its (label, {field: residual}) rows.
+
+        A row passes when every residual is zero; otherwise it prints f and
+        each nonzero residual.
+        """
+        report = _verify_report(out)
+        clean = 0
+        for trial, (f, rows) in enumerate(expected):
+            trial_ok = True
+            for label, residuals in rows:
+                fields = {name: value for name, value in residuals.items() if value}
+                if fields:
+                    trial_ok = False
+                    fields["f"] = f
+                verdict = "FAIL" if fields else "pass"
+                assert report.pop((trial, label)) == (verdict, fields), (trial, label)
+            clean += trial_ok
+        assert report == {}
+        assert out.splitlines()[-1] == f"{clean}/{self.TRIALS} passed"
+        assert code == (0 if clean == self.TRIALS else 1)
+
     def test_prints_exact_residuals(self, capsys, corrupt):
         m, delta = self.M, self.DELTA
+        fs = self.trials()
         for r in range(2, 6):  # odd and even powers x^(r-1)
             corrupt(r, m, delta)
             code, out, _ = run(
-                capsys, "verify", "--degree", "5", "--trials", "1", "--seed", "3",
-                "--x-grid=" + ",".join(str(x) for x in self.GRID),
+                capsys, "verify", "--degree", str(self.DEGREE), "--trials", str(self.TRIALS),
+                "--seed", str(self.SEED), "--x-grid=" + ",".join(str(x) for x in self.GRID),
             )
-            assert code == 1, r
-            lines = out.splitlines()
-            assert lines[-1] == "0/1 passed"
-            for x in self.GRID:
-                at = lines.index(f"trial 000 x={x}: FAIL")
-                f_line, step_line, unit_line = lines[at + 1:at + 4]
-                f_text = f_line.removeprefix("  f = ")
-                step_text = step_line.removeprefix("  step-weight residual = ")
-                unit_text = unit_line.removeprefix("  unit-weight residual = ")
-                f = _text_coeffs(f_text)
-                assert len(f) == 6  # degree 5, so spans up to r = 5 are nonzero
-                # D^(r-1) f(n) - D^(r-1) f(0): the difference without its constant term.
-                step_span = [0, *oracle.difference(f, x, r - 1)[1:]]
-                unit_span = [0, *oracle.difference(f, 1, r - 1)[1:]]
-                step_scale = -delta * x**m / (factorial(r) * x ** (r - 1))
-                unit_scale = -delta * x**m / factorial(r)
-                assert _text_coeffs(step_text) == oracle.combination([(step_scale, step_span)]), (r, x)
-                assert _text_coeffs(unit_text) == oracle.combination([(unit_scale, unit_span)]), (r, x)
+            expected = []
+            for f in fs:
+                rows = []
+                for x in self.GRID:
+                    step, unit = oracle.perturbed_residuals(f, x, {r: (m, delta)})
+                    rows.append((f"x={x}", {"step-weight residual": step, "unit-weight residual": unit}))
+                expected.append((f, rows))
+            self.check(code, out, expected)
+            # The degree-3 trial fails exactly while r - 1 < 3 leaves a span.
+            assert (_verify_report(out)[1, f"x={self.GRID[0]}"][0] == "pass") == (r >= 4), r
 
     def test_corrupted_constants_fail_classical(self, capsys, corrupt):
         # m = 0 moves B_r = weights[r](0) and G_r = unit_weights[r](0)/r!; m = 1
         # leaves both and still moves u_r(2), the alternating form's weight.
         delta = self.DELTA
+        fs = self.trials()
         for r, m in itertools.product(range(2, 6), (0, 1)):
             corrupt(r, m, delta)
             code, out, _ = run(
-                capsys, "verify", "--degree", "5", "--trials", "1", "--seed", "3",
-                "--x-grid", "2", "--classical",
+                capsys, "verify", "--degree", str(self.DEGREE), "--trials", str(self.TRIALS),
+                "--seed", str(self.SEED), "--x-grid", "2", "--classical",
             )
-            assert code == 1
+            expected = []
+            for f in fs:
+                at_zero = oracle.perturbed_residuals(f, 0, {r: (m, delta)})
+                at_two = oracle.perturbed_residuals(f, 2, {r: (m, delta)})
+                expected.append((f, [
+                    ("x=2", {"step-weight residual": at_two[0], "unit-weight residual": at_two[1]}),
+                    ("euler-maclaurin", {"residual": at_zero[0]}),
+                    ("gregory", {"residual": at_zero[1]}),
+                    ("alternating", {"residual": at_two[1]}),
+                ]))
+            self.check(code, out, expected)
             verdict = "FAIL" if m == 0 else "pass"
             assert f"trial 000 euler-maclaurin: {verdict}" in out, (r, m)
             assert f"trial 000 gregory: {verdict}" in out, (r, m)
-            lines = out.splitlines()
-            at = lines.index("trial 000 alternating: FAIL")
-            f = _text_coeffs(lines[at + 1].removeprefix("  f = "))
-            assert len(f) == 6  # degree 5, so spans up to r = 5 are nonzero
-            residual = _text_coeffs(lines[at + 2].removeprefix("  residual = "))
-            unit_span = [0, *oracle.difference(f, 1, r - 1)[1:]]
-            scale = -delta * 2**m / factorial(r)
-            assert residual == oracle.combination([(scale, unit_span)]), (r, m)
+            assert "trial 000 alternating: FAIL" in out, (r, m)
 
 
 class TestSum:

@@ -19,6 +19,7 @@ from downsum import (
     indefinite_sum,
     random_polynomial,
     scaled_difference_residual,
+    step_identity_residuals,
     unit_difference_residual,
 )
 from downsum.exact import _forward_differences
@@ -211,6 +212,25 @@ class TestMasterIdentity:
         assert scaled_difference_residual(P([0, 0, 1]), Fr(1, 2), family20).is_zero
         assert unit_difference_residual(P([0, 1]), 2, family20).is_zero
         assert unit_difference_residual(P([0, 0, 0, 1]), Fr(1, 3), family20).is_zero
+
+    def test_one_call_over_polynomials_of_different_degrees(self, perturbed_family):
+        """One call checks polynomials of degree 5 and 2 and the zero polynomial.
+
+        Every weight of order 1..6 is off by delta * x^m, so each residual
+        is oracle.perturbed_residuals; the quadratic reads a prefix of each
+        weight row and the zero polynomial none of it.  The grid names 5/2
+        and 2 twice each and holds 0 and 1.
+        """
+        bumps = {r: (r % 3, Fr((-1) ** r * r, 7)) for r in range(1, 7)}
+        family = perturbed_family(correction_family(6), bumps)
+        fs = [[Fr(3, 4), -2, 0, Fr(1, 5), Fr(-7, 3), 9], [5, Fr(-1, 2), Fr(2, 9)], []]
+        grid = [Fr(-2, 3), 0, Fr(5, 2), 2, 1, Fr(-3), Fr(5, 2), Fr(4, 2)]
+        results = step_identity_residuals([P(f) for f in fs], grid, family)
+        assert len(results) == len(fs)
+        for f, pairs in zip(fs, results):
+            expected = [tuple(P(r) for r in oracle.perturbed_residuals(f, x, bumps)) for x in grid]
+            assert pairs == expected, f
+            assert any(not (step.is_zero and unit.is_zero) for step, unit in pairs) == bool(f)
 
     def test_truncation_is_exact(self):
         rng = random.Random(31)

@@ -100,6 +100,15 @@ def argvs():
         (["--x-grid", "1/2,2/4,2"], ["--x-grid=2,2"]), ([], ["--classical"])
     ):
         yield ["verify", "--degree", "4", "--trials", "2", "--seed", "7", *grid, *classical]
+    # Many trials share each step's weight row.  At seed 195 a later trial of the
+    # first five draws a lower degree at each of these degrees (zero at degree 0).
+    for degree, trials, seed, classical in itertools.product(
+        ("0", "5", "10"), ("5", "20"), ("42", "195"), ([], ["--classical"])
+    ):
+        yield ["verify", "--degree", degree, "--trials", trials, "--seed", seed, *classical]
+    for classical in ([], ["--classical"]):
+        yield ["verify", "--degree", "6", "--trials", "5", "--seed", "195",
+               "--x-grid=1/2,2/4,2,-3,-3", *classical]
     for options in _options(
         poly=["1", "0,1", "1,2,3", "1/2,-1/3,0,5", "", "a", "1e5000"],
         n=["10", "7/2", "-3", "0", "x", "1e5000"],
