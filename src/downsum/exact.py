@@ -152,32 +152,6 @@ def _taylor_shift(coeffs: Sequence[int], a: int) -> list[int]:
     return c
 
 
-def _forward_differences(p: "Polynomial", step: Scalar, count: int) -> tuple[list[list[int]], int]:
-    """Numerators of the difference quotients D^k p / x^k, k = 0..count-1, over one denominator.
-
-    D is the forward difference with step x = a/b.  Q(s) = d * b^deg * p(s/b)
-    has integer coefficients and D^k p(t) / x^k = b^k (N^k Q)(b*t) / (d * b^deg)
-    with N Q(s) = (Q(s + a) - Q(s)) / a, so each order is one integer Taylor
-    shift, a subtraction and an exact division, normalised nowhere: the
-    numerators of order k are the coefficients q_j of N^k Q times b^(j+k).
-    At a = 0, N is the derivative: the x -> 0 limit of the quotients.
-    Orders past deg p are empty lists.
-    """
-    step = _as_fraction(step)
-    a, b = step.numerator, step.denominator
-    top = max(len(p._num) - 1, 0)
-    q = [c * b ** (top - i) for i, c in enumerate(p._num)]
-    powers = [b**j for j in range(top + 1)]
-    out = []
-    for k in range(count):
-        out.append([c * w for c, w in zip(q, powers[k:])])
-        if a:
-            q = [(s - c) // a for s, c in zip(_taylor_shift(q, a), q)][:-1]
-        else:
-            q = [j * c for j, c in enumerate(q)][1:]
-    return out, p._den * b**top
-
-
 class Polynomial:
     """Dense univariate polynomial over exact rationals.
 

@@ -1,4 +1,4 @@
-"""Finite-difference calculus on polynomials and exact summation identities.
+"""Exact sums of polynomials and the step-x summation identities.
 
 The central fact being exercised: for a polynomial f and any rational
 step x, with x = 0 as the limit (Euler–Maclaurin and Gregory),
@@ -22,17 +22,17 @@ n, zero exactly when the identity holds.  The check is structural (all
 coefficients zero), never sampled, so a pass cannot be a coincidence of
 evaluation points.
 
-Everything runs on the integer-numerator layout of :mod:`downsum.exact`.
-The indefinite and the downsampled sum are both Newton's forward-difference
-formula, at steps 1 and x, read off one table of integer step-x difference
-quotients over one denominator (see ``exact._forward_differences``); the
-same table gives the difference spans of the identities.  The weights of an
-identity depend on the step only, never on f: ``step_identity_residuals``
-takes all the polynomials to check at once, turns the weights at each
-distinct step into one integer row per call (one integer Horner pass per
-weight), and differences each polynomial once per distinct step.  Each
-residual is then integer multiply-adds over one common denominator and one
-normalisation.
+Everything runs on integers.  Each identity is linear in f, so its
+residual is one matrix applied to f's integer numerators: entry (i, j) is the
+n^i coefficient of the residual of t^j.  The matrices are read off the
+Faulhaber rows sum_{k<n} k^j = sum_m S(j, m) (n)_{m+1}/(m+1), built from
+the Stirling numbers of both kinds with no Bernoulli number, so the check
+stays independent of the family.  ``step_identity_residuals`` builds the
+Stirling and Faulhaber rows once per call and the two matrices once per
+distinct step, so all the polynomials of one call share them; each residual
+is then one dot product per power of n and one normalisation.  The
+indefinite and the downsampled sum apply the two factors of the Faulhaber
+rows, the Stirling rows and the falling-factorial sums, to one f at once.
 """
 
 from __future__ import annotations
@@ -40,59 +40,75 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import zip_longest
+from math import comb, factorial, lcm
+from operator import add, mul
 
 from .errors import DownsumError
-from .exact import Polynomial, Scalar, _forward_differences, _horner
+from .exact import Polynomial, Scalar, _horner, _linear_combination
 from .family import CorrectionFamily, correction_family
 
 
-def _newton_sum(
-    differences: Sequence[Sequence[int]], den: int, step: Scalar
-) -> tuple[list[int], int]:
-    """Numerators over one positive denominator of x * sum_{k<n/x} f(kx), in n.
-
-    differences and den are _forward_differences(f, x, deg f + 1), the
-    difference quotients δ_m = D_x^m f / x^m, whose rows are all nonempty.
-    For x = a/b, Newton's forward-difference formula reads
-
-        x * sum_{k<n/x} f(kx) = sum_m δ_m(0) * prod_{j<=m} (b*n - j*a) / (b^(m+1) * (m+1)!)
-
-    and at x = 0 it is Taylor's integral_0^n f = sum_m f^(m)(0) n^(m+1) / (m+1)!.
-    With top = deg f and Q = prod_{j<=top} (j+1)*b, this is N(n) / Q where
-    N = sum_m δ_m(0) * prod_{m<j<=top} (j+1)*b * prod_{j<=m} (b*n - j*a),
-    built by Horner from the top order down on int lists.
+def _stirling(top: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Stirling rows for m <= top: first[m] holds the signed coefficients of the
+    falling factorial (t)_m = t(t-1)...(t-m+1), second[m] the S(m, k) with
+    t^m = sum_k S(m, k) (t)_k.
     """
-    a, b = step.numerator, step.denominator
-    acc, scale = [0], 1
-    for m in range(len(differences) - 1, -1, -1):
-        acc[0] += differences[m][0] * scale
-        acc = [b * lo - m * a * hi for lo, hi in zip([0, *acc], [*acc, 0])]  # times (b*n - m*a)
-        scale *= (m + 1) * b
-    return acc, den * scale
+    first, second = [[1]], [[1]]
+    for m in range(top):
+        first.append([lo - m * hi for lo, hi in zip([0, *first[-1]], [*first[-1], 0])])
+        second.append([lo + k * hi for k, (lo, hi) in enumerate(zip([0, *second[-1]], [*second[-1], 0]))])
+    return first, second
+
+
+def _faulhaber(count: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """(second, rows, den): the Faulhaber rows of t^j for j < count.
+
+    Summing (k)_m over k < n gives (n)_{m+1}/(m+1), so
+    sum_{k<n} k^j = sum_m S(j, m) (n)_{m+1}/(m+1); rows[j] holds its
+    coefficients in n as numerators over den = lcm(1..count), and second
+    the Stirling numbers S of _stirling(count).
+    """
+    first, second = _stirling(count)
+    den = lcm(*range(1, count + 1))
+    columns = list(zip_longest(*_falling_sums(first, den), fillvalue=0))
+    return second, [[sum(map(mul, second[j], c)) for c in columns[:j + 2]] for j in range(count)], den
+
+
+def _falling_sums(first: Sequence[Sequence[int]], den: int) -> list[list[int]]:
+    """Row m: sum_{k<n} (k)_m = (n)_{m+1}/(m+1) over den, for m < len(first) - 1."""
+    return [[c * (den // m) for c in row] for m, row in enumerate(first[1:], 1)]
 
 
 def indefinite_sum(f: Polynomial) -> Polynomial:
     """The unique polynomial S with S(n+1) - S(n) = f(n) and S(0) = 0.
 
-    At integer n >= 0 this is sum_{k=0}^{n-1} f(k): Newton's
-    forward-difference formula S(n) = sum_m D^m f(0) * binom(n, m+1), the
-    step-1 case of downsampled_sum.
+    At integer n >= 0 this is sum_{k=0}^{n-1} f(k), the step-1 downsampled sum.
     """
-    return Polynomial._from_ints(*_newton_sum(*_forward_differences(f, 1, f.degree + 1), 1))
+    return downsampled_sum(f, 1)
 
 
 def downsampled_sum(f: Polynomial, x: Scalar) -> Polynomial:
     """The polynomial in n equal to x * sum_{k=0}^{n/x-1} f(kx).
 
-    Newton's forward-difference formula at step x,
-    sum_m D_x^m f(0) * x * binom(n/x, m+1), on the integer step-x
-    differences of f.
+    The Faulhaber rows' two factors applied to f, in O(deg^2): with
+    h_m = sum_j f_j S(j, m) x^(j-m), f(kx) = sum_m h_m x^m (k)_m, and
+    x^(m+1) sum_{k<n/x} (k)_m = x^(m+1) (n/x)_{m+1}/(m+1) gives n^i the
+    factor x^(m+1-i) (see _falling_sums).
     """
     x = Fraction(x)
     if x == 0:
         raise ValueError("downsampling step must be nonzero (the 0 limit is the derivative form)")
-    return Polynomial._from_ints(*_newton_sum(*_forward_differences(f, x, f.degree + 1), x))
+    a, b, top = x.numerator, x.denominator, f.degree + 1
+    first, second = _stirling(top)
+    den = lcm(*range(1, top + 1))
+    powers = [a**d * b ** (top - d) for d in range(top + 1)]  # x^d over b^top
+    out_den = f._den * den * b ** (2 * top)
+    return _linear_combination(
+        (sum(f._num[j] * second[j][m] * powers[j - m] for j in range(m, top)), out_den,
+         list(map(mul, row, powers[m + 1::-1])))
+        for m, row in enumerate(_falling_sums(first, den))
+    )
 
 
 def _weight_rows(family: CorrectionFamily, a: int, b: int, count: int) -> list[tuple[list[int], int]]:
@@ -113,6 +129,41 @@ def _weight_rows(family: CorrectionFamily, a: int, b: int, count: int) -> list[t
     return rows
 
 
+def _residual_matrices(
+    family: CorrectionFamily, a: int, b: int, second: list[list[int]], faulhaber: list[list[int]], den: int
+) -> list[tuple[list[list[int]], int]]:
+    """The (scaled-difference, unit-difference) residual maps at x = a/b.
+
+    Each is an integer matrix and a denominator; entry (i, j) over it is the
+    n^i coefficient of the residual of t^j, for i <= T and j < T with
+    T = len(faulhaber).  The gap sum_{k<n} k^j - x^(j+1) F_j(n/x) has n^i
+    coefficient F_j[i] (1 - x^(j+1-i)), with a plus sign in the scaled form
+    and a minus sign in the unit form.  The span of D_x^m t^j / x^m has n^i
+    coefficient C(j, i) m! S(j-i, m) x^(j-i-m) for i >= 1, so the weights'
+    correction has C(j, i) E_{j-i}(x), with
+    E_m(x) = sum_{k<=m} c_k k! S(m, k) x^(m-k) and c_k the _weight_rows
+    entries; the unit form reads its own row at x = b/b = 1.
+    """
+    top = len(faulhaber)
+    fine = list(zip_longest(*faulhaber, fillvalue=0))  # fine[i][j] = F_j[i]
+    binomials = [[den * comb(j, i) for j in range(i, top)] for i in range(top + 1)]
+    gaps = [b**top - a**d * b ** (top - d) for d in range(top + 1)]  # 1 - x^d over b^top
+    matrices = []
+    for sign, (row, row_den), p in zip((1, -1), _weight_rows(family, a, b, top), (a, b)):
+        powers = [p**d * b ** (top - d) for d in range(top)]  # (p/b)^d over b^top
+        weights = [c * factorial(k) for k, c in enumerate(row)]
+        spans = [sum(map(mul, map(mul, weights, second[m]), powers[m::-1])) for m in range(top)]
+        scaled = [sign * row_den * g for g in gaps]
+        # Row i >= 1 starts at column i - 1, where only the gap is nonzero; F_j(0) = 0 empties row 0.
+        matrix = [[0] * top] + [
+            [0] * (i - 1)
+            + list(map(add, map(mul, fine[i][i - 1:], scaled), [0, *map(mul, binomials[i], spans)]))
+            for i in range(1, top + 1)
+        ]
+        matrices.append((matrix, den * row_den * b**top))
+    return matrices
+
+
 def step_identity_residuals(
     fs: Sequence[Polynomial], grid: Sequence[Scalar], family: CorrectionFamily
 ) -> list[list[tuple[Polynomial, Polynomial]]]:
@@ -123,56 +174,27 @@ def step_identity_residuals(
     unit_difference_residual.  At x = 0 the two are Euler–Maclaurin and
     Gregory.  A step the grid repeats, or writes unreduced, is solved once.
 
-    The weight rows (see _weight_rows) depend on the step only: they are
-    built once per distinct step per call, up to the largest deg f + 1, and a
-    polynomial of lower degree reads a prefix.  Each polynomial gets one table
-    of difference quotients per distinct step and at step 1 (see
-    exact._forward_differences), which gives the sum (Newton's formula) and
-    the spans δ_{r-1}(n) - δ_{r-1}(0).  The two identities share the gap
-    indefinite_sum(f) - downsampled_sum(f, x) up to sign; a residual is the
-    gap plus the row's integer multiply-adds over the spans, over one
-    denominator and normalised once.
+    The Stirling and Faulhaber rows are built once per call, up to the
+    largest deg f + 1, and the residual matrices (see _residual_matrices)
+    once per distinct step; a polynomial of lower degree reads their first
+    columns.  Each residual is one dot product of a matrix row with f's
+    numerators per power of n, over one denominator, normalised once.
     """
-    steps: dict[tuple[int, int], Fraction] = {}
-    keys = []
-    for x in grid:
-        x = Fraction(x)
-        keys.append((x.numerator, x.denominator))
-        steps.setdefault(keys[-1], x)
+    keys = [(x.numerator, x.denominator) for x in map(Fraction, grid)]
     terms = max((f.degree + 1 for f in fs), default=0)
     if family.max_order < terms:
         raise DownsumError(f"family has max_order {family.max_order}, identity needs {terms}")
-    rows = {key: _weight_rows(family, *key, terms) for key in steps}
-    differenced = {(1, 1): Fraction(1), **steps}  # the unit table too
+    tables = _faulhaber(terms)
+    matrices = {key: _residual_matrices(family, *key, *tables) for key in dict.fromkeys(keys)}
     residuals = []
     for f in fs:
-        tables = {}
-        for key, x in differenced.items():
-            differences, den = _forward_differences(f, x, f.degree + 1)
-            tables[key] = differences, den, *_newton_sum(differences, den, x)
-        unit_differences, unit_den, fine, fine_den = tables[1, 1]
-        solved = {}
-        for key, step_rows in rows.items():
-            step_differences, step_den, coarse, coarse_den = tables[key]
-            gap_den = lcm(fine_den, coarse_den)
-            gap = [u * (gap_den // fine_den) - c * (gap_den // coarse_den) for u, c in zip(fine, coarse)]
-            pair = []
-            for sign, (row, row_den), differences, den in (
-                (1, step_rows[0], step_differences, step_den),
-                (-1, step_rows[1], unit_differences, unit_den),
-            ):
-                spans = [0] * len(gap)
-                for m, d in zip(row, differences):
-                    if m:
-                        spans[:len(d)] = [s + m * c for s, c in zip(spans, d)]
-                spans[0] = 0  # the spans are the quotients without their constant terms
-                span_den = row_den * den
-                out_den = lcm(gap_den, span_den)
-                g_scale, s_scale = sign * (out_den // gap_den), out_den // span_den
-                pair.append(Polynomial._from_ints(
-                    [g * g_scale + s * s_scale for g, s in zip(gap, spans)], out_den
-                ))
-            solved[key] = tuple(pair)
+        solved = {
+            key: tuple(
+                Polynomial._from_ints([sum(map(mul, row, f._num)) for row in matrix], mden * f._den)
+                for matrix, mden in pair
+            )
+            for key, pair in matrices.items()
+        }
         residuals.append([solved[key] for key in keys])
     return residuals
 

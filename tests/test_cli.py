@@ -285,42 +285,40 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--degree", "2", "--trials", "1")
         assert code == 2
 
-    def test_each_step_is_differenced_once_per_trial(self, capsys, monkeypatch):
-        """Each distinct step gets one weight row per request and one difference table per trial.
+    def test_each_step_is_solved_once_per_request(self, capsys, monkeypatch):
+        """Each distinct step gets one weight row and one residual-matrix build per request.
 
-        Default grid with --classical: tables at 1 (the unit table, which
-        also serves the grid's 1), -2, -1, -1/2, 1/3, 1/2, 2, 3, then 0 for
-        Euler–Maclaurin and Gregory; rows at the grid's steps and 0.  The
-        alternating form reads the table and the row of 2, already built.
-        With the grid 1/2,2/4,2 and --classical: 1/2 (also written 2/4), 2
-        and 0, after the unit table; the unit table needs no row of its own.
+        Default grid with --classical: the grid's steps, then 0 for
+        Euler–Maclaurin and Gregory; the alternating form reads the matrices
+        of 2, already built.  With the grid 1/2,2/4,2 and --classical: 1/2
+        (also written 2/4), 2 and 0.  Nothing is built per trial.
         """
-        steps, rows = [], []
-
-        def counting(f, step, count):
-            steps.append(step)
-            return forward_differences(f, step, count)
+        rows, matrices = [], []
 
         def counting_rows(family, a, b, count):
             rows.append(Fr(a, b))
             return weight_rows(family, a, b, count)
 
-        forward_differences = downsum.sumcalc._forward_differences
+        def counting_matrices(family, a, b, *tables):
+            matrices.append(Fr(a, b))
+            return residual_matrices(family, a, b, *tables)
+
         weight_rows = downsum.sumcalc._weight_rows
-        monkeypatch.setattr(downsum.sumcalc, "_forward_differences", counting)
+        residual_matrices = downsum.sumcalc._residual_matrices
         monkeypatch.setattr(downsum.sumcalc, "_weight_rows", counting_rows)
+        monkeypatch.setattr(downsum.sumcalc, "_residual_matrices", counting_matrices)
         verify = ["verify", "--degree", "6", "--trials", "3", "--seed", "1", "--classical"]
-        default_tables = [1, -2, -1, Fr(-1, 2), Fr(1, 3), Fr(1, 2), 2, 3, 0]
-        for grid, expected_rows, expected_tables in (
-            ([], [-2, -1, Fr(-1, 2), Fr(1, 3), Fr(1, 2), 1, 2, 3, 0], default_tables),
-            (["--x-grid=1/2,2/4,2"], [Fr(1, 2), 2, 0], [1, Fr(1, 2), 2, 0]),
+        for grid, expected in (
+            ([], [-2, -1, Fr(-1, 2), Fr(1, 3), Fr(1, 2), 1, 2, 3, 0]),
+            (["--x-grid=1/2,2/4,2"], [Fr(1, 2), 2, 0]),
         ):
-            steps.clear()
             rows.clear()
-            code, _, _ = run(capsys, *verify, *grid)
+            matrices.clear()
+            code, out, _ = run(capsys, *verify, *grid)
             assert code == 0
-            assert rows == expected_rows, grid
-            assert steps == expected_tables * 3, grid
+            assert out.endswith("3/3 passed\n")
+            assert rows == expected, grid
+            assert matrices == expected, grid
 
 
 def _text_coeffs(text):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from downsum import (
+    CorrectionFamily,
     DownsumError,
     Polynomial,
     alternating_residual,
@@ -22,7 +23,7 @@ from downsum import (
     step_identity_residuals,
     unit_difference_residual,
 )
-from downsum.exact import _forward_differences
+from downsum.sumcalc import _faulhaber, _residual_matrices, _stirling
 
 from . import oracle
 
@@ -32,40 +33,48 @@ X_GRID = [Fr(-2), Fr(-1), Fr(-1, 2), Fr(1, 3), Fr(1, 2), Fr(1), Fr(2), Fr(3)]
 
 WIDE_RATIONAL = st.builds(Fr, st.integers(-1000, 1000), st.integers(1, 1000))
 NONZERO_STEP = st.builds(Fr, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+# Any step: 0, small integers, and rationals with numerator and denominator up
+# to 10^40, some written over a common factor (which Fraction reduces).
+ANY_STEP = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fr, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+    st.builds(lambda p, q, g: Fr(p * g, q * g), st.integers(-9, 9), st.integers(1, 9), st.integers(2, 10**20)),
+)
 
 
-def kernel_differences(f, step, count):
-    """D_step^k f for k < count as Fraction lists: row k of the integer
-    difference quotients of _forward_differences, times step^k over their
-    one denominator."""
-    rows, den = _forward_differences(f, step, count)
-    return [[Fr(c) * Fr(step) ** k / den for c in row] for k, row in enumerate(rows)]
+class TestFaulhaberRows:
+    """The Stirling and Faulhaber rows every sum and residual is read from, against the oracle."""
 
+    def test_first_kind_rows_are_falling_factorials(self):
+        first, _ = _stirling(16)
+        assert [oracle.trim(row) for row in first] == [oracle.falling_factorial(m) for m in range(17)]
 
-class TestForwardDifference:
-    """The one exact difference routine, against the oracle's binomial sum of shifts."""
+    def test_second_kind_rows_expand_powers(self):
+        # t^m = sum_k S(m, k) (t)_k
+        _, second = _stirling(16)
+        for m, row in enumerate(second):
+            expanded = oracle.combination((s, oracle.falling_factorial(k)) for k, s in enumerate(row))
+            assert expanded == [0] * m + [1], m
 
-    def test_square_step_two(self):
-        assert kernel_differences(P([0, 0, 1]), 2, 2)[1] == [4, 4]
+    def test_rows_match_literal_power_sums(self):
+        _, rows, den = _faulhaber(16)
+        assert len(rows) == 16
+        for j, row in enumerate(rows):
+            for n in range(j + 3):
+                assert oracle.value(row, n) / den == sum(k**j for k in range(n)), (j, n)
 
-    def test_order_zero_is_identity(self):
-        p = P([3, Fr(1, 2), 7])
-        assert kernel_differences(p, Fr(5, 3), 1)[0] == list(p.coeffs)
+    def test_zero_step_coarse_sum_is_the_integral(self):
+        # With every weight zero the x = 0 scaled residual of t^j is its gap,
+        # F_j(n) minus the coarse sum, which at x = 0 is the integral.
+        zero = (P(),) * 17
+        tables = _faulhaber(16)
+        (matrix, den), _ = _residual_matrices(CorrectionFamily(16, zero, zero), 0, 1, *tables)
+        for j, row in enumerate(tables[1]):
+            coarse = [Fr(c, tables[2]) - Fr(m[j], den) for c, m in zip(row, matrix)]
+            assert oracle.trim(coarse) == oracle.antiderivative([0] * j + [1]), j
 
-    def test_degree_drop_to_zero(self):
-        assert kernel_differences(P([0, 1]), Fr(9, 2), 3)[2] == []
-
-    def test_matches_pointwise_definition(self):
-        # D^k f(t) = sum_j (-1)^(k-j) C(k,j) f(t + j*step) as whole
-        # polynomials, at every order up to one past the degree.
-        rng = random.Random(5)
-        steps = [Fr(-3), Fr(-2, 3), Fr(5, 4), Fr(7)]
-        for _ in range(20):
-            f = random_polynomial(rng, 6)
-            for step in steps + [Fr(rng.randint(-5, 5) or 1, rng.randint(1, 4))]:
-                rows = kernel_differences(f, step, f.degree + 2)
-                for order, row in enumerate(rows):
-                    assert row == oracle.difference(f.coeffs, step, order), (f, step, order)
+    def test_empty(self):
+        assert _faulhaber(0) == ([[1]], [], 1)
 
 
 class TestIndefiniteSum:
@@ -232,12 +241,24 @@ class TestMasterIdentity:
             assert pairs == expected, f
             assert any(not (step.is_zero and unit.is_zero) for step, unit in pairs) == bool(f)
 
-    def test_truncation_is_exact(self):
-        rng = random.Random(31)
-        f = random_polynomial(rng, 5)
-        for x in (Fr(2), Fr(-1, 2)):
-            rows, _ = _forward_differences(f, x, f.degree + 4)
-            assert rows[f.degree + 1:] == [[], [], []]
+    @given(
+        st.lists(st.lists(WIDE_RATIONAL, max_size=13), min_size=1, max_size=3),
+        st.lists(ANY_STEP, min_size=1, max_size=3),
+        st.dictionaries(st.integers(1, 13), st.tuples(st.integers(0, 4), WIDE_RATIONAL.filter(bool)), max_size=3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_random_calls_against_the_oracle(self, perturbed_family, fs, grid, bumps):
+        """Degrees 0..12 and the zero polynomial in one call, any steps, a bumped family.
+
+        The grid repeats its first step, so a repeated step reads the same
+        matrices; every residual is oracle.perturbed_residuals.
+        """
+        fs = [*fs, []]
+        grid = [*grid, grid[0]]
+        family = perturbed_family(correction_family(13), bumps)
+        results = step_identity_residuals([P(f) for f in fs], grid, family)
+        for f, pairs in zip(fs, results):
+            assert pairs == [tuple(P(r) for r in oracle.perturbed_residuals(f, x, bumps)) for x in grid]
 
     def test_family_too_short(self):
         f = P([0, 0, 0, 1])

@@ -109,12 +109,26 @@ def argvs():
     for classical in ([], ["--classical"]):
         yield ["verify", "--degree", "6", "--trials", "5", "--seed", "195",
                "--x-grid=1/2,2/4,2,-3,-3", *classical]
+    # Integer scaling of the residual matrices: degrees 0 and 20, a huge, a
+    # negative and an unreduced step, and a step past the float range.
+    for degree, grid, classical in itertools.product(
+        ("0", "20"),
+        ([], ["--x-grid=123456789012345678901234567890/7,-13/11,2/4"], ["--x-grid=1e400"]),
+        ([], ["--classical"]),
+    ):
+        yield ["verify", "--degree", degree, "--trials", "3", "--seed", "11", *grid, *classical]
     for options in _options(
         poly=["1", "0,1", "1,2,3", "1/2,-1/3,0,5", "", "a", "1e5000"],
         n=["10", "7/2", "-3", "0", "x", "1e5000"],
         downsample_x=[None, "2", "1/3", "-1", "0", "y"],
     ):
         yield ["sum", *options]
+    for poly, n, x in itertools.product(
+        ("1,2,3", "1/2,-1/3,0,5,0,0,7", "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1"),
+        ("10", "-7/3", "98765432109876543210/3"),
+        ("123456789012345678901234567890/7", "-13/11", "2/4", "1e400", "-1e-30"),
+    ):
+        yield ["sum", f"--poly={poly}", f"--n={n}", f"--downsample-x={x}"]
     for options in _options(
         input=["plain.csv", "quoted.csv", "ragged.csv", "nonfinite.csv", "empty.csv", "missing.csv"],
         col=["0", "1", "2", "-1", "5"],
