@@ -96,35 +96,32 @@ def _run_verify(args: argparse.Namespace) -> int:
     family = correction_family(args.degree + 1)
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
-    print(f"x-grid: {','.join(format_rational(x) for x in grid)}")
+    steps = [format_rational(x) for x in grid]
+    print(f"x-grid: {','.join(steps)}")
     fs = [random_polynomial(rng, args.degree) for _ in range(args.trials)]
     clean_trials = 0
     for i, (f, residuals) in enumerate(
         zip(fs, step_identity_residuals(fs, grid + [0, 2] if args.classical else grid, family))
     ):
-        trial_ok = True
-        for x, (step_form, unit_form) in zip(grid, residuals):
-            ok = step_form.is_zero and unit_form.is_zero
-            print(f"trial {i:03d} x={format_rational(x)}: {'pass' if ok else 'FAIL'}")
-            if not ok:
-                trial_ok = False
-                print(f"  f = {f.text()}")
-                if not step_form.is_zero:
-                    print(f"  step-weight residual = {step_form.text()}")
-                if not unit_form.is_zero:
-                    print(f"  unit-weight residual = {unit_form.text()}")
+        checks = [
+            (f"x={step}", {"step-weight residual": step_form, "unit-weight residual": unit_form})
+            for step, (step_form, unit_form) in zip(steps, residuals)
+        ]
         if args.classical:
             # At x = 0 the two identities are Euler–Maclaurin and Gregory; at x = 2
             # the unit one is Euler's alternating form.
-            classical = (*residuals[-2], residuals[-1][1])
-            for name, residual in zip(("euler-maclaurin", "gregory", "alternating"), classical):
-                print(f"trial {i:03d} {name}: {'pass' if residual.is_zero else 'FAIL'}")
-                if not residual.is_zero:
-                    trial_ok = False
-                    print(f"  f = {f.text()}")
-                    print(f"  residual = {residual.text()}")
-        if trial_ok:
-            clean_trials += 1
+            forms = zip(("euler-maclaurin", "gregory", "alternating"), (*residuals[-2], residuals[-1][1]))
+            checks += [(name, {"residual": r}) for name, r in forms]
+        trial_ok = True
+        for label, fields in checks:
+            failed = [(name, r) for name, r in fields.items() if not r.is_zero]
+            print(f"trial {i:03d} {label}: {'FAIL' if failed else 'pass'}")
+            if failed:
+                trial_ok = False
+                print(f"  f = {f.text()}")
+                for name, r in failed:
+                    print(f"  {name} = {r.text()}")
+        clean_trials += trial_ok
     print(f"{clean_trials}/{args.trials} passed")
     return 0 if clean_trials == args.trials else 1
 

@@ -27,10 +27,10 @@ residual is one matrix applied to f's integer numerators: entry (i, j) is the
 n^i coefficient of the residual of t^j.  The matrices are read off the
 Faulhaber rows sum_{k<n} k^j = sum_m S(j, m) (n)_{m+1}/(m+1), built from
 the Stirling numbers of both kinds with no Bernoulli number, so the check
-stays independent of the family.  ``step_identity_residuals`` builds the
-Stirling and Faulhaber rows once per call and the two matrices once per
-distinct step, so all the polynomials of one call share them; each residual
-is then one dot product per power of n and one normalisation.  The
+stays independent of the family.  ``step_identity_residuals`` builds what
+depends on the largest degree alone once per call and the two matrices once
+per distinct step, then solves each polynomial's residuals lazily, as one
+dot product per power of n and one normalisation.  The
 indefinite and the downsampled sum apply the two factors of the Faulhaber
 rows, the Stirling rows and the falling-factorial sums, to one f at once.
 """
@@ -38,10 +38,10 @@ rows, the Stirling rows and the falling-factorial sums, to one f at once.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, factorial, lcm
+from math import comb, lcm
 from operator import add, mul
 
 from .errors import DownsumError
@@ -61,18 +61,20 @@ def _stirling(top: int) -> tuple[list[list[int]], list[list[int]]]:
     return first, second
 
 
-def _faulhaber(count: int) -> tuple[list[list[int]], list[list[int]], int]:
-    """(second, rows, den): the Faulhaber rows of t^j for j < count.
+def _faulhaber(count: int) -> tuple[list[list[int]], list[tuple[int, ...]], list[list[int]], int]:
+    """(second, fine, binomials, den): the tables of t^j, j < count, that every step reads.
 
-    Summing (k)_m over k < n gives (n)_{m+1}/(m+1), so
-    sum_{k<n} k^j = sum_m S(j, m) (n)_{m+1}/(m+1); rows[j] holds its
-    coefficients in n as numerators over den = lcm(1..count), and second
-    the Stirling numbers S of _stirling(count).
+    Summing (k)_m over k < n gives (n)_{m+1}/(m+1), so sum_{k<n} k^j is
+    F_j(n) = sum_m S(j, m) (n)_{m+1}/(m+1).  Over den = lcm(1..count), fine[i][j]
+    is F_j's n^i coefficient and binomials[i][j - i] is C(j, i); second holds
+    the S of _stirling(count).
     """
     first, second = _stirling(count)
     den = lcm(*range(1, count + 1))
     columns = list(zip_longest(*_falling_sums(first, den), fillvalue=0))
-    return second, [[sum(map(mul, second[j], c)) for c in columns[:j + 2]] for j in range(count)], den
+    rows = [[sum(map(mul, second[j], c)) for c in columns[:j + 2]] for j in range(count)]
+    binomials = [[den * comb(j, i) for j in range(i, count)] for i in range(count + 1)]
+    return second, list(zip_longest(*rows, fillvalue=0)), binomials, den
 
 
 def _falling_sums(first: Sequence[Sequence[int]], den: int) -> list[list[int]]:
@@ -112,10 +114,10 @@ def downsampled_sum(f: Polynomial, x: Scalar) -> Polynomial:
 
 
 def _weight_rows(family: CorrectionFamily, a: int, b: int, count: int) -> list[tuple[list[int], int]]:
-    """The multipliers -w_r(x)/r! and -u_r(x)/r!, r = 1..count, at x = a/b.
+    """The multipliers -w_r(x)/r and -u_r(x)/r, r = 1..count, at x = a/b.
 
     Two (numerators, denominator) rows, step weights first.  Integer Horner
-    gives w_r(a/b) = h_r / (e_r * b^deg), so -w_r(x)/r! = -h_r / (e_r * b^deg * r!),
+    gives w_r(a/b) = h_r / (e_r * b^deg), so -w_r(x)/r = -h_r / (e_r * b^deg * r),
     and likewise for u_r; each row is put over the lcm of its denominators.
     """
     rows = []
@@ -123,36 +125,34 @@ def _weight_rows(family: CorrectionFamily, a: int, b: int, count: int) -> list[t
         pairs = []
         for r in range(1, count + 1):
             h, b_power = _horner(weights[r]._num, a, b)
-            pairs.append((-h, weights[r]._den * b_power * factorial(r)))
+            pairs.append((-h, weights[r]._den * b_power * r))
         den = lcm(*(d for _, d in pairs))
         rows.append(([h * (den // d) for h, d in pairs], den))
     return rows
 
 
 def _residual_matrices(
-    family: CorrectionFamily, a: int, b: int, second: list[list[int]], faulhaber: list[list[int]], den: int
+    family: CorrectionFamily, a: int, b: int, tables: tuple
 ) -> list[tuple[list[list[int]], int]]:
     """The (scaled-difference, unit-difference) residual maps at x = a/b.
 
     Each is an integer matrix and a denominator; entry (i, j) over it is the
-    n^i coefficient of the residual of t^j, for i <= T and j < T with
-    T = len(faulhaber).  The gap sum_{k<n} k^j - x^(j+1) F_j(n/x) has n^i
+    n^i coefficient of the residual of t^j, for i <= T and j < T, from the
+    tables of _faulhaber(T).  The gap sum_{k<n} k^j - x^(j+1) F_j(n/x) has n^i
     coefficient F_j[i] (1 - x^(j+1-i)), with a plus sign in the scaled form
     and a minus sign in the unit form.  The span of D_x^m t^j / x^m has n^i
-    coefficient C(j, i) m! S(j-i, m) x^(j-i-m) for i >= 1, so the weights'
-    correction has C(j, i) E_{j-i}(x), with
-    E_m(x) = sum_{k<=m} c_k k! S(m, k) x^(m-k) and c_k the _weight_rows
-    entries; the unit form reads its own row at x = b/b = 1.
+    coefficient C(j, i) m! S(j-i, m) x^(j-i-m) for i >= 1, and its weight
+    -w_{m+1}(x)/(m+1)! times m! is the _weight_rows entry c_m, so the weights'
+    correction has C(j, i) E_{j-i}(x) with E_m(x) = sum_k c_k S(m, k) x^(m-k);
+    the unit form reads its own row at x = b/b = 1.
     """
-    top = len(faulhaber)
-    fine = list(zip_longest(*faulhaber, fillvalue=0))  # fine[i][j] = F_j[i]
-    binomials = [[den * comb(j, i) for j in range(i, top)] for i in range(top + 1)]
+    second, fine, binomials, den = tables
+    top = len(second) - 1
     gaps = [b**top - a**d * b ** (top - d) for d in range(top + 1)]  # 1 - x^d over b^top
     matrices = []
     for sign, (row, row_den), p in zip((1, -1), _weight_rows(family, a, b, top), (a, b)):
         powers = [p**d * b ** (top - d) for d in range(top)]  # (p/b)^d over b^top
-        weights = [c * factorial(k) for k, c in enumerate(row)]
-        spans = [sum(map(mul, map(mul, weights, second[m]), powers[m::-1])) for m in range(top)]
+        spans = [sum(map(mul, map(mul, row, second[m]), powers[m::-1])) for m in range(top)]
         scaled = [sign * row_den * g for g in gaps]
         # Row i >= 1 starts at column i - 1, where only the gap is nonzero; F_j(0) = 0 empties row 0.
         matrix = [[0] * top] + [
@@ -166,28 +166,29 @@ def _residual_matrices(
 
 def step_identity_residuals(
     fs: Sequence[Polynomial], grid: Sequence[Scalar], family: CorrectionFamily
-) -> list[list[tuple[Polynomial, Polynomial]]]:
+) -> Iterator[list[tuple[Polynomial, Polynomial]]]:
     """Both step-x identity residuals of each f in fs at every x of the grid.
 
-    One list per polynomial, in the order of fs, of one (scaled-difference,
-    unit-difference) pair per grid entry; see scaled_difference_residual and
-    unit_difference_residual.  At x = 0 the two are Euler–Maclaurin and
-    Gregory.  A step the grid repeats, or writes unreduced, is solved once.
+    An iterator of one list per polynomial, in the order of fs, of one
+    (scaled-difference, unit-difference) pair per grid entry; see
+    scaled_difference_residual and unit_difference_residual.  At x = 0 the
+    two are Euler–Maclaurin and Gregory.  A step the grid repeats, or writes
+    unreduced, is solved once.
 
-    The Stirling and Faulhaber rows are built once per call, up to the
-    largest deg f + 1, and the residual matrices (see _residual_matrices)
-    once per distinct step; a polynomial of lower degree reads their first
-    columns.  Each residual is one dot product of a matrix row with f's
-    numerators per power of n, over one denominator, normalised once.
+    The call checks the family and builds the tables of _faulhaber, up to the
+    largest deg f + 1, and the residual matrices of each distinct step (see
+    _residual_matrices); a polynomial of lower degree reads their first
+    columns.  Each polynomial's residuals are solved as the iterator reaches
+    it: one dot product of a matrix row with f's numerators per power of n.
     """
     keys = [(x.numerator, x.denominator) for x in map(Fraction, grid)]
     terms = max((f.degree + 1 for f in fs), default=0)
     if family.max_order < terms:
         raise DownsumError(f"family has max_order {family.max_order}, identity needs {terms}")
     tables = _faulhaber(terms)
-    matrices = {key: _residual_matrices(family, *key, *tables) for key in dict.fromkeys(keys)}
-    residuals = []
-    for f in fs:
+    matrices = {key: _residual_matrices(family, *key, tables) for key in dict.fromkeys(keys)}
+
+    def solve(f: Polynomial) -> list[tuple[Polynomial, Polynomial]]:
         solved = {
             key: tuple(
                 Polynomial._from_ints([sum(map(mul, row, f._num)) for row in matrix], mden * f._den)
@@ -195,8 +196,9 @@ def step_identity_residuals(
             )
             for key, pair in matrices.items()
         }
-        residuals.append([solved[key] for key in keys])
-    return residuals
+        return [solved[key] for key in keys]
+
+    return map(solve, fs)
 
 
 def scaled_difference_residual(
@@ -207,7 +209,7 @@ def scaled_difference_residual(
     LHS is the unit-step indefinite sum; RHS is the downsampled sum plus
     sum_{r=1}^{deg f + 1} w_r(x)/r! * (D_x^{r-1} f(n) - D_x^{r-1} f(0)) / x^{r-1}.
     """
-    return step_identity_residuals([f], [x], family)[0][0][0]
+    return next(step_identity_residuals([f], [x], family))[0][0]
 
 
 def unit_difference_residual(
@@ -218,7 +220,7 @@ def unit_difference_residual(
     x * sum_{k<n/x} f(kx) = sum_{k<n} f(k)
                             + sum_r u_r(x)/r! * (D^{r-1} f(n) - D^{r-1} f(0)).
     """
-    return step_identity_residuals([f], [x], family)[0][0][1]
+    return next(step_identity_residuals([f], [x], family))[0][1]
 
 
 def euler_maclaurin_residual(f: Polynomial) -> Polynomial:

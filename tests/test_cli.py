@@ -144,6 +144,7 @@ COEFFS_40_CSV = Path(__file__).parent / "data" / "coeffs_max_order_40.csv"
 COEFFS_40_TABLE = Path(__file__).parent / "data" / "coeffs_max_order_40.txt"
 # Each "$ downsum <argv>" line is followed by that verify run's stdout.
 VERIFY_CLASSICAL = Path(__file__).parent / "data" / "verify_classical.txt"
+VERIFY_FAIL = Path(__file__).parent / "data" / "verify_fail.txt"
 
 
 class TestCoeffs:
@@ -417,6 +418,27 @@ class TestVerifyFailure:
             self.check(code, out, expected)
             # The degree-3 trial fails exactly while r - 1 < 3 leaves a span.
             assert (_verify_report(out)[1, f"x={self.GRID[0]}"][0] == "pass") == (r >= 4), r
+
+    def test_failing_report_bytes(self, capsys, corrupt):
+        """Every byte of two failing runs, so the order of the lines is pinned too.
+
+        With weights[2] off by delta * x both forms fail at each grid step;
+        off by delta, B_2 and G_2 move as well, and all three classical
+        lines fail beside the x = 2 step.
+        """
+        common = ["verify", "--degree", str(self.DEGREE), "--trials", str(self.TRIALS),
+                  "--seed", str(self.SEED)]
+        runs = (
+            (1, [*common, "--x-grid=" + ",".join(str(x) for x in self.GRID)]),
+            (0, [*common, "--x-grid", "2", "--classical"]),
+        )
+        produced = []
+        for m, argv in runs:
+            corrupt(2, m, self.DELTA)
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (1, "")
+            produced.append(f"$ downsum {shlex.join(argv)}\n{out}")
+        assert "".join(produced).encode() == VERIFY_FAIL.read_bytes()
 
     def test_corrupted_constants_fail_classical(self, capsys, corrupt):
         # m = 0 moves B_r = weights[r](0) and G_r = unit_weights[r](0)/r!; m = 1

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +43,7 @@ ANY_STEP = st.one_of(
 
 
 class TestFaulhaberRows:
-    """The Stirling and Faulhaber rows every sum and residual is read from, against the oracle."""
+    """The Stirling rows and the per-call tables every residual reads, against the oracle."""
 
     def test_first_kind_rows_are_falling_factorials(self):
         first, _ = _stirling(16)
@@ -57,24 +57,36 @@ class TestFaulhaberRows:
             assert expanded == [0] * m + [1], m
 
     def test_rows_match_literal_power_sums(self):
-        _, rows, den = _faulhaber(16)
-        assert len(rows) == 16
-        for j, row in enumerate(rows):
+        # Column j of fine is sum_{k<n} k^j = sum_i C(j+1, i) B_i n^(j+1-i) / (j+1),
+        # with B_1 = -1/2; that form is checked against literal sums first.
+        _, fine, _, den = _faulhaber(16)
+        bernoulli = oracle.bernoulli(16)
+        assert len(fine) == 17
+        for j in range(16):
+            expected = [0] * (j + 2)
+            for i in range(j + 1):
+                expected[j + 1 - i] = Fr(comb(j + 1, i)) * bernoulli[i] / (j + 1)
             for n in range(j + 3):
-                assert oracle.value(row, n) / den == sum(k**j for k in range(n)), (j, n)
+                assert oracle.value(expected, n) == sum(k**j for k in range(n)), (j, n)
+            assert oracle.trim(Fr(row[j], den) for row in fine) == oracle.trim(expected), j
+
+    def test_binomial_rows(self):
+        *_, binomials, den = _faulhaber(16)
+        assert binomials == [[den * comb(j, i) for j in range(i, 16)] for i in range(17)]
 
     def test_zero_step_coarse_sum_is_the_integral(self):
         # With every weight zero the x = 0 scaled residual of t^j is its gap,
         # F_j(n) minus the coarse sum, which at x = 0 is the integral.
         zero = (P(),) * 17
         tables = _faulhaber(16)
-        (matrix, den), _ = _residual_matrices(CorrectionFamily(16, zero, zero), 0, 1, *tables)
-        for j, row in enumerate(tables[1]):
-            coarse = [Fr(c, tables[2]) - Fr(m[j], den) for c, m in zip(row, matrix)]
+        _, fine, _, den = tables
+        (matrix, mden), _ = _residual_matrices(CorrectionFamily(16, zero, zero), 0, 1, tables)
+        for j in range(16):
+            coarse = [Fr(row[j], den) - Fr(m[j], mden) for row, m in zip(fine, matrix)]
             assert oracle.trim(coarse) == oracle.antiderivative([0] * j + [1]), j
 
     def test_empty(self):
-        assert _faulhaber(0) == ([[1]], [], 1)
+        assert _faulhaber(0) == ([[1]], [], [[]], 1)
 
 
 class TestIndefiniteSum:
@@ -234,7 +246,7 @@ class TestMasterIdentity:
         family = perturbed_family(correction_family(6), bumps)
         fs = [[Fr(3, 4), -2, 0, Fr(1, 5), Fr(-7, 3), 9], [5, Fr(-1, 2), Fr(2, 9)], []]
         grid = [Fr(-2, 3), 0, Fr(5, 2), 2, 1, Fr(-3), Fr(5, 2), Fr(4, 2)]
-        results = step_identity_residuals([P(f) for f in fs], grid, family)
+        results = list(step_identity_residuals([P(f) for f in fs], grid, family))
         assert len(results) == len(fs)
         for f, pairs in zip(fs, results):
             expected = [tuple(P(r) for r in oracle.perturbed_residuals(f, x, bumps)) for x in grid]
@@ -259,6 +271,32 @@ class TestMasterIdentity:
         results = step_identity_residuals([P(f) for f in fs], grid, family)
         for f, pairs in zip(fs, results):
             assert pairs == [tuple(P(r) for r in oracle.perturbed_residuals(f, x, bumps)) for x in grid]
+
+    def test_each_polynomial_is_solved_as_the_iterator_reaches_it(self, family20, monkeypatch):
+        """The call builds the matrices but no residual; each next() solves one
+        polynomial, two Polynomial._from_ints per distinct step."""
+        made = []
+        from_ints = Polynomial._from_ints
+
+        def counting(num, den, lowest=False):
+            made.append(den)
+            return from_ints(num, den, lowest)
+
+        monkeypatch.setattr(Polynomial, "_from_ints", staticmethod(counting))
+        rng = random.Random(61)
+        fs = [random_polynomial(rng, 6) for _ in range(4)]
+        residuals = step_identity_residuals(fs, [Fr(1, 2), 2, Fr(2, 4), 0, 2], family20)
+        assert made == []
+        first = next(residuals)
+        assert len(made) == 2 * 3
+        assert len(first) == 5 and all(step.is_zero and unit.is_zero for step, unit in first)
+        assert len(list(residuals)) == 3
+        assert len(made) == 2 * 3 * 4
+
+    def test_short_family_raises_at_the_call(self):
+        # The degree-3 polynomial needs order 4; nothing is iterated.
+        with pytest.raises(DownsumError, match="^family has max_order 2, identity needs 4$"):
+            step_identity_residuals([P([1]), P([0, 0, 0, 1])], [2, 0], correction_family(2))
 
     def test_family_too_short(self):
         f = P([0, 0, 0, 1])

@@ -117,6 +117,12 @@ def argvs():
         ([], ["--classical"]),
     ):
         yield ["verify", "--degree", degree, "--trials", "3", "--seed", "11", *grid, *classical]
+    # Long runs, which print each trial as it is solved, and a degree-12 run on
+    # a grid with a decimal step.
+    for classical in ([], ["--classical"]):
+        yield ["verify", "--degree", "3", "--trials", "300", "--seed", "5", *classical]
+    yield ["verify", "--degree", "12", "--trials", "40", "--seed", "77",
+           "--x-grid=-5/3,0.25,7", "--classical"]
     for options in _options(
         poly=["1", "0,1", "1,2,3", "1/2,-1/3,0,5", "", "a", "1e5000"],
         n=["10", "7/2", "-3", "0", "x", "1e5000"],
@@ -162,6 +168,11 @@ def argvs():
         ["coeffs", "--max-order", "3", "extra"],
         ["sum", "--poly", "-1,2", "--n", "3"],
         ["sum", "--poly=-1,2", "--n=-3"],
+        # argparse reads a separate negative fraction as a flag (exit 2); joined with = it is a value.
+        ["sum", "--poly", "1,2", "--n", "-7/3"],
+        ["sum", "--poly", "1,2", "--n=-7/3"],
+        ["sum", "--poly", "1,2", "--n", "10", "--downsample-x", "-13/11"],
+        ["sum", "--poly", "1,2", "--n", "10", "--downsample-x=-13/11"],
         ["verify", "--degree", "2", "--trials", "1", "--seed", "1", "--x-grid=-1/2,2"],
         ["accelerate", "--target=gamma", "--terms=9"],
         ["accelerate", "--target", "ln2", "--order", "5", "7"],
