@@ -9,17 +9,19 @@ denominator, the layout of FLINT's ``fmpq_poly``: numerators ``(n0, n1, n2)``
 over ``d`` represent ``(n0 + n1*t + n2*t**2) / d``.  Trailing zero numerators
 are trimmed and the content ``gcd(d, n0, n1, ...)`` is divided out, so every
 polynomial has exactly one representation (the zero polynomial has no
-numerators and ``d = 1``).  Arithmetic and printing run on Python ints with
-one gcd per result: every sum goes through ``_linear_combination`` and every
-product through ``_convolve``, the one row sum and the one row product.
-``coeffs`` builds the ascending lowest-terms Fractions anew on each read.
+numerators and ``d = 1``).  The operators ``+``, ``*`` (by a polynomial or a
+scalar), ``shift`` and evaluation run on Python ints with one gcd per
+result: every sum goes through ``_linear_combination`` and every product
+through ``_convolve``.  ``is_zero`` is the one zero test, and ``coeffs``
+builds the ascending lowest-terms Fractions anew on each read.
 
 A power series is a finite list of polynomial coefficients in a second,
 fully symbolic variable: ``coeffs[r]`` is a :class:`Polynomial` in ``x``
 multiplying ``z**r``, truncated at an explicit order.  Mixing truncation
-orders is an error, never a silent truncation.  :mod:`downsum.family` builds
-the weights from a closed form instead; power series remain the independent
-route that expands the generating function term by term.
+orders is an error, never a silent truncation.  Only ``+`` and ``*`` of
+polynomials are needed (``a - b`` is ``a + b * -1``).  :mod:`downsum.family`
+builds the weights from a closed form instead; power series remain the
+independent route that expands the generating function term by term.
 
 Everything here is an immutable value; operations are pure.
 """
@@ -98,10 +100,6 @@ def _canonical(num: list[int], den: int, lowest: bool = False) -> tuple[tuple[in
         num = [c // g for c in num]
         den //= g
     return tuple(num), den
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _linear_combination(terms: Iterable[tuple[int, int, Sequence[int]]]) -> "Polynomial":
@@ -246,23 +244,12 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
-    def __bool__(self) -> bool:
-        return bool(self._num)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         return _linear_combination([(1, self._den, self._num), (1, other._den, other._num)])
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._from_ints([-c for c in self._num], self._den)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return _linear_combination([(1, self._den, self._num), (-1, other._den, other._num)])
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -276,16 +263,11 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: Scalar) -> "Polynomial":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return self * (1 / Fraction(scalar))
-
     # -- evaluation and substitution -----------------------------------
 
     def __call__(self, at: Scalar) -> Fraction:
         """Exact Horner evaluation at p/q on integers, sum n_i p^i q^(deg-i)."""
-        at = _as_fraction(at)
+        at = Fraction(at)
         value, q_power = _horner(self._num, at.numerator, at.denominator)
         return Fraction(value, self._den * q_power)
 
@@ -296,7 +278,7 @@ class Polynomial:
         n_i * b^(deg-i); an integer Taylor shift gives R(s) = P(s + a), and
         q(t) = R(b*t) / (d * b^deg).
         """
-        step = _as_fraction(step)
+        step = Fraction(step)
         if not self._num or not step:
             return self
         a, b = step.numerator, step.denominator
@@ -332,13 +314,6 @@ class PowerSeries:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(p.pretty() for p in self.coeffs)
-        return f"PowerSeries([{inner}])"
-
     def _check_order(self, other: "PowerSeries") -> None:
         if self.order != other.order:
             raise ValueError(f"series orders differ: {self.order} vs {other.order}")
@@ -353,7 +328,7 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._check_order(other)
-        return PowerSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return PowerSeries([a + b * -1 for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         """Cauchy product truncated to the common order."""
@@ -380,7 +355,7 @@ class PowerSeries:
             acc = Polynomial()
             for k in range(1, n + 1):
                 acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-acc)
+            out.append(acc * -1)
         return PowerSeries(out)
 
     def exp(self) -> "PowerSeries":
@@ -395,5 +370,5 @@ class PowerSeries:
             acc = Polynomial()
             for k in range(n + 1):
                 acc = acc + (k + 1) * self.coeffs[k + 1] * out[n - k]
-            out.append(acc / (n + 1))
+            out.append(acc * Fraction(1, n + 1))
         return PowerSeries(out)

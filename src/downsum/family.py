@@ -63,16 +63,16 @@ class CorrectionFamily:
 
     weights[r] multiplies the step-x difference of order r-1; unit_weights[r]
     is its coefficient reversal and multiplies the unit-step difference of
-    order r-1 in the dual form of the identity.  The fields are read-only.
+    order r-1 in the dual form of the identity.  max_order is one less than
+    the common length of the two lists; the fields are read-only.
     """
 
     __slots__ = ("_fields", "__weakref__")
 
-    def __init__(self, max_order: int, weights: tuple, unit_weights: tuple) -> None:
-        expected = max_order + 1
-        if len(weights) != expected or len(unit_weights) != expected:
-            raise ValueError("family lists must have max_order+1 entries")
-        self._fields = (max_order, weights, unit_weights)
+    def __init__(self, weights: tuple, unit_weights: tuple) -> None:
+        if not weights or len(weights) != len(unit_weights):
+            raise ValueError("family lists must be nonempty and of one length")
+        self._fields = (len(weights) - 1, weights, unit_weights)
 
     max_order = property(lambda self: self._fields[0])
     weights = property(lambda self: self._fields[1])
@@ -177,7 +177,7 @@ def correction_family(max_order: int) -> CorrectionFamily:
         # low coefficients, now at the top, are trimmed.
         weights.append(w)
         unit_weights.append(Polynomial._from_ints(list(w._num[::-1]), w._den, lowest=True))
-    return CorrectionFamily(max_order, tuple(weights), tuple(unit_weights))
+    return CorrectionFamily(tuple(weights), tuple(unit_weights))
 
 
 def classical_numbers(family: CorrectionFamily) -> CoefficientTable:

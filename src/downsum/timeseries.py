@@ -361,12 +361,12 @@ def gregory_integral(s: Sequence[float], n: int, order: int) -> float:
     return total
 
 
-def gaussian_bump(length: int = 121, center: float = 25.0, width: float = 25.0) -> tuple[float, ...]:
-    """The documented synthetic test signal: exp(-((t-center)/width)^2).
+# The acceptance signal: smooth, bounded, with slowly decaying higher-order
+# differences across a window of 60 samples starting at t = 0, so every
+# correction order up to 4 has something left to correct at factors 2..5.
+BUMP_LENGTH, BUMP_CENTER, BUMP_WIDTH = 121, 25.0, 25.0
 
-    The defaults are the acceptance configuration: smooth, bounded, with
-    slowly decaying higher-order differences across a window of 60 samples
-    starting at t = 0, so every correction order up to 4 has something
-    left to correct at factors 2..5.
-    """
-    return tuple(math.exp(-(((t - center) / width) ** 2)) for t in range(length))
+
+def gaussian_bump() -> tuple[float, ...]:
+    """The documented synthetic test signal: exp(-((t-center)/width)^2) for t < length."""
+    return tuple(math.exp(-(((t - BUMP_CENTER) / BUMP_WIDTH) ** 2)) for t in range(BUMP_LENGTH))

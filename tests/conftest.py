@@ -45,7 +45,7 @@ def _perturbed_family(family, bumps):
         bump = [0] * m + [delta]
         for polys in (weights, unit_weights):
             polys[r] = Polynomial(oracle.combination([(1, polys[r].coeffs), (1, bump)]))
-    return CorrectionFamily(family.max_order, tuple(weights), tuple(unit_weights))
+    return CorrectionFamily(tuple(weights), tuple(unit_weights))
 
 
 @pytest.fixture(scope="session")

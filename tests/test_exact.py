@@ -200,8 +200,7 @@ class TestPolynomialAlgebra:
         p = P([1, 2])
         assert 3 * p == P([3, 6])
         assert p * Fr(1, 2) == P([Fr(1, 2), 1])
-        assert p / 2 == P([Fr(1, 2), 1])
-        assert -p == P([-1, -2])
+        assert p * -1 == P([-1, -2])
 
 
 # The integer-numerator core is checked against the plain Fraction-list
@@ -255,9 +254,8 @@ class TestAgainstFractionOracle:
         p, q = P(a), P(b)
         a, b = oracle.trim(a), oracle.trim(b)
         assert list((p + q).coeffs) == oracle.combination([(1, a), (1, b)])
-        assert list((p - q).coeffs) == oracle.combination([(1, a), (-1, b)])
+        assert list((p + q * -1).coeffs) == oracle.combination([(1, a), (-1, b)])
         assert list((p * q).coeffs) == oracle.mul(a, b)
-        assert list((-p).coeffs) == [-c for c in a]
 
     @given(coefficient_lists(), WIDE_RATIONAL)
     def test_scalar_operations(self, a, s):
@@ -265,8 +263,6 @@ class TestAgainstFractionOracle:
         assert list((p * s).coeffs) == oracle.trim(c * s for c in a)
         assert list((s * p).coeffs) == oracle.trim(c * s for c in a)
         assert list((p * int(s)).coeffs) == oracle.trim(c * int(s) for c in a)
-        if s:
-            assert list((p / s).coeffs) == [c / s for c in a]
 
     @given(coefficient_lists(), WIDE_RATIONAL)
     def test_shift_and_evaluation(self, a, s):
@@ -326,8 +322,8 @@ class TestAgainstFractionOracle:
         pa = P(a)
         routes = (
             (pa, P(b)),
-            (pa * s * 2 / 2, pa * s),
-            (pa + P(b) - P(b), pa),
+            (pa * s * 2 * Fr(1, 2), pa * s),
+            (pa + P(b) + P(b) * -1, pa),
             (_linear_combination([(3, 3 * pa._den, pa._num)]), pa),
         )
         for p, q in routes:
@@ -372,6 +368,16 @@ class TestPowerSeries:
             PowerSeries.one(3) * PowerSeries.one(4)
         with pytest.raises(ValueError):
             PowerSeries.one(3) + PowerSeries.one(2)
+
+    def test_sub_inverts_add(self):
+        rng = random.Random(5)
+        for _ in range(6):
+            order = rng.randint(0, 8)
+            a, b = _random_series(rng, order), _random_series(rng, order)
+            assert (a - b) + b == a
+            assert a - a == PowerSeries([P()] * (order + 1))
+        with pytest.raises(ValueError, match="series orders differ: 3 vs 2"):
+            PowerSeries.one(3) - PowerSeries.one(2)
 
     def test_reciprocal_geometric(self):
         a = PowerSeries([P([1]), P([1]), P(), P(), P()])

@@ -171,7 +171,10 @@ class TestGeneration:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            CorrectionFamily(2, (P([1]),), (P([1]),))
+            CorrectionFamily((P([1]), P([1])), (P([1]),))
+        with pytest.raises(ValueError):
+            CorrectionFamily((), ())
+        assert CorrectionFamily((P([1]),), (P([1]),)).max_order == 0
 
     def test_family_is_not_retained(self):
         """A family its caller drops is freed: the package keeps no reference."""
@@ -320,7 +323,6 @@ class TestRecurrences:
 
     def test_mutation_detector(self, family20):
         corrupted = CorrectionFamily(
-            2,
             family20.weights[:3],
             (
                 family20.unit_weights[0],
@@ -348,7 +350,6 @@ class TestRecurrences:
 
         for max_order in [20, 20, 20, 2, 3]:
             corrupted = CorrectionFamily(
-                max_order,
                 perturbed(family20.weights[: max_order + 1]),
                 perturbed(family20.unit_weights[: max_order + 1]),
             )

@@ -46,6 +46,7 @@ EMPTY_SERIES_CALLS = [
     (forward_difference, (0, 2, 3), DownsumError),
     (forward_difference, (-1, 1, 0), DownsumError),
     (forward_difference, (0, 0, 0), ValueError),
+    (forward_difference, (0, 1, -1), ValueError),
     (windowed_sum, (0, 0, 1), 0.0),
     (windowed_sum, (0, 0, 3), 0.0),
     (windowed_sum, (0, 2, 1), DownsumError),
@@ -726,8 +727,7 @@ class TestGaussianBump:
         assert max(bump) == 1.0
         assert all(0.0 < v <= 1.0 for v in bump)
 
-    def test_custom_parameters(self):
-        bump = gaussian_bump(length=11, center=5.0, width=2.0)
-        assert len(bump) == 11
-        assert bump[5] == 1.0
-        assert bump[3] == pytest.approx(math.exp(-1.0))
+    def test_one_width_from_center(self):
+        bump = gaussian_bump()
+        assert bump[0] == bump[50] == pytest.approx(math.exp(-1.0))
+        assert bump[75] == pytest.approx(math.exp(-4.0))

@@ -80,7 +80,7 @@ class TestFaulhaberRows:
         zero = (P(),) * 17
         tables = _faulhaber(16)
         _, fine, _, den = tables
-        (matrix, mden), _ = _residual_matrices(CorrectionFamily(16, zero, zero), 0, 1, tables)
+        (matrix, mden), _ = _residual_matrices(CorrectionFamily(zero, zero), 0, 1, tables)
         for j in range(16):
             coarse = [Fr(row[j], den) - Fr(m[j], mden) for row, m in zip(fine, matrix)]
             assert oracle.trim(coarse) == oracle.antiderivative([0] * j + [1]), j
