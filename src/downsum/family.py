@@ -23,16 +23,17 @@ Both come from P_r(y) = r! * [z^r] (z / log(1+z)) * (1+z)**y, whose y^k
 coefficient is the factor beside B_{r-k}: P_r(0) = r! * G_r, and
 P_r'(y) = r * (y)_{r-1}, the falling factorial, whose coefficients are
 the s(r-1, .).  So the family is read off integer rows, and the classical
-constants off the family.  The Bernoulli numerators b_n = B_n * D, with
-D = 2 * (product of the primes p <= R+1), are integers by von Staudt-Clausen;
-the even ones come from the tangent numbers T_k (Brent and Harvey,
-arXiv:1108.0286) as b_{2k} = (-1)^(k-1) * 2k * T_k * D / (4^k * (4^k - 1)).
-The Gregory numerators g_n = L * integral_0^1 (x)_n dx, with L = lcm(1..R+1),
-so that G_n = g_n / (n! * L), are the first entries of rows of
-falling-factorial moments L * integral_0^1 x^m (x)_n dx, each row read off
-the one before by (x)_{n+1} = (x)_n * (x - n).  Since r! * G_r = g_r / L and
-L is divisible by r-m, every w_r has integer numerators over the single
-denominator L * D.
+constants off the family.  The Gregory numerators g_n = L * integral_0^1
+(x)_n dx, with L = lcm(1..R+1), so that G_n = g_n / (n! * L), are the first
+entries of rows of falling-factorial moments L * integral_0^1 x^m (x)_n dx,
+each row read off the one before by (x)_{n+1} = (x)_n * (x - n).  The
+Bernoulli numbers need no algorithm of their own: at x = 1 the generating
+function is z / z = 1, so w_r(1) = 0 for r >= 1, and B_r, the x^0
+coefficient of w_r, is minus the sum of its other coefficients, which hold
+only B_k for k < r and G_r.  By von Staudt-Clausen the denominator of B_n is
+squarefree with prime factors p <= n+1, so B_n * L is an integer; since
+r! * G_r = g_r / L and L is divisible by r-m, every w_r has integer
+numerators over the single denominator L**2.
 
 At one fixed point x the R+1 values need no family.  Expanding the
 denominator of the generating function,
@@ -44,16 +45,16 @@ and matching z**n in the product with sum_r w_r(x) z**r / r! gives
 w_0 = 1 and w_n = -(1/(n+1)) * sum_{j=1..n} C(n+1, j+1) * v_j * w_{n-j}.  The
 reversals satisfy the same recurrence with (x - 1)(x - 2)...(x - j) in place
 of v_j, which needs no division by x.  For x = p/q every F_n =
-w_n(p/q) * q**n * L * D is an integer (it is the Horner sum of w_n's integer
+w_n(p/q) * q**n * L**2 is an integer (it is the Horner sum of w_n's integer
 numerators), so the recurrence runs on integers, with V_j = q**j * v_j(p/q)
-= (q - p)(q - 2p)...(q - jp) (or (p - q)(p - 2q)...(p - jq) for u), F_0 = L * D
+= (q - p)(q - 2p)...(q - jp) (or (p - q)(p - 2q)...(p - jq) for u), F_0 = L**2
 and an exact division by n+1.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb, factorial, isqrt, lcm, prod
+from math import comb, factorial, lcm
 
 from .exact import Polynomial, _convolve, _linear_combination
 
@@ -83,36 +84,6 @@ class CorrectionFamily:
 CoefficientTable = namedtuple("CoefficientTable", ["bernoulli", "gregory"])
 
 
-def _bernoulli_denominator(max_order: int) -> int:
-    """D = 2 * (product of the primes p <= R+1); D * B_n is an integer for n <= R."""
-    primes = (
-        p for p in range(2, max_order + 2) if all(p % q for q in range(2, isqrt(p) + 1))
-    )
-    return 2 * prod(primes)
-
-
-def _bernoulli_numerators(max_order: int, den: int) -> list[int]:
-    """b_n = B_n * den for n <= R, from the tangent numbers T_1..T_{R//2}.
-
-    den must make every b_n an integer, so the division by 4^k * (4^k - 1)
-    is exact.  The T_k are built in place by integer-only updates (Brent and
-    Harvey's TangentNumbers); B_1 = -1/2 and B_n = 0 for odd n >= 3.
-    """
-    half = max_order // 2
-    tangent = [0, 1]  # tangent[k] = T_k, 1-based; starts as (k-1)!
-    for k in range(2, half + 1):
-        tangent.append((k - 1) * tangent[-1])
-    for k in range(2, half + 1):
-        for j in range(k, half + 1):
-            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
-    b = [den, -den // 2] + [0] * (max_order - 1)
-    for k in range(1, half + 1):
-        power = 4 ** k
-        value = 2 * k * tangent[k] * den // (power * (power - 1))
-        b[2 * k] = value if k % 2 else -value
-    return b[: max_order + 1]
-
-
 def _gregory_numerators(max_order: int) -> tuple[list[int], int]:
     """(g, L) with g_n = L * integral_0^1 (x)_n dx for n <= R and L = lcm(1..R+1).
 
@@ -129,14 +100,14 @@ def _gregory_numerators(max_order: int) -> tuple[list[int], int]:
 
 
 def _values_at(max_order: int, p: int, q: int, unit: bool = False) -> tuple[list[int], int]:
-    """(F, L * D) with w_r(p/q) = F[r] / (L * D * q**r) for r <= R, or u_r with unit.
+    """(F, L**2) with w_r(p/q) = F[r] / (L**2 * q**r) for r <= R, or u_r with unit.
 
     The fixed-point recurrence of the module docstring on integers; q > 0.
     No family is built, and every division is exact.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    den = lcm(*range(1, max_order + 2)) * _bernoulli_denominator(max_order)
+    den = lcm(*range(1, max_order + 2)) ** 2
     a, b = (p, q) if unit else (q, p)
     v = [1]  # V_j = (a - b)(a - 2b)...(a - jb)
     for l in range(1, max_order + 1):
@@ -154,25 +125,27 @@ def _values_at(max_order: int, p: int, q: int, unit: bool = False) -> tuple[list
 def correction_family(max_order: int) -> CorrectionFamily:
     """Generate weights w_0..w_R and reversals u_0..u_R, exactly.
 
-    Over the common denominator L * D (see the module docstring) the x^m
-    numerator of w_r is b_{r-m} * (L / (r-m)) * r * s(r-1, r-m-1) for m < r
-    and D * g_r for m = r; u_r has the same numerators in reverse order.
-    The coefficient vanishes wherever r-m is odd and at least 3, with B_{r-m}.
+    Over the common denominator L**2 (see the module docstring) the x^m
+    numerator of w_r is (B_{r-m} * L) * (L / (r-m)) * r * s(r-1, r-m-1) for
+    0 < m < r and L * g_r for m = r; the x^0 numerator, B_r * L**2, is minus
+    the sum of the others, as w_r(1) = 0.  u_r has the same numerators in
+    reverse order.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     g, scale = _gregory_numerators(max_order)
-    den = _bernoulli_denominator(max_order)
-    b = _bernoulli_numerators(max_order, den)
-    scaled_b = [b[k] * (scale // k) if k else 0 for k in range(max_order + 1)]
+    scaled_b = [0]  # scaled_b[k] = B_k * L * (L / k), for k >= 1
     stirling = [1]  # s(r-1, 0..r-1), one row per order r >= 1
     weights, unit_weights = [], []
     for r in range(max_order + 1):
         if r > 1:
             stirling = [a - (r - 2) * c for a, c in zip([0] + stirling, stirling + [0])]
-        num = [r * scaled_b[r - m] * stirling[r - m - 1] for m in range(r)] + [den * g[r]]
-        w = Polynomial._from_ints(num, scale * den)
-        # w keeps all r+1 numerators, as its top one D * g_r is nonzero, so
+        num = [r * scaled_b[r - m] * stirling[r - m - 1] for m in range(1, r)] + [scale * g[r]]
+        if r:
+            num.insert(0, -sum(num))
+            scaled_b.append(num[0] // r)
+        w = Polynomial._from_ints(num, scale * scale)
+        # w keeps all r+1 numerators, as its top one L * g_r is nonzero, so
         # reversed they are u_r's, already in lowest terms: only w's zero
         # low coefficients, now at the top, are trimmed.
         weights.append(w)

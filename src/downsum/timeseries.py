@@ -258,7 +258,7 @@ def _float_weights(numerators: Sequence[int], den: int, x: int) -> Iterator[floa
 
 
 def _step_weights(x: int, order: int) -> Iterator[float]:
-    """float(w_r(x)/(r! * x^(r-1))) for r = 1..order, w_r(x) = F_r / (L * D) from _values_at."""
+    """float(w_r(x)/(r! * x^(r-1))) for r = 1..order, w_r(x) = F_r / L**2 from _values_at."""
     return _float_weights(*_values_at(order, x, 1), x)
 
 

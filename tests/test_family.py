@@ -1,8 +1,8 @@
 """Tests for the weight family: generation, structure, constants.
 
 The library builds the family and the constants from one closed form over
-integer Bernoulli (tangent-number), Gregory (falling-factorial moment) and
-Stirling rows.  The oracles below share no code with it: the first seven
+integer Gregory (falling-factorial moment) and Stirling rows, reading each
+Bernoulli number off its own row through F_r(1) = 0.  The oracles below share no code with it: the first seven
 weights written out longhand, the Bernoulli recurrence, the series expansion
 of z/log(1+z) and (x)_n multiplied out on Fraction lists (tests/oracle.py),
 the Gregory-Stirling convolution the closed form collapses, the generating
@@ -204,7 +204,7 @@ class TestValuesAtAPoint:
 
     @pytest.mark.parametrize("unit", [False, True], ids=["w", "u"])
     def test_lower_orders_give_the_same_values(self, unit):
-        """A smaller R has a smaller denominator L * D but the same values."""
+        """A smaller R has a smaller denominator L**2 but the same values."""
         top, top_den = _values_at(40, -2, 5, unit)
         for max_order in (0, 1, 2, 7, 39):
             values, den = _values_at(max_order, -2, 5, unit)
@@ -395,6 +395,11 @@ class TestSpecialValues:
         )
 
     def test_one_is_root(self, family20):
+        # The family is built so that F_r(1) = 0, so this only checks that
+        # construction; the independent evidence is B_r against the oracle
+        # recurrence (test_table_against_recurrences, to r = 221), the series
+        # expansion (test_matches_series_expansion) and the values at 1/k
+        # for k = 1 (test_large_order_values_at_unit_fractions).
         assert family20.weights[5](Fr(1)) == 0
 
     def test_minus_one_is_root(self, family20):
