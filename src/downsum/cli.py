@@ -30,10 +30,11 @@ import csv
 import random
 import sys
 from collections.abc import Sequence
+from math import factorial
 
 from .errors import DownsumError
 from .exact import Polynomial, _ratio, format_rational, parse_rational
-from .family import _values_at, classical_numbers, correction_family
+from .family import _values_at, correction_family
 from .sumcalc import downsampled_sum, random_polynomial, step_identity_residuals
 from .timeseries import (
     error_report,
@@ -66,7 +67,6 @@ def _run_coeffs(args: argparse.Namespace) -> int:
         rows = [[str(r), _ratio(values[r], den * q**r)] for r in orders]
     else:
         family = correction_family(args.max_order)
-        table = classical_numbers(family)
         if as_csv:
             header = ["r", "F_r_coeffs", "F_r_star_coeffs", "B_r", "G_r"]
             polys = [[family.weights[r].text(), family.unit_weights[r].text()] for r in orders]
@@ -74,9 +74,10 @@ def _run_coeffs(args: argparse.Namespace) -> int:
             header = ["r", f"{label}(x)", "B_r", "G_r"]
             chosen = family.unit_weights if args.star else family.weights
             polys = [[chosen[r].pretty(var="x")] for r in orders]
+        # B_r and G_r are w_r's x^0 and top coefficients, the latter over r!.
         rows = [
-            [str(r), *polys[r], format_rational(table.bernoulli[r]), format_rational(table.gregory[r])]
-            for r in orders
+            [str(r), *polys[r], _ratio(w._num[0], w._den), _ratio(w._num[-1], w._den * factorial(r))]
+            for r, w in enumerate(family.weights)
         ]
     if as_csv:
         csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])

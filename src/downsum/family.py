@@ -33,7 +33,13 @@ coefficient of w_r, is minus the sum of its other coefficients, which hold
 only B_k for k < r and G_r.  By von Staudt-Clausen the denominator of B_n is
 squarefree with prime factors p <= n+1, so B_n * L is an integer; since
 r! * G_r = g_r / L and L is divisible by r-m, every w_r has integer
-numerators over the single denominator L**2.
+numerators over the common denominator L**2, which _values_at relies on.
+The family itself builds w_r over d_r = L / gcd(g_r, L), the denominator of
+its top coefficient r! * G_r, far smaller (at R = 400, at most 74 bits
+against 1166).  That d_r clears the other coefficients is observed, not
+proved, so each numerator over d_r is a checked divmod that raises
+ArithmeticError on a remainder; the top numerator is coprime to d_r, so an
+exact row is in lowest terms.
 
 At one fixed point x the R+1 values need no family.  Expanding the
 denominator of the generating function,
@@ -54,7 +60,8 @@ and an exact division by n+1.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb, factorial, lcm
+from fractions import Fraction
+from math import comb, factorial, gcd, lcm
 
 from .exact import Polynomial, _convolve, _linear_combination
 
@@ -125,40 +132,47 @@ def _values_at(max_order: int, p: int, q: int, unit: bool = False) -> tuple[list
 def correction_family(max_order: int) -> CorrectionFamily:
     """Generate weights w_0..w_R and reversals u_0..u_R, exactly.
 
-    Over the common denominator L**2 (see the module docstring) the x^m
-    numerator of w_r is (B_{r-m} * L) * (L / (r-m)) * r * s(r-1, r-m-1) for
-    0 < m < r and L * g_r for m = r; the x^0 numerator, B_r * L**2, is minus
-    the sum of the others, as w_r(1) = 0.  u_r has the same numerators in
-    reverse order.
+    Over d_r = L / gcd(g_r, L) (see the module docstring) the x^m numerator
+    of w_r is B_{r-m} * r * s(r-1, r-m-1) * d_r / (r-m) for 0 < m < r, one
+    divmod that raises ArithmeticError on a remainder, and g_r / gcd(g_r, L)
+    for m = r; the x^0 numerator, B_r * d_r, is minus the sum of the others,
+    as w_r(1) = 0.  u_r has the same numerators in reverse order.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     g, scale = _gregory_numerators(max_order)
-    scaled_b = [0]  # scaled_b[k] = B_k * L * (L / k), for k >= 1
+    bernoulli = [(1, 1)]  # B_k as a lowest-terms pair (numerator, denominator)
     stirling = [1]  # s(r-1, 0..r-1), one row per order r >= 1
     weights, unit_weights = [], []
     for r in range(max_order + 1):
         if r > 1:
             stirling = [a - (r - 2) * c for a, c in zip([0] + stirling, stirling + [0])]
-        num = [r * scaled_b[r - m] * stirling[r - m - 1] for m in range(1, r)] + [scale * g[r]]
+        content = gcd(g[r], scale)
+        den = scale // content  # d_r, the denominator of r! * G_r = g_r / L
+        num = []
+        for k in range(r - 1, 0, -1):  # the x^(r-k) numerator over d_r
+            b_num, b_den = bernoulli[k]
+            quotient, rem = divmod(r * b_num * stirling[k - 1] * den, b_den * k) if b_num else (0, 0)
+            if rem:
+                raise ArithmeticError(f"row {r} of the family is not integral over {den}")
+            num.append(quotient)
+        num.append(g[r] // content)
         if r:
             num.insert(0, -sum(num))
-            scaled_b.append(num[0] // r)
-        w = Polynomial._from_ints(num, scale * scale)
-        # w keeps all r+1 numerators, as its top one L * g_r is nonzero, so
-        # reversed they are u_r's, already in lowest terms: only w's zero
-        # low coefficients, now at the top, are trimmed.
+            common = gcd(num[0], den)
+            bernoulli.append((num[0] // common, den // common))
+        # w_r is in lowest terms, its top numerator being coprime to d_r, and
+        # so is u_r: the reversal trims only w_r's zero low numerators.
+        w = Polynomial._from_ints(num, den, lowest=True)
         weights.append(w)
         unit_weights.append(Polynomial._from_ints(list(w._num[::-1]), w._den, lowest=True))
     return CorrectionFamily(tuple(weights), tuple(unit_weights))
 
 
 def classical_numbers(family: CorrectionFamily) -> CoefficientTable:
-    """Extract B_r = weights[r](0) and G_r = unit_weights[r](0)/r!."""
+    """Extract B_r = weights[r](0) and G_r, the top coefficient of weights[r] over r!."""
     bernoulli = tuple(w.coefficient(0) for w in family.weights)
-    gregory = tuple(
-        u.coefficient(0) / factorial(r) for r, u in enumerate(family.unit_weights)
-    )
+    gregory = tuple(Fraction(w._num[-1], w._den * factorial(r)) for r, w in enumerate(family.weights))
     return CoefficientTable(bernoulli, gregory)
 
 

@@ -16,10 +16,12 @@ import gc
 import random
 import weakref
 from fractions import Fraction as Fr
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 
 import pytest
 
+import downsum.cli
+import downsum.family
 from downsum import (
     CorrectionFamily,
     Polynomial,
@@ -144,6 +146,27 @@ class TestGeneration:
         family = correction_family(60)
         assert list(family.weights) == weights
         assert list(family.unit_weights) == [reversal(w, r) for r, w in enumerate(weights)]
+
+    def test_row_denominator_is_the_gregory_denominator(self):
+        """Each w_r is stored in lowest terms over the denominator of r! * G_r."""
+        gregory = oracle.gregory(60)
+        for r, w in enumerate(correction_family(60).weights):
+            assert w._den == (factorial(r) * gregory[r]).denominator, r
+            assert gcd(w._den, *w._num) == 1, r
+
+    def test_row_not_integral_over_its_denominator_raises(self, monkeypatch, capsys):
+        """g_3 * L gives row 3 the denominator 1, over which its x term -1/4 is not integral."""
+
+        def inflated(max_order):
+            g, scale = _gregory_numerators(max_order)
+            g[3] *= scale
+            return g, scale
+
+        monkeypatch.setattr(downsum.family, "_gregory_numerators", inflated)
+        with pytest.raises(ArithmeticError, match="row 3"):
+            correction_family(3)
+        assert downsum.cli.main(["coeffs", "--max-order", "3"]) == 2
+        assert capsys.readouterr().err.startswith("downsum: ArithmeticError:")
 
     def test_large_order_values_at_unit_fractions(self):
         family = correction_family(300)

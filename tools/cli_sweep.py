@@ -87,9 +87,9 @@ def argvs():
         format=[None, "table", "csv", "json"],
     ):
         yield ["coeffs", *options]
-    # High orders, where the common denominator L**2 and the numerators are largest.
-    for form in ([], ["--star"], ["--format", "csv"]):
-        yield ["coeffs", "--max-order", "120", *form]
+    # High orders, where the denominators and the numerators are largest.
+    for order, form in itertools.product(("120", "200"), ([], ["--star"], ["--format", "csv"])):
+        yield ["coeffs", "--max-order", order, *form]
     for point, star in itertools.product(("1/7", "-3", "2", "9/4"), ([], ["--star"])):
         yield ["coeffs", "--max-order", "200", f"--eval={point}", *star]
     for options in _options(
