@@ -30,6 +30,7 @@ import csv
 import random
 import sys
 from collections.abc import Sequence
+from itertools import tee
 from math import factorial
 
 from .errors import DownsumError
@@ -99,11 +100,13 @@ def _run_verify(args: argparse.Namespace) -> int:
     print(f"seed: {args.seed}")
     steps = [format_rational(x) for x in grid]
     print(f"x-grid: {','.join(steps)}")
-    fs = [random_polynomial(rng, args.degree) for _ in range(args.trials)]
+    # Two readers of the same draws: tee holds a trial until both have read it.
+    fs, draws = tee(random_polynomial(rng, args.degree) for _ in range(args.trials))
+    residual_lists = step_identity_residuals(
+        draws, grid + [0, 2] if args.classical else grid, family, terms=args.degree + 1
+    )
     clean_trials = 0
-    for i, (f, residuals) in enumerate(
-        zip(fs, step_identity_residuals(fs, grid + [0, 2] if args.classical else grid, family))
-    ):
+    for i, (f, residuals) in enumerate(zip(fs, residual_lists)):
         checks = [
             (f"x={step}", {"step-weight residual": step_form, "unit-weight residual": unit_form})
             for step, (step_form, unit_form) in zip(steps, residuals)

@@ -70,20 +70,18 @@ def _ratio(num: int, den: int) -> str:
     return f"{_decimal(num // g)}/{_decimal(den // g)}"
 
 
-# str() of an int of at most this many bits (about 600 digits) stays under
-# any int->str digit limit the interpreter accepts (640 digits or more).
-_STR_BITS = 2000
-
-
 def _decimal(value: int, width: int = 0) -> str:
     """str(value), zero-padded to width, for an int of any size.
 
-    Past _STR_BITS, value >= 0 splits by 10**h, h a power of two below its
-    digit count, into a high part and a low part of exactly h digits, so an
-    exact result is printed whatever the interpreter's int->str digit limit.
+    Where str() refuses value for the interpreter's int->str digit limit,
+    value >= 0 splits by 10**h, h a power of two below its digit count, into
+    a high part and a low part of exactly h digits, so an exact result is
+    printed whatever the limit.
     """
-    if value.bit_length() <= _STR_BITS:
+    try:
         return str(value).zfill(width)
+    except ValueError:  # past the int->str digit limit
+        pass
     if value < 0:
         return "-" + _decimal(-value)
     h = 1 << ((value.bit_length() * 3 // 10).bit_length() - 1)

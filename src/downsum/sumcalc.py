@@ -38,7 +38,7 @@ rows, the Stirling rows and the falling-factorial sums, to one f at once.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, lcm
@@ -165,7 +165,8 @@ def _residual_matrices(
 
 
 def step_identity_residuals(
-    fs: Sequence[Polynomial], grid: Sequence[Scalar], family: CorrectionFamily
+    fs: Iterable[Polynomial], grid: Sequence[Scalar], family: CorrectionFamily,
+    *, terms: int | None = None,
 ) -> Iterator[list[tuple[Polynomial, Polynomial]]]:
     """Both step-x identity residuals of each f in fs at every x of the grid.
 
@@ -175,20 +176,29 @@ def step_identity_residuals(
     two are Euler–Maclaurin and Gregory.  A step the grid repeats, or writes
     unreduced, is solved once.
 
-    The call checks the family and builds the tables of _faulhaber, up to the
-    largest deg f + 1, and the residual matrices of each distinct step (see
+    The call checks the family and builds the tables of _faulhaber, up to
+    terms, and the residual matrices of each distinct step (see
     _residual_matrices); a polynomial of lower degree reads their first
     columns.  Each polynomial's residuals are solved as the iterator reaches
     it: one dot product of a matrix row with f's numerators per power of n.
+    Without terms the call reads the largest deg f + 1, so it holds fs as a
+    list; with it fs is read one polynomial at a time, and one with
+    deg f + 1 > terms raises DownsumError when the iterator reaches it.
     """
     keys = [(x.numerator, x.denominator) for x in map(Fraction, grid)]
-    terms = max((f.degree + 1 for f in fs), default=0)
+    if terms is None:
+        fs = list(fs)
+        terms = max((f.degree + 1 for f in fs), default=0)
     if family.max_order < terms:
         raise DownsumError(f"family has max_order {family.max_order}, identity needs {terms}")
     tables = _faulhaber(terms)
     matrices = {key: _residual_matrices(family, *key, tables) for key in dict.fromkeys(keys)}
 
     def solve(f: Polynomial) -> list[tuple[Polynomial, Polynomial]]:
+        if f.degree >= terms:
+            raise DownsumError(
+                f"polynomial of degree {f.degree} needs {f.degree + 1} terms, tables hold {terms}"
+            )
         solved = {
             key: tuple(
                 Polynomial._from_ints([sum(map(mul, row, f._num)) for row in matrix], mden * f._den)

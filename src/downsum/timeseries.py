@@ -2,11 +2,13 @@
 
 Everything symbolic stays exact in :mod:`downsum.family`; this module reads
 each weight it needs, no further than its samples reach, as one correctly
-rounded division of two integers from the family's integer rows, and
-applies them as floats.  The corrected window sums and the Gregory rule are
-one step-h corrected sum, a coarse sum plus weighted boundary differences,
-with weights w_r(x)/(r!*x^(r-1)) at step x and G_r at step 1.  Summation
-order is fixed left-to-right so results are bit-for-bit reproducible.  A
+rounded division of two integers, from the family's integer rows or, for
+the Euler transform, binomial tails, and applies them as floats.  The
+corrected window sums and the Gregory rule are one step-h corrected sum, a
+coarse sum plus weighted boundary differences, with weights
+w_r(x)/(r!*x^(r-1)) at step x and G_r at step 1.  Their summation order is
+fixed left-to-right, and the Euler transform adds with fsum, which is
+correctly rounded, so results are bit-for-bit reproducible.  A
 series is any sequence of floats, s[i] the sample at time i; load_series and
 gaussian_bump return tuples.  Indices are checked against len(s), so an empty
 series sums to 0.0 over an empty window and raises DownsumError for a sample.
@@ -300,11 +302,20 @@ def error_report(
 
 
 def euler_transform(terms: Sequence[float], order: int) -> float:
-    """Accelerated value of sum_k (-1)^k terms[k] via forward differences.
+    """Accelerated value of sum_k (-1)^k terms[k]: Euler's transform truncated at order.
 
     Returns sum_{r=0}^{order} (-1)^r D^r terms[0] / 2^(r+1), the classical
     rewriting that turns slowly alternating convergence into geometric
-    convergence.  terms holds the unsigned magnitudes f(0), f(1), ...
+    convergence.  terms holds the unsigned magnitudes f(0), f(1), ...; those
+    past terms[order] are unused.
+
+    Expanding each D^r binomially makes the truncated transform one fixed
+    filter of the terms, sum_{j<=order} (-1)^j c_j terms[j], whose weight
+    c_j = sum_{k>j} C(order+1, k) / 2^(order+1) is a binomial tail in (0, 1].
+    Each c_j is one correctly rounded division of the exact integer tail, so
+    no D^r is formed and no weight leaves the float range, and fsum adds the
+    weighted terms with one rounding.  A total past the float range, or an
+    infinite or nan term within the order, raises OverflowError.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -312,19 +323,21 @@ def euler_transform(terms: Sequence[float], order: int) -> float:
         raise DownsumError(
             f"order {order} needs {order + 1} terms, got {len(terms)}"
         )
-    # row holds D^r terms / 2^r.  Scaling each row as it is differenced keeps
-    # it in the float range: D^r of rounded terms grows like 2^r, and
-    # 2.0 ** (r + 1) itself overflows past r = 1022.  Halving is exact.
-    # row[0] at step r depends only on terms[0..r], so later terms are unused.
-    row = [float(t) for t in terms[:order + 1]]
-    total = 0.0
-    for r in range(order + 1):
-        contribution = row[0] * 0.5
-        total += contribution if r % 2 == 0 else -contribution
-        row = [(b - a) * 0.5 for a, b in zip(row, row[1:])]
-    if not math.isfinite(total):
-        raise OverflowError(f"Euler transform of order {order} left the float range")
-    return total
+    scale = 1 << (order + 1)
+    tail, binomial = 0, 1  # binomial is C(order+1, j+1) as j runs from order down
+    weighted = []
+    for j in range(order, -1, -1):
+        tail += binomial  # now sum_{k>j} C(order+1, k)
+        term = tail / scale * float(terms[j])
+        weighted.append(-term if j % 2 else term)
+        binomial = binomial * (j + 1) // (order + 1 - j)
+    try:
+        total = math.fsum(reversed(weighted))  # largest first: fsum keeps few partials
+        if math.isfinite(total):
+            return total
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        pass
+    raise OverflowError(f"Euler transform of order {order} left the float range")
 
 
 def _gregory_floats(order: int) -> Iterator[float]:

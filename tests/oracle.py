@@ -14,6 +14,8 @@ expected value from these never re-runs the integer kernels it checks.
 - Rows: the falling factorial (x)_m and its reversal (1-x)(1-2x)...(1-jx).
 - Constants: Bernoulli numbers from ``sum_{j<=m} C(m+1, j) B_j = 0`` (so
   ``B_1 = -1/2``) and Gregory coefficients from the series of z/log(1+z).
+- Series: ``euler_transform``, the truncated Euler transform by repeated
+  differencing of the terms.
 """
 
 from fractions import Fraction
@@ -137,3 +139,13 @@ def gregory(count):
     for n in range(1, count + 1):
         values.append(-sum(log_over_z[k] * values[n - k] for k in range(1, n + 1)))
     return values
+
+
+def euler_transform(terms, order):
+    """sum_{r<=order} (-1)^r D^r terms[0] / 2^(r+1), exactly, each D^r by differencing the row."""
+    row = [Fraction(t) for t in terms[:order + 1]]
+    total = Fraction(0)
+    for r in range(order + 1):
+        total += (-1) ** r * row[0] / 2 ** (r + 1)
+        row = [b - a for a, b in zip(row, row[1:])]
+    return total

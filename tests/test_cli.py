@@ -286,6 +286,23 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--degree", "2", "--trials", "1")
         assert code == 2
 
+    def test_each_trial_is_drawn_as_it_is_solved(self, capsys, monkeypatch):
+        """verify holds no list of its trials: trial i is drawn after trial
+        i - 1 has printed, so its memory stays flat in --trials."""
+        printed_before_draw = []
+
+        def drawing(rng, degree):
+            printed_before_draw.append(capsys.readouterr().out)
+            return random_polynomial(rng, degree)
+
+        monkeypatch.setattr(downsum.cli, "random_polynomial", drawing)
+        code, out, _ = run(capsys, "verify", "--degree", "3", "--trials", "4", "--seed", "1")
+        assert (code, out.splitlines()[-1]) == (0, "4/4 passed")
+        assert printed_before_draw[0].startswith("seed: 1\nx-grid: ")
+        for i, text in enumerate(printed_before_draw[1:]):
+            lines = text.splitlines()
+            assert len(lines) == 8 and all(line.startswith(f"trial {i:03d} x=") for line in lines), i
+
     def test_each_step_is_solved_once_per_request(self, capsys, monkeypatch):
         """Each distinct step gets one weight row and one residual-matrix build per request.
 
@@ -804,12 +821,18 @@ class TestAccelerate:
 
     def test_overflow_exits_2(self, capsys, tmp_path):
         path = tmp_path / "terms.txt"
+        path.write_text("1.7e308 -1.7e308 1.7e308 -1.7e308\n")
+        code, out, err = run(
+            capsys, "accelerate", "--terms-file", str(path), "--order", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "downsum: OverflowError: Euler transform of order 3 left the float range\n"
+        # Differences past the float range, but a transform inside it.
         path.write_text("1e308 -1e308 1e308\n")
         code, out, err = run(
             capsys, "accelerate", "--terms-file", str(path), "--order", "2"
         )
-        assert (code, out) == (2, "")
-        assert "OverflowError" in err
+        assert (code, out, err) == (0, "1.5e+308\n", "")
 
     @pytest.mark.parametrize("terms", sorted(GAMMA_STDOUT))
     def test_gamma_stdout_bytes(self, capsys, terms):

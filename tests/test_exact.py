@@ -77,6 +77,26 @@ class TestRationalText:
         assert format_rational(Fr(-5)) == "-5"
         assert format_rational(Fr(0)) == "0"
 
+    @given(st.integers(-(2**6000), 2**6000), st.integers(1, 2**6000))
+    @example(10**1806 - 1, 1)
+    @example(-(10**1024), 10**640 + 1)
+    @example(3**3000 + 1, 7**900)
+    @example(-(2**6000), 1)
+    @settings(max_examples=50, deadline=None)
+    def test_format_past_the_digit_limit(self, num, den):
+        """Under a 640-digit int->str limit, ints of up to 6000 bits (1807
+        digits) print split by powers of ten, as str() prints them unlimited."""
+        value = Fr(num, den)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            text = format_rational(value)
+            sys.set_int_max_str_digits(0)
+            expected = str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text == expected
+
     def test_roundtrip(self):
         for text in ["1", "-1/3", "22/7", "0"]:
             assert format_rational(parse_rational(text)) == text
@@ -242,9 +262,8 @@ def _ref_pretty(a, var):
     return " ".join(parts) or "0"
 
 
-# Numerators and denominators up to 6000 bits: past _STR_BITS, so the split
-# printing path runs, and under the interpreter's default str() digit limit,
-# which the reference formatter relies on.
+# Numerators and denominators up to 6000 bits: under the interpreter's
+# default str() digit limit, which the reference formatter relies on.
 HUGE_RATIONAL = st.builds(Fr, st.integers(-(2**6000), 2**6000), st.integers(1, 2**6000))
 
 

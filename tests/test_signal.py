@@ -5,8 +5,10 @@ import math
 import os
 import random
 import re
+import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +31,8 @@ from downsum import (
 )
 from downsum import timeseries
 from downsum.timeseries import forward_difference
+
+from . import oracle
 
 LN2 = math.log(2.0)
 GAMMA = 0.5772156649
@@ -539,14 +543,47 @@ class TestEulerTransform:
             euler_transform([1.0, 0.5], 2)
 
     def test_order_past_float_exponent_range(self):
-        # Past order 1022 neither 2.0 ** (order + 1) nor the unscaled
-        # differences of the rounded terms fit in a float.
+        """ln 2 to within one ulp at every order from 60, where the truncation
+        error is below 1e-20, to 1100: past order 1022, 2.0 ** (order + 1)
+        and the differences of the rounded terms leave the float range."""
         terms = [1.0 / (k + 1) for k in range(1101)]
-        assert abs(euler_transform(terms, 1100) - LN2) < 1e-10
+        for order in range(60, 1101):
+            assert abs(euler_transform(terms, order) - LN2) <= math.ulp(LN2), order
 
     def test_overflowing_differences_raise(self):
-        with pytest.raises(OverflowError):
-            euler_transform([1e308, -1e308, 1e308], 2)
+        # The transform is 2 * 1.7e308: it leaves the float range.
+        with pytest.raises(OverflowError, match="^Euler transform of order 3 left the float range$"):
+            euler_transform([1.7e308, -1.7e308, 1.7e308, -1.7e308], 3)
+
+    def test_overflowing_differences_with_a_finite_transform(self):
+        # D^2 of these terms is 4e308, but the weights are 7/8, 1/2 and 1/8.
+        assert euler_transform([1e308, -1e308, 1e308], 2) == 1.5e308
+        assert euler_transform([-1e308, 1e308, -1e308], 2) == -1.5e308
+
+    def test_weighted_terms_are_added_with_one_rounding(self):
+        # 7e16 - 0.5 - 7e16: a running float sum loses the -0.5.
+        assert euler_transform([8e16, 1.0, -5.6e17], 2) == -0.5
+
+    @pytest.mark.parametrize("terms, order", [
+        ([math.inf], 0),
+        ([1.0, math.nan, 1.0], 2),
+        ([math.inf, math.inf], 1),  # inf - inf
+        ([1.0, -math.inf, 0.5, 1e308], 3),
+    ])
+    def test_non_finite_term_raises(self, terms, order):
+        with pytest.raises(OverflowError, match=f"^Euler transform of order {order} left the float range$"):
+            euler_transform(terms, order)
+
+    def test_against_exact_differencing(self):
+        """Within 2 eps * sum |t_j| of the exact transform of the same float
+        terms (oracle.euler_transform), on seeded terms of mixed magnitude."""
+        rng = random.Random(83)
+        for case in range(20):
+            order = 300 if case == 0 else rng.randint(0, 300)
+            terms = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-8, 8) for _ in range(order + 1)]
+            exact = oracle.euler_transform(terms, order)
+            bound = 2 * sys.float_info.epsilon * math.fsum(map(abs, terms))
+            assert abs(Fraction(euler_transform(terms, order)) - exact) <= bound, (case, order)
 
     def test_terms_past_order_are_unused(self):
         terms = [1.0 / (k + 1) for k in range(8)]

@@ -293,6 +293,29 @@ class TestMasterIdentity:
         assert len(list(residuals)) == 3
         assert len(made) == 2 * 3 * 4
 
+    def test_streamed_polynomials_with_the_table_size(self, family20):
+        """Given terms, the call reads fs one polynomial at a time, solves each
+        as the list call does, and refuses one of degree terms or more when
+        the iterator reaches it."""
+        rng = random.Random(67)
+        fs = [random_polynomial(rng, 5) for _ in range(4)]
+        grid = [Fr(-1, 3), 2, 0]
+        drawn = []
+
+        def draws():
+            for f in fs:
+                drawn.append(f)
+                yield f
+
+        residuals = step_identity_residuals(draws(), grid, family20, terms=9)
+        assert drawn == []
+        assert list(residuals) == list(step_identity_residuals(fs, grid, family20))
+        assert drawn == fs
+        residuals = step_identity_residuals(iter([P([1]), P([0] * 9 + [1])]), grid, family20, terms=9)
+        assert next(residuals) == [(P([]), P([]))] * 3
+        with pytest.raises(DownsumError, match="^polynomial of degree 9 needs 10 terms, tables hold 9$"):
+            next(residuals)
+
     def test_short_family_raises_at_the_call(self):
         # The degree-3 polynomial needs order 4; nothing is iterated.
         with pytest.raises(DownsumError, match="^family has max_order 2, identity needs 4$"):

@@ -57,6 +57,8 @@ def _write_files():
         handle.write("1, 0.5\n0.25 inf\n")
     with open("huge_terms.txt", "w") as handle:
         handle.write("1e308 -1e308 1e308\n")
+    with open("overflow_terms.txt", "w") as handle:
+        handle.write("1.7e308 -1.7e308 1.7e308 -1.7e308\n")
 
 
 def _options(**choices):
@@ -161,6 +163,12 @@ def argvs():
         terms_file=[None, "terms.txt", "bad_terms.txt", "huge_terms.txt", "missing.txt"],
     ):
         yield ["accelerate", *options]
+    # High orders, past 1022 where 2.0 ** (order + 1) overflows, every term of
+    # terms.txt, and a transform that leaves the float range.
+    for order in ("600", "1100"):
+        yield ["accelerate", "--target", "ln2", "--order", order]
+    yield ["accelerate", "--terms-file", "terms.txt", "--order", "30"]
+    yield ["accelerate", "--terms-file", "overflow_terms.txt", "--order", "3"]
     # Spellings the fast reader leaves to argparse, and the ones it reads itself.
     yield from [
         ["coeffs", "--max-order=3"],
