@@ -22,17 +22,19 @@ n, zero exactly when the identity holds.  The check is structural (all
 coefficients zero), never sampled, so a pass cannot be a coincidence of
 evaluation points.
 
-Everything runs on integers.  Each identity is linear in f, so its
-residual is one matrix applied to f's integer numerators: entry (i, j) is the
-n^i coefficient of the residual of t^j.  The matrices are read off the
-Faulhaber rows sum_{k<n} k^j = sum_m S(j, m) (n)_{m+1}/(m+1), built from
-the Stirling numbers of both kinds with no Bernoulli number, so the check
-stays independent of the family.  ``step_identity_residuals`` builds what
-depends on the largest degree alone once per call and the two matrices once
-per distinct step, then solves each polynomial's residuals lazily, as one
-dot product per power of n and one normalisation.  The
-indefinite and the downsampled sum apply the two factors of the Faulhaber
-rows, the Stirling rows and the falling-factorial sums, to one f at once.
+Everything runs on integers.  Each identity is linear in f; entry (i, j)
+of its map M is the n^i coefficient of the residual of t^j.  Row 0 of M is
+zero and row i rescales row 1: i M[i][j] = C(j, i-1) M[1][j-i+1].  So each
+form is one n row per step, read off the weights at that step and the n
+coefficients F_j[1] of the Faulhaber rows sum_{k<n} k^j = sum_m S(j, m)
+(n)_{m+1}/(m+1).  Those are B_j (B_1 = -1/2), computed from the Stirling
+numbers of both kinds, not from the family, so the check stays independent
+of it.  ``step_identity_residuals`` builds what depends on the largest
+degree alone once per call and the n rows once per distinct step; where the
+family is exact both rows are empty and every polynomial reads one shared
+zero.  The indefinite and the downsampled sum apply the two factors of the
+Faulhaber rows, the Stirling rows and the falling-factorial sums, to one f
+at once.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import zip_longest
 from math import comb, lcm
-from operator import add, mul
+from operator import mul
 
 from .errors import DownsumError
 from .exact import Polynomial, Scalar, _horner, _linear_combination
@@ -61,20 +62,18 @@ def _stirling(top: int) -> tuple[list[list[int]], list[list[int]]]:
     return first, second
 
 
-def _faulhaber(count: int) -> tuple[list[list[int]], list[tuple[int, ...]], list[list[int]], int]:
-    """(second, fine, binomials, den): the tables of t^j, j < count, that every step reads.
+def _faulhaber(count: int) -> tuple[list[list[int]], list[int], int]:
+    """(second, linear, den): the tables of t^j, j < count, that every step reads.
 
     Summing (k)_m over k < n gives (n)_{m+1}/(m+1), so sum_{k<n} k^j is
-    F_j(n) = sum_m S(j, m) (n)_{m+1}/(m+1).  Over den = lcm(1..count), fine[i][j]
-    is F_j's n^i coefficient and binomials[i][j - i] is C(j, i); second holds
-    the S of _stirling(count).
+    F_j(n) = sum_m S(j, m) (n)_{m+1}/(m+1).  Over den = lcm(1..count),
+    linear[j] is F_j's n coefficient, which is B_j (with B_1 = -1/2) read off
+    the Stirling numbers; second holds the S of _stirling(count).
     """
     first, second = _stirling(count)
     den = lcm(*range(1, count + 1))
-    columns = list(zip_longest(*_falling_sums(first, den), fillvalue=0))
-    rows = [[sum(map(mul, second[j], c)) for c in columns[:j + 2]] for j in range(count)]
-    binomials = [[den * comb(j, i) for j in range(i, count)] for i in range(count + 1)]
-    return second, list(zip_longest(*rows, fillvalue=0)), binomials, den
+    sums = _falling_sums(first, den)
+    return second, [sum(s * m[1] for s, m in zip(row, sums)) for row in second[:count]], den
 
 
 def _falling_sums(first: Sequence[Sequence[int]], den: int) -> list[list[int]]:
@@ -131,37 +130,32 @@ def _weight_rows(family: CorrectionFamily, a: int, b: int, count: int) -> list[t
     return rows
 
 
-def _residual_matrices(
+def _residual_rows(
     family: CorrectionFamily, a: int, b: int, tables: tuple
-) -> list[tuple[list[list[int]], int]]:
-    """The (scaled-difference, unit-difference) residual maps at x = a/b.
+) -> list[tuple[list[int], int]]:
+    """The n rows of the (scaled-difference, unit-difference) residual maps at x = a/b.
 
-    Each is an integer matrix and a denominator; entry (i, j) over it is the
-    n^i coefficient of the residual of t^j, for i <= T and j < T, from the
-    tables of _faulhaber(T).  The gap sum_{k<n} k^j - x^(j+1) F_j(n/x) has n^i
-    coefficient F_j[i] (1 - x^(j+1-i)), with a plus sign in the scaled form
-    and a minus sign in the unit form.  The span of D_x^m t^j / x^m has n^i
-    coefficient C(j, i) m! S(j-i, m) x^(j-i-m) for i >= 1, and its weight
-    -w_{m+1}(x)/(m+1)! times m! is the _weight_rows entry c_m, so the weights'
-    correction has C(j, i) E_{j-i}(x) with E_m(x) = sum_k c_k S(m, k) x^(m-k);
-    the unit form reads its own row at x = b/b = 1.
+    Row entry j over its denominator is the n coefficient of the residual of
+    t^j, j < T, with the tables of _faulhaber(T); trailing zeros are trimmed.
+    The gap sum_{k<n} k^j - x^(j+1) F_j(n/x) has n coefficient F_j[1] (1 - x^j),
+    with a plus sign in the scaled form and a minus sign in the unit form.
+    The span of D_x^m t^j / x^m has n coefficient j m! S(j-1, m) x^(j-1-m), and
+    its weight -w_{m+1}(x)/(m+1)! times m! is the _weight_rows entry c_m, so
+    the weights' correction has j E_{j-1}(x) with E_m(x) = sum_k c_k S(m, k)
+    x^(m-k); the unit form reads its own row at x = b/b = 1.
     """
-    second, fine, binomials, den = tables
-    top = len(second) - 1
-    gaps = [b**top - a**d * b ** (top - d) for d in range(top + 1)]  # 1 - x^d over b^top
-    matrices = []
+    second, linear, den = tables  # gaps and psi are over den b^top
+    top = len(linear)
+    gaps = [f * (b**top - a**d * b ** (top - d)) for d, f in enumerate(linear)]  # F_d[1] (1 - x^d)
+    rows = []
     for sign, (row, row_den), p in zip((1, -1), _weight_rows(family, a, b, top), (a, b)):
         powers = [p**d * b ** (top - d) for d in range(top)]  # (p/b)^d over b^top
-        spans = [sum(map(mul, map(mul, row, second[m]), powers[m::-1])) for m in range(top)]
-        scaled = [sign * row_den * g for g in gaps]
-        # Row i >= 1 starts at column i - 1, where only the gap is nonzero; F_j(0) = 0 empties row 0.
-        matrix = [[0] * top] + [
-            [0] * (i - 1)
-            + list(map(add, map(mul, fine[i][i - 1:], scaled), [0, *map(mul, binomials[i], spans)]))
-            for i in range(1, top + 1)
-        ]
-        matrices.append((matrix, den * row_den * b**top))
-    return matrices
+        spans = [sum(map(mul, map(mul, row, second[m]), powers[m::-1])) for m in range(top - 1)]
+        psi = [sign * row_den * g + den * j * e for j, (g, e) in enumerate(zip(gaps, [0, *spans]))]
+        while psi and not psi[-1]:
+            psi.pop()
+        rows.append((psi, den * row_den * b**top))
+    return rows
 
 
 def step_identity_residuals(
@@ -177,13 +171,14 @@ def step_identity_residuals(
     unreduced, is solved once.
 
     The call checks the family and builds the tables of _faulhaber, up to
-    terms, and the residual matrices of each distinct step (see
-    _residual_matrices); a polynomial of lower degree reads their first
-    columns.  Each polynomial's residuals are solved as the iterator reaches
-    it: one dot product of a matrix row with f's numerators per power of n.
-    Without terms the call reads the largest deg f + 1, so it holds fs as a
-    list; with it fs is read one polynomial at a time, and one with
-    deg f + 1 > terms raises DownsumError when the iterator reaches it.
+    terms, and the two n rows psi of each distinct step (see _residual_rows);
+    a polynomial of lower degree reads their first entries.  At a step where
+    both rows are empty every polynomial gets one shared zero; otherwise its
+    residuals are solved as the iterator reaches it, the n^i coefficient
+    being sum_j C(j+1, i) f_j psi[j+1-i] / (j+1).  Without terms the call
+    reads the largest deg f + 1, so it holds fs as a list; with it fs is read
+    one polynomial at a time, and one with deg f + 1 > terms raises
+    DownsumError when the iterator reaches it.
     """
     keys = [(x.numerator, x.denominator) for x in map(Fraction, grid)]
     if terms is None:
@@ -192,20 +187,24 @@ def step_identity_residuals(
     if family.max_order < terms:
         raise DownsumError(f"family has max_order {family.max_order}, identity needs {terms}")
     tables = _faulhaber(terms)
-    matrices = {key: _residual_matrices(family, *key, tables) for key in dict.fromkeys(keys)}
+    den = tables[2]
+    rows = {key: _residual_rows(family, *key, tables) for key in dict.fromkeys(keys)}
+    zero = Polynomial()
+
+    def residual(f: Polynomial, psi: list[int], psi_den: int) -> Polynomial:
+        if not psi:
+            return zero
+        g = [0, *(n * (den // m) for m, n in enumerate(f._num, 1))]  # f_{m-1} / m over den
+        num = [sum(comb(i + k, i) * g[i + k] * p for k, p in enumerate(psi[:len(g) - i]))
+               for i in range(1, len(g))]
+        return Polynomial._from_ints([0, *num], den * psi_den * f._den)
 
     def solve(f: Polynomial) -> list[tuple[Polynomial, Polynomial]]:
         if f.degree >= terms:
             raise DownsumError(
                 f"polynomial of degree {f.degree} needs {f.degree + 1} terms, tables hold {terms}"
             )
-        solved = {
-            key: tuple(
-                Polynomial._from_ints([sum(map(mul, row, f._num)) for row in matrix], mden * f._den)
-                for matrix, mden in pair
-            )
-            for key, pair in matrices.items()
-        }
+        solved = {key: tuple(residual(f, *row) for row in pair) for key, pair in rows.items()}
         return [solved[key] for key in keys]
 
     return map(solve, fs)

@@ -304,39 +304,39 @@ class TestVerify:
             assert len(lines) == 8 and all(line.startswith(f"trial {i:03d} x=") for line in lines), i
 
     def test_each_step_is_solved_once_per_request(self, capsys, monkeypatch):
-        """Each distinct step gets one weight row and one residual-matrix build per request.
+        """Each distinct step gets one weight row and one build of its two n rows per request.
 
         Default grid with --classical: the grid's steps, then 0 for
-        Euler–Maclaurin and Gregory; the alternating form reads the matrices
+        Euler–Maclaurin and Gregory; the alternating form reads the n rows
         of 2, already built.  With the grid 1/2,2/4,2 and --classical: 1/2
         (also written 2/4), 2 and 0.  Nothing is built per trial.
         """
-        rows, matrices = [], []
+        rows, n_rows = [], []
 
         def counting_rows(family, a, b, count):
             rows.append(Fr(a, b))
             return weight_rows(family, a, b, count)
 
-        def counting_matrices(family, a, b, *tables):
-            matrices.append(Fr(a, b))
-            return residual_matrices(family, a, b, *tables)
+        def counting_n_rows(family, a, b, *tables):
+            n_rows.append(Fr(a, b))
+            return residual_rows(family, a, b, *tables)
 
         weight_rows = downsum.sumcalc._weight_rows
-        residual_matrices = downsum.sumcalc._residual_matrices
+        residual_rows = downsum.sumcalc._residual_rows
         monkeypatch.setattr(downsum.sumcalc, "_weight_rows", counting_rows)
-        monkeypatch.setattr(downsum.sumcalc, "_residual_matrices", counting_matrices)
+        monkeypatch.setattr(downsum.sumcalc, "_residual_rows", counting_n_rows)
         verify = ["verify", "--degree", "6", "--trials", "3", "--seed", "1", "--classical"]
         for grid, expected in (
             ([], [-2, -1, Fr(-1, 2), Fr(1, 3), Fr(1, 2), 1, 2, 3, 0]),
             (["--x-grid=1/2,2/4,2"], [Fr(1, 2), 2, 0]),
         ):
             rows.clear()
-            matrices.clear()
+            n_rows.clear()
             code, out, _ = run(capsys, *verify, *grid)
             assert code == 0
             assert out.endswith("3/3 passed\n")
             assert rows == expected, grid
-            assert matrices == expected, grid
+            assert n_rows == expected, grid
 
 
 def _text_coeffs(text):

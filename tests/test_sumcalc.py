@@ -1,5 +1,6 @@
 """Tests for finite differences, indefinite sums, and the summation identities."""
 
+import itertools
 import random
 from fractions import Fraction as Fr
 from math import comb, factorial
@@ -23,7 +24,7 @@ from downsum import (
     step_identity_residuals,
     unit_difference_residual,
 )
-from downsum.sumcalc import _faulhaber, _residual_matrices, _stirling
+from downsum.sumcalc import _faulhaber, _stirling
 
 from . import oracle
 
@@ -57,36 +58,37 @@ class TestFaulhaberRows:
             assert expanded == [0] * m + [1], m
 
     def test_rows_match_literal_power_sums(self):
-        # Column j of fine is sum_{k<n} k^j = sum_i C(j+1, i) B_i n^(j+1-i) / (j+1),
-        # with B_1 = -1/2; that form is checked against literal sums first.
-        _, fine, _, den = _faulhaber(16)
-        bernoulli = oracle.bernoulli(16)
-        assert len(fine) == 17
+        # sum_{k<n} k^j = sum_i C(j+1, i) B_i n^(j+1-i) / (j+1), with B_1 = -1/2,
+        # checked against literal sums first; its n coefficient is linear[j] / den.
+        _, linear, den = _faulhaber(16)
+        assert len(linear) == 16
         for j in range(16):
-            expected = [0] * (j + 2)
-            for i in range(j + 1):
-                expected[j + 1 - i] = Fr(comb(j + 1, i)) * bernoulli[i] / (j + 1)
+            expected = _power_sum(j)
             for n in range(j + 3):
                 assert oracle.value(expected, n) == sum(k**j for k in range(n)), (j, n)
-            assert oracle.trim(Fr(row[j], den) for row in fine) == oracle.trim(expected), j
-
-    def test_binomial_rows(self):
-        *_, binomials, den = _faulhaber(16)
-        assert binomials == [[den * comb(j, i) for j in range(i, 16)] for i in range(17)]
+            assert Fr(linear[j], den) == expected[1], j
 
     def test_zero_step_coarse_sum_is_the_integral(self):
         # With every weight zero the x = 0 scaled residual of t^j is its gap,
-        # F_j(n) minus the coarse sum, which at x = 0 is the integral.
+        # the power sum minus the coarse sum, which at x = 0 is the integral.
         zero = (P(),) * 17
-        tables = _faulhaber(16)
-        _, fine, _, den = tables
-        (matrix, mden), _ = _residual_matrices(CorrectionFamily(zero, zero), 0, 1, tables)
-        for j in range(16):
-            coarse = [Fr(row[j], den) - Fr(m[j], mden) for row, m in zip(fine, matrix)]
-            assert oracle.trim(coarse) == oracle.antiderivative([0] * j + [1]), j
+        monomials = [P([0] * j + [1]) for j in range(16)]
+        residuals = step_identity_residuals(monomials, [0], CorrectionFamily(zero, zero))
+        for j, [(scaled, _)] in enumerate(residuals):
+            coarse = oracle.combination([(1, _power_sum(j)), (-1, scaled.coeffs)])
+            assert coarse == oracle.antiderivative([0] * j + [1]), j
 
     def test_empty(self):
-        assert _faulhaber(0) == ([[1]], [], [[]], 1)
+        assert _faulhaber(0) == ([[1]], [], 1)
+
+
+def _power_sum(j):
+    """sum_{k<n} k^j as a polynomial in n, from the Bernoulli numbers of the oracle."""
+    bernoulli = oracle.bernoulli(j)
+    expected = [Fr(0)] * (j + 2)
+    for i in range(j + 1):
+        expected[j + 1 - i] = Fr(comb(j + 1, i)) * bernoulli[i] / (j + 1)
+    return expected
 
 
 class TestIndefiniteSum:
@@ -272,9 +274,10 @@ class TestMasterIdentity:
         for f, pairs in zip(fs, results):
             assert pairs == [tuple(P(r) for r in oracle.perturbed_residuals(f, x, bumps)) for x in grid]
 
-    def test_each_polynomial_is_solved_as_the_iterator_reaches_it(self, family20, monkeypatch):
-        """The call builds the matrices but no residual; each next() solves one
-        polynomial, two Polynomial._from_ints per distinct step."""
+    def test_each_polynomial_is_solved_as_the_iterator_reaches_it(self, family20, perturbed_family, monkeypatch):
+        """The call builds each step's n rows but no residual; each next() solves
+        one polynomial.  A step where the family is exact reads the one shared
+        zero, with no Polynomial._from_ints; a bumped step makes two."""
         made = []
         from_ints = Polynomial._from_ints
 
@@ -285,13 +288,46 @@ class TestMasterIdentity:
         monkeypatch.setattr(Polynomial, "_from_ints", staticmethod(counting))
         rng = random.Random(61)
         fs = [random_polynomial(rng, 6) for _ in range(4)]
-        residuals = step_identity_residuals(fs, [Fr(1, 2), 2, Fr(2, 4), 0, 2], family20)
+        grid = [Fr(1, 2), 2, Fr(2, 4), 0, 2]
+        residuals = step_identity_residuals(fs, grid, family20)
         assert made == []
         first = next(residuals)
-        assert len(made) == 2 * 3
         assert len(first) == 5 and all(step.is_zero and unit.is_zero for step, unit in first)
+        assert first[0][0] is first[4][1]
         assert len(list(residuals)) == 3
-        assert len(made) == 2 * 3 * 4
+        assert made == []
+        # A bump of w_2 by x/3 is zero at x = 0, so of the steps 1/2, 2 and 0 two are bumped.
+        family = perturbed_family(family20, {2: (1, Fr(1, 3))})
+        residuals = step_identity_residuals(fs, grid, family)
+        assert made == []
+        first = next(residuals)
+        assert len(made) == 2 * 2
+        assert first[3] == (P(), P()) and not first[1][0].is_zero
+        assert len(list(residuals)) == 3
+        assert len(made) == 2 * 2 * 4
+
+    def test_each_residual_row_rescales_the_n_row(self):
+        """The fact the n rows rest on, from the oracle alone: with M[i][j] the
+        n^i coefficient of a residual of t^j, row 0 is zero and
+        i M[i][j] = C(j, i-1) M[1][j-i+1] for i >= 1, in both forms."""
+        size = 7
+        families = [{r: (m, Fr(m + 2, r + 1))} for r in range(1, size + 1) for m in range(3)]
+        families.append({r: (r % 3, Fr((-1) ** r * r, 7)) for r in range(1, size + 1)})
+        nonzero = 0
+        for bumps, x in itertools.product(families, [0, 2, Fr(-1, 2), Fr(5, 7)]):
+            columns = [oracle.perturbed_residuals([0] * j + [1], x, bumps) for j in range(size)]
+            for form in (0, 1):
+                rows = [
+                    [(column[form] + [0] * (size + 1))[i] for column in columns]
+                    for i in range(size + 1)
+                ]
+                assert rows[0] == [0] * size, (bumps, x, form)
+                nonzero += any(rows[1])
+                for i, j in itertools.product(range(1, size + 1), range(size)):
+                    rescaled = comb(j, i - 1) * rows[1][j - i + 1] if i <= j + 1 else 0
+                    assert i * rows[i][j] == rescaled, (bumps, x, form, i, j)
+        # A bump of order r reaches t^j only for j >= r, and one of x^m with m > 0 vanishes at 0.
+        assert nonzero == 2 * (6 * 3 * 4 - 6 * 2 + 4)
 
     def test_streamed_polynomials_with_the_table_size(self, family20):
         """Given terms, the call reads fs one polynomial at a time, solves each

@@ -116,7 +116,7 @@ def argvs():
     for classical in ([], ["--classical"]):
         yield ["verify", "--degree", "6", "--trials", "5", "--seed", "195",
                "--x-grid=1/2,2/4,2,-3,-3", *classical]
-    # Integer scaling of the residual matrices: degrees 0 and 20, a huge, a
+    # Integer scaling of the residual n rows: degrees 0 and 20, a huge, a
     # negative and an unreduced step, and a step past the float range.
     for degree, grid, classical in itertools.product(
         ("0", "20"),
