@@ -29,12 +29,13 @@ form is one n row per step, read off the weights at that step and the n
 coefficients F_j[1] of the Faulhaber rows sum_{k<n} k^j = sum_m S(j, m)
 (n)_{m+1}/(m+1).  Those are B_j (B_1 = -1/2), computed from the Stirling
 numbers of both kinds, not from the family, so the check stays independent
-of it.  ``step_identity_residuals`` builds what depends on the largest
-degree alone once per call and the n rows once per distinct step; where the
-family is exact both rows are empty and every polynomial reads one shared
-zero.  The indefinite and the downsampled sum apply the two factors of the
-Faulhaber rows, the Stirling rows and the falling-factorial sums, to one f
-at once.
+of it.  One builder, _faulhaber, gives the two factors of those rows, the
+Stirling rows and the falling-factorial sums.  ``step_identity_residuals``
+builds what depends on its table size ``terms`` alone once per call and the
+n rows once per distinct step, then reads its polynomials one at a time;
+where the family is exact both rows are empty and every polynomial reads one
+shared zero.  The indefinite and the downsampled sum apply the two factors
+to one f at once.
 """
 
 from __future__ import annotations
@@ -50,35 +51,22 @@ from .exact import Polynomial, Scalar, _horner, _linear_combination
 from .family import CorrectionFamily, correction_family
 
 
-def _stirling(top: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Stirling rows for m <= top: first[m] holds the signed coefficients of the
-    falling factorial (t)_m = t(t-1)...(t-m+1), second[m] the S(m, k) with
-    t^m = sum_k S(m, k) (t)_k.
-    """
-    first, second = [[1]], [[1]]
-    for m in range(top):
-        first.append([lo - m * hi for lo, hi in zip([0, *first[-1]], [*first[-1], 0])])
-        second.append([lo + k * hi for k, (lo, hi) in enumerate(zip([0, *second[-1]], [*second[-1], 0]))])
-    return first, second
-
-
-def _faulhaber(count: int) -> tuple[list[list[int]], list[int], int]:
-    """(second, linear, den): the tables of t^j, j < count, that every step reads.
+def _faulhaber(count: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """(second, sums, den): the two factors of the Faulhaber rows of t^j, j < count.
 
     Summing (k)_m over k < n gives (n)_{m+1}/(m+1), so sum_{k<n} k^j is
-    F_j(n) = sum_m S(j, m) (n)_{m+1}/(m+1).  Over den = lcm(1..count),
-    linear[j] is F_j's n coefficient, which is B_j (with B_1 = -1/2) read off
-    the Stirling numbers; second holds the S of _stirling(count).
+    F_j(n) = sum_m S(j, m) (n)_{m+1}/(m+1).  second[m], m <= count, holds the
+    S(m, k) with t^m = sum_k S(m, k) (t)_k; sums[m], m < count, holds the
+    coefficients of (n)_{m+1}/(m+1) over den = lcm(1..count), built from one
+    rolling row of the first-kind Stirling numbers, those of (t)_{m+1}.
     """
-    first, second = _stirling(count)
     den = lcm(*range(1, count + 1))
-    sums = _falling_sums(first, den)
-    return second, [sum(s * m[1] for s, m in zip(row, sums)) for row in second[:count]], den
-
-
-def _falling_sums(first: Sequence[Sequence[int]], den: int) -> list[list[int]]:
-    """Row m: sum_{k<n} (k)_m = (n)_{m+1}/(m+1) over den, for m < len(first) - 1."""
-    return [[c * (den // m) for c in row] for m, row in enumerate(first[1:], 1)]
+    first, second, sums = [1], [[1]], []
+    for m in range(count):
+        first = [lo - m * hi for lo, hi in zip([0, *first], [*first, 0])]
+        sums.append([c * (den // (m + 1)) for c in first])
+        second.append([lo + k * hi for k, (lo, hi) in enumerate(zip([0, *second[-1]], [*second[-1], 0]))])
+    return second, sums, den
 
 
 def indefinite_sum(f: Polynomial) -> Polynomial:
@@ -95,60 +83,49 @@ def downsampled_sum(f: Polynomial, x: Scalar) -> Polynomial:
     The Faulhaber rows' two factors applied to f, in O(deg^2): with
     h_m = sum_j f_j S(j, m) x^(j-m), f(kx) = sum_m h_m x^m (k)_m, and
     x^(m+1) sum_{k<n/x} (k)_m = x^(m+1) (n/x)_{m+1}/(m+1) gives n^i the
-    factor x^(m+1-i) (see _falling_sums).
+    factor x^(m+1-i) (see _faulhaber).
     """
     x = Fraction(x)
     if x == 0:
         raise ValueError("downsampling step must be nonzero (the 0 limit is the derivative form)")
     a, b, top = x.numerator, x.denominator, f.degree + 1
-    first, second = _stirling(top)
-    den = lcm(*range(1, top + 1))
+    second, sums, den = _faulhaber(top)
     powers = [a**d * b ** (top - d) for d in range(top + 1)]  # x^d over b^top
     out_den = f._den * den * b ** (2 * top)
     return _linear_combination(
         (sum(f._num[j] * second[j][m] * powers[j - m] for j in range(m, top)), out_den,
          list(map(mul, row, powers[m + 1::-1])))
-        for m, row in enumerate(_falling_sums(first, den))
+        for m, row in enumerate(sums)
     )
 
 
-def _weight_rows(family: CorrectionFamily, a: int, b: int, count: int) -> list[tuple[list[int], int]]:
-    """The multipliers -w_r(x)/r and -u_r(x)/r, r = 1..count, at x = a/b.
-
-    Two (numerators, denominator) rows, step weights first.  Integer Horner
-    gives w_r(a/b) = h_r / (e_r * b^deg), so -w_r(x)/r = -h_r / (e_r * b^deg * r),
-    and likewise for u_r; each row is put over the lcm of its denominators.
-    """
-    rows = []
-    for weights in (family.weights, family.unit_weights):
-        pairs = []
-        for r in range(1, count + 1):
-            h, b_power = _horner(weights[r]._num, a, b)
-            pairs.append((-h, weights[r]._den * b_power * r))
-        den = lcm(*(d for _, d in pairs))
-        rows.append(([h * (den // d) for h, d in pairs], den))
-    return rows
-
-
 def _residual_rows(
-    family: CorrectionFamily, a: int, b: int, tables: tuple
+    family: CorrectionFamily, a: int, b: int, second: list[list[int]], linear: list[int], den: int
 ) -> list[tuple[list[int], int]]:
     """The n rows of the (scaled-difference, unit-difference) residual maps at x = a/b.
 
     Row entry j over its denominator is the n coefficient of the residual of
-    t^j, j < T, with the tables of _faulhaber(T); trailing zeros are trimmed.
+    t^j, j < T = len(linear), with linear[j] = F_j[1] over den and second the
+    Stirling rows of _faulhaber(T); trailing zeros are trimmed.
     The gap sum_{k<n} k^j - x^(j+1) F_j(n/x) has n coefficient F_j[1] (1 - x^j),
     with a plus sign in the scaled form and a minus sign in the unit form.
-    The span of D_x^m t^j / x^m has n coefficient j m! S(j-1, m) x^(j-1-m), and
-    its weight -w_{m+1}(x)/(m+1)! times m! is the _weight_rows entry c_m, so
-    the weights' correction has j E_{j-1}(x) with E_m(x) = sum_k c_k S(m, k)
-    x^(m-k); the unit form reads its own row at x = b/b = 1.
+    Each form puts its multipliers c_m = -w_{m+1}(x)/(m+1), m < T, over one
+    denominator: integer Horner gives w_r(a/b) = h_r / (e_r b^deg), and likewise
+    u_r for the unit form.  The span of D_x^m t^j / x^m has n coefficient
+    j m! S(j-1, m) x^(j-1-m), and its weight -w_{m+1}(x)/(m+1)! times m! is
+    c_m, so the weights' correction has j E_{j-1}(x) with
+    E_m(x) = sum_k c_k S(m, k) x^(m-k); the unit form reads it at x = b/b = 1.
     """
-    second, linear, den = tables  # gaps and psi are over den b^top
-    top = len(linear)
+    top = len(linear)  # gaps and psi are over den b^top
     gaps = [f * (b**top - a**d * b ** (top - d)) for d, f in enumerate(linear)]  # F_d[1] (1 - x^d)
     rows = []
-    for sign, (row, row_den), p in zip((1, -1), _weight_rows(family, a, b, top), (a, b)):
+    for sign, weights, p in ((1, family.weights, a), (-1, family.unit_weights, b)):
+        pairs = []
+        for r in range(1, top + 1):
+            h, b_power = _horner(weights[r]._num, a, b)
+            pairs.append((-h, weights[r]._den * b_power * r))
+        row_den = lcm(*(d for _, d in pairs))
+        row = [h * (row_den // d) for h, d in pairs]
         powers = [p**d * b ** (top - d) for d in range(top)]  # (p/b)^d over b^top
         spans = [sum(map(mul, map(mul, row, second[m]), powers[m::-1])) for m in range(top - 1)]
         psi = [sign * row_den * g + den * j * e for j, (g, e) in enumerate(zip(gaps, [0, *spans]))]
@@ -159,8 +136,7 @@ def _residual_rows(
 
 
 def step_identity_residuals(
-    fs: Iterable[Polynomial], grid: Sequence[Scalar], family: CorrectionFamily,
-    *, terms: int | None = None,
+    fs: Iterable[Polynomial], grid: Sequence[Scalar], family: CorrectionFamily, *, terms: int
 ) -> Iterator[list[tuple[Polynomial, Polynomial]]]:
     """Both step-x identity residuals of each f in fs at every x of the grid.
 
@@ -170,25 +146,24 @@ def step_identity_residuals(
     two are Euler–Maclaurin and Gregory.  A step the grid repeats, or writes
     unreduced, is solved once.
 
-    The call checks the family and builds the tables of _faulhaber, up to
-    terms, and the two n rows psi of each distinct step (see _residual_rows);
-    a polynomial of lower degree reads their first entries.  At a step where
-    both rows are empty every polynomial gets one shared zero; otherwise its
-    residuals are solved as the iterator reaches it, the n^i coefficient
-    being sum_j C(j+1, i) f_j psi[j+1-i] / (j+1).  Without terms the call
-    reads the largest deg f + 1, so it holds fs as a list; with it fs is read
-    one polynomial at a time, and one with deg f + 1 > terms raises
-    DownsumError when the iterator reaches it.
+    terms is the size of the tables: the call checks the family, builds the
+    tables of _faulhaber(terms) and the n coefficients F_j[1], j < terms, and
+    the two n rows psi of each distinct step (see _residual_rows); a
+    polynomial of lower degree reads their first entries.  fs is read one
+    polynomial at a time, as the iterator reaches it.  At a step where both
+    rows are empty every polynomial gets one shared zero; otherwise its
+    residuals are solved then, the n^i coefficient being
+    sum_j C(j+1, i) f_j psi[j+1-i] / (j+1).  A polynomial with
+    deg f + 1 > terms raises DownsumError when the iterator reaches it.
     """
+    if terms < 0:
+        raise ValueError("terms must be >= 0")
     keys = [(x.numerator, x.denominator) for x in map(Fraction, grid)]
-    if terms is None:
-        fs = list(fs)
-        terms = max((f.degree + 1 for f in fs), default=0)
     if family.max_order < terms:
         raise DownsumError(f"family has max_order {family.max_order}, identity needs {terms}")
-    tables = _faulhaber(terms)
-    den = tables[2]
-    rows = {key: _residual_rows(family, *key, tables) for key in dict.fromkeys(keys)}
+    second, sums, den = _faulhaber(terms)
+    linear = [sum(s * m[1] for s, m in zip(row, sums)) for row in second[:terms]]  # F_j[1] over den
+    rows = {key: _residual_rows(family, *key, second, linear, den) for key in dict.fromkeys(keys)}
     zero = Polynomial()
 
     def residual(f: Polynomial, psi: list[int], psi_den: int) -> Polynomial:
@@ -218,7 +193,7 @@ def scaled_difference_residual(
     LHS is the unit-step indefinite sum; RHS is the downsampled sum plus
     sum_{r=1}^{deg f + 1} w_r(x)/r! * (D_x^{r-1} f(n) - D_x^{r-1} f(0)) / x^{r-1}.
     """
-    return next(step_identity_residuals([f], [x], family))[0][0]
+    return next(step_identity_residuals([f], [x], family, terms=f.degree + 1))[0][0]
 
 
 def unit_difference_residual(
@@ -229,7 +204,7 @@ def unit_difference_residual(
     x * sum_{k<n/x} f(kx) = sum_{k<n} f(k)
                             + sum_r u_r(x)/r! * (D^{r-1} f(n) - D^{r-1} f(0)).
     """
-    return next(step_identity_residuals([f], [x], family))[0][1]
+    return next(step_identity_residuals([f], [x], family, terms=f.degree + 1))[0][1]
 
 
 def euler_maclaurin_residual(f: Polynomial) -> Polynomial:

@@ -86,6 +86,35 @@ def test_no_public_name_is_defined_in_two_modules():
     assert {name: files for name, files in homes.items() if len(files) > 1} == {}
 
 
+def test_every_private_helper_is_named_outside_its_definition():
+    """Every module-level private function, class or constant of the package
+    is named, as an ast.Name or ast.Attribute, in some package module outside
+    its own definition, so a helper is deleted with its last caller."""
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            definitions += [(name, node) for name in names if name.startswith("_") and not name.startswith("__")]
+    assert definitions
+    unnamed = []
+    for name, definition in definitions:
+        inside = set(map(id, ast.walk(definition)))
+        if not any(
+            id(node) not in inside
+            and (isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name)
+            for tree in trees for node in ast.walk(tree)
+        ):
+            unnamed.append(name)
+    assert unnamed == []
+
+
 def test_test_oracle_imports_only_the_standard_library():
     """tests/oracle.py imports nothing from downsum, directly or through
     another test module, so an expected value built on it never runs the

@@ -24,7 +24,7 @@ from downsum import (
     step_identity_residuals,
     unit_difference_residual,
 )
-from downsum.sumcalc import _faulhaber, _stirling
+from downsum.sumcalc import _faulhaber
 
 from . import oracle
 
@@ -44,36 +44,45 @@ ANY_STEP = st.one_of(
 
 
 class TestFaulhaberRows:
-    """The Stirling rows and the per-call tables every residual reads, against the oracle."""
+    """The two factors of the Faulhaber rows, from the one builder, against the oracle."""
 
-    def test_first_kind_rows_are_falling_factorials(self):
-        first, _ = _stirling(16)
-        assert [oracle.trim(row) for row in first] == [oracle.falling_factorial(m) for m in range(17)]
+    def test_sum_rows_are_falling_factorial_sums(self):
+        # sum_{k<n} (k)_m = (n)_{m+1}/(m+1), over den = lcm(1..16) = 720720
+        _, sums, den = _faulhaber(16)
+        assert den == 720720
+        assert len(sums) == 16
+        for m, row in enumerate(sums):
+            expected = [c / (m + 1) for c in oracle.falling_factorial(m + 1)]
+            assert [Fr(c, den) for c in row] == expected, m
+            falling = oracle.falling_factorial(m)
+            for n in range(m + 3):
+                assert oracle.value(expected, n) == sum(oracle.value(falling, k) for k in range(n)), (m, n)
 
     def test_second_kind_rows_expand_powers(self):
         # t^m = sum_k S(m, k) (t)_k
-        _, second = _stirling(16)
+        second, _, _ = _faulhaber(16)
+        assert len(second) == 17
         for m, row in enumerate(second):
             expanded = oracle.combination((s, oracle.falling_factorial(k)) for k, s in enumerate(row))
             assert expanded == [0] * m + [1], m
 
     def test_rows_match_literal_power_sums(self):
-        # sum_{k<n} k^j = sum_i C(j+1, i) B_i n^(j+1-i) / (j+1), with B_1 = -1/2,
-        # checked against literal sums first; its n coefficient is linear[j] / den.
-        _, linear, den = _faulhaber(16)
-        assert len(linear) == 16
+        # The builder's two factors give sum_{k<n} k^j = sum_m S(j, m) (n)_{m+1}/(m+1);
+        # the oracle's sum_i C(j+1, i) B_i n^(j+1-i) / (j+1), with B_1 = -1/2, is
+        # checked against literal sums first.  Its n coefficient F_j[1] is B_j.
+        second, sums, den = _faulhaber(16)
         for j in range(16):
             expected = _power_sum(j)
             for n in range(j + 3):
                 assert oracle.value(expected, n) == sum(k**j for k in range(n)), (j, n)
-            assert Fr(linear[j], den) == expected[1], j
+            assert oracle.combination((Fr(s, den), sums[m]) for m, s in enumerate(second[j])) == expected, j
 
     def test_zero_step_coarse_sum_is_the_integral(self):
         # With every weight zero the x = 0 scaled residual of t^j is its gap,
         # the power sum minus the coarse sum, which at x = 0 is the integral.
         zero = (P(),) * 17
         monomials = [P([0] * j + [1]) for j in range(16)]
-        residuals = step_identity_residuals(monomials, [0], CorrectionFamily(zero, zero))
+        residuals = step_identity_residuals(monomials, [0], CorrectionFamily(zero, zero), terms=16)
         for j, [(scaled, _)] in enumerate(residuals):
             coarse = oracle.combination([(1, _power_sum(j)), (-1, scaled.coeffs)])
             assert coarse == oracle.antiderivative([0] * j + [1]), j
@@ -248,7 +257,7 @@ class TestMasterIdentity:
         family = perturbed_family(correction_family(6), bumps)
         fs = [[Fr(3, 4), -2, 0, Fr(1, 5), Fr(-7, 3), 9], [5, Fr(-1, 2), Fr(2, 9)], []]
         grid = [Fr(-2, 3), 0, Fr(5, 2), 2, 1, Fr(-3), Fr(5, 2), Fr(4, 2)]
-        results = list(step_identity_residuals([P(f) for f in fs], grid, family))
+        results = list(step_identity_residuals([P(f) for f in fs], grid, family, terms=6))
         assert len(results) == len(fs)
         for f, pairs in zip(fs, results):
             expected = [tuple(P(r) for r in oracle.perturbed_residuals(f, x, bumps)) for x in grid]
@@ -265,12 +274,12 @@ class TestMasterIdentity:
         """Degrees 0..12 and the zero polynomial in one call, any steps, a bumped family.
 
         The grid repeats its first step, so a repeated step reads the same
-        matrices; every residual is oracle.perturbed_residuals.
+        n rows; every residual is oracle.perturbed_residuals.
         """
         fs = [*fs, []]
         grid = [*grid, grid[0]]
         family = perturbed_family(correction_family(13), bumps)
-        results = step_identity_residuals([P(f) for f in fs], grid, family)
+        results = step_identity_residuals([P(f) for f in fs], grid, family, terms=13)
         for f, pairs in zip(fs, results):
             assert pairs == [tuple(P(r) for r in oracle.perturbed_residuals(f, x, bumps)) for x in grid]
 
@@ -289,7 +298,7 @@ class TestMasterIdentity:
         rng = random.Random(61)
         fs = [random_polynomial(rng, 6) for _ in range(4)]
         grid = [Fr(1, 2), 2, Fr(2, 4), 0, 2]
-        residuals = step_identity_residuals(fs, grid, family20)
+        residuals = step_identity_residuals(fs, grid, family20, terms=7)
         assert made == []
         first = next(residuals)
         assert len(first) == 5 and all(step.is_zero and unit.is_zero for step, unit in first)
@@ -298,7 +307,7 @@ class TestMasterIdentity:
         assert made == []
         # A bump of w_2 by x/3 is zero at x = 0, so of the steps 1/2, 2 and 0 two are bumped.
         family = perturbed_family(family20, {2: (1, Fr(1, 3))})
-        residuals = step_identity_residuals(fs, grid, family)
+        residuals = step_identity_residuals(fs, grid, family, terms=7)
         assert made == []
         first = next(residuals)
         assert len(made) == 2 * 2
@@ -329,10 +338,12 @@ class TestMasterIdentity:
         # A bump of order r reaches t^j only for j >= r, and one of x^m with m > 0 vanishes at 0.
         assert nonzero == 2 * (6 * 3 * 4 - 6 * 2 + 4)
 
-    def test_streamed_polynomials_with_the_table_size(self, family20):
-        """Given terms, the call reads fs one polynomial at a time, solves each
-        as the list call does, and refuses one of degree terms or more when
-        the iterator reaches it."""
+    def test_streamed_polynomials_with_the_table_size(self, family20, perturbed_family):
+        """The call reads fs one polynomial at a time and solves each as a call
+        over a list with the same terms does; larger tables give the same
+        residuals, and a polynomial of degree terms or more is refused when
+        the iterator reaches it.  Two bumped weights make the residuals nonzero."""
+        family = perturbed_family(family20, {2: (1, Fr(1, 3)), 4: (0, Fr(-2, 5))})
         rng = random.Random(67)
         fs = [random_polynomial(rng, 5) for _ in range(4)]
         grid = [Fr(-1, 3), 2, 0]
@@ -343,19 +354,30 @@ class TestMasterIdentity:
                 drawn.append(f)
                 yield f
 
-        residuals = step_identity_residuals(draws(), grid, family20, terms=9)
+        expected = list(step_identity_residuals(fs, grid, family, terms=6))
+        assert all(not r.is_zero for pairs in expected for pair in pairs for r in pair)
+        residuals = step_identity_residuals(draws(), grid, family, terms=6)
         assert drawn == []
-        assert list(residuals) == list(step_identity_residuals(fs, grid, family20))
+        assert next(residuals) == expected[0]
+        assert drawn == fs[:1]
+        assert list(residuals) == expected[1:]
         assert drawn == fs
+        assert list(step_identity_residuals(fs, grid, family, terms=9)) == expected
         residuals = step_identity_residuals(iter([P([1]), P([0] * 9 + [1])]), grid, family20, terms=9)
         assert next(residuals) == [(P([]), P([]))] * 3
         with pytest.raises(DownsumError, match="^polynomial of degree 9 needs 10 terms, tables hold 9$"):
             next(residuals)
 
+    @pytest.mark.parametrize("terms", [-1, -7])
+    def test_negative_terms_raise_at_the_call(self, family20, terms):
+        # A negative table size is wrong on its own: ValueError before any polynomial is read.
+        with pytest.raises(ValueError, match="^terms must be >= 0$"):
+            step_identity_residuals(iter([P([1])]), [2], family20, terms=terms)
+
     def test_short_family_raises_at_the_call(self):
         # The degree-3 polynomial needs order 4; nothing is iterated.
         with pytest.raises(DownsumError, match="^family has max_order 2, identity needs 4$"):
-            step_identity_residuals([P([1]), P([0, 0, 0, 1])], [2, 0], correction_family(2))
+            step_identity_residuals([P([1]), P([0, 0, 0, 1])], [2, 0], correction_family(2), terms=4)
 
     def test_family_too_short(self):
         f = P([0, 0, 0, 1])

@@ -107,7 +107,7 @@ def argvs():
         (["--x-grid", "1/2,2/4,2"], ["--x-grid=2,2"]), ([], ["--classical"])
     ):
         yield ["verify", "--degree", "4", "--trials", "2", "--seed", "7", *grid, *classical]
-    # Many trials share each step's weight row.  At seed 195 a later trial of the
+    # Many trials share each step's two n rows.  At seed 195 a later trial of the
     # first five draws a lower degree at each of these degrees (zero at degree 0).
     for degree, trials, seed, classical in itertools.product(
         ("0", "5", "10"), ("5", "20"), ("42", "195"), ([], ["--classical"])
