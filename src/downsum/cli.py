@@ -13,9 +13,9 @@ required, default, choices, metavar, help).  Two readers share that table.
 ``_read_argv`` turns a well-formed argv (a known subcommand, then exact
 long flags with their values) into the namespace argparse would return,
 without building a parser.  Everything else, such as help, usage errors,
-abbreviations, ``--`` and separate values that start with ``-``, goes to the
-parser of ``build_parser``, so argparse remains the only source of usage
-messages.
+abbreviations, ``--`` and separate values that start with ``-`` but are not
+negative numbers (``-7/3``, ``-.5``), goes to the parser of ``build_parser``,
+so argparse remains the only source of usage messages.
 
 Exit codes: 0 success, 1 a verification found a nonzero residual, 2 bad
 input (unknown flags, malformed or non-finite numbers, unreadable files,
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import random
+import re
 import sys
 from collections.abc import Sequence
 from itertools import tee
@@ -46,6 +47,9 @@ from .timeseries import (
 )
 
 DEFAULT_X_GRID = "-2,-1,-1/2,1/3,1/2,1,2,3"
+
+#: A word that both readers take as a value, not a flag: no flag starts with "-" and a digit.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def _print_aligned(rows: Sequence[Sequence[str]]) -> None:
@@ -227,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, options) in SUBCOMMANDS.items():
         subparser = sub.add_parser(name, help=help_text)
+        subparser._negative_number_matcher = _NEGATIVE_NUMBER  # "-7/3", not only "-7" and "-.5"
         for flag, keywords in options.items():
             subparser.add_argument(flag, **keywords)
         subparser.set_defaults(handler=handler)
@@ -240,9 +245,9 @@ def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
     store flag as ``--flag=value`` or as ``--flag value``, a store_true
     flag bare.  A repeated flag keeps its last value.  Returns None, leaving
     the argv to argparse, for any other token, a separate value token that
-    starts with ``-`` (argparse may read it as a flag; after ``=`` it reads
-    it as the value), a value its type or choices reject, and a missing
-    required flag.
+    starts with ``-`` and does not match _NEGATIVE_NUMBER (argparse may read
+    it as a flag; after ``=`` it reads it as the value), a value its type or
+    choices reject, and a missing required flag.
     """
     if not argv or argv[0] not in SUBCOMMANDS:
         return None
@@ -261,7 +266,7 @@ def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
             continue
         if not equals:
             text = next(tokens, None)
-            if text is None or text.startswith("-"):
+            if text is None or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
                 return None
         try:
             value = keywords.get("type", str)(text)

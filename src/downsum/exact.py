@@ -33,6 +33,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Scalar = int | Fraction
 
@@ -127,15 +128,12 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _horner(num: Sequence[int], p: int, q: int) -> tuple[int, int]:
-    """(h, q^deg) with h = sum n_i p^i q^(deg-i): num evaluated at p/q is h / q^deg."""
-    if not num:
-        return 0, 1
-    value, q_power = num[-1], 1
-    for c in num[-2::-1]:
-        q_power *= q
-        value = value * p + c * q_power
-    return value, q_power
+def _powers(p: int, q: int, n: int) -> list[int]:
+    """[p^d q^(n-d) for d <= n]: the powers of p/q up to n, each over q^n."""
+    out = [q**n]
+    for _ in range(n):
+        out.append(out[-1] * p // q)
+    return out
 
 
 def _taylor_shift(coeffs: Sequence[int], a: int) -> list[int]:
@@ -264,10 +262,10 @@ class Polynomial:
     # -- evaluation and substitution -----------------------------------
 
     def __call__(self, at: Scalar) -> Fraction:
-        """Exact Horner evaluation at p/q on integers, sum n_i p^i q^(deg-i)."""
+        """Exact value at p/q: sum n_i p^i q^(deg-i) over d q^deg, a dot product with _powers."""
         at = Fraction(at)
-        value, q_power = _horner(self._num, at.numerator, at.denominator)
-        return Fraction(value, self._den * q_power)
+        powers = _powers(at.numerator, at.denominator, max(self.degree, 0))
+        return Fraction(sum(map(mul, self._num, powers)), self._den * powers[0])
 
     def shift(self, step: Scalar) -> "Polynomial":
         """The polynomial q(t) = p(t + step), expanded exactly.

@@ -47,7 +47,7 @@ from math import comb, lcm
 from operator import mul
 
 from .errors import DownsumError
-from .exact import Polynomial, Scalar, _horner, _linear_combination
+from .exact import Polynomial, Scalar, _linear_combination, _powers
 from .family import CorrectionFamily, correction_family
 
 
@@ -90,8 +90,8 @@ def downsampled_sum(f: Polynomial, x: Scalar) -> Polynomial:
         raise ValueError("downsampling step must be nonzero (the 0 limit is the derivative form)")
     a, b, top = x.numerator, x.denominator, f.degree + 1
     second, sums, den = _faulhaber(top)
-    powers = [a**d * b ** (top - d) for d in range(top + 1)]  # x^d over b^top
-    out_den = f._den * den * b ** (2 * top)
+    powers = _powers(a, b, top)  # x^d over b^top
+    out_den = f._den * den * powers[0] ** 2
     return _linear_combination(
         (sum(f._num[j] * second[j][m] * powers[j - m] for j in range(m, top)), out_den,
          list(map(mul, row, powers[m + 1::-1])))
@@ -104,34 +104,32 @@ def _residual_rows(
 ) -> list[tuple[list[int], int]]:
     """The n rows of the (scaled-difference, unit-difference) residual maps at x = a/b.
 
-    Row entry j over its denominator is the n coefficient of the residual of
-    t^j, j < T = len(linear), with linear[j] = F_j[1] over den and second the
-    Stirling rows of _faulhaber(T); trailing zeros are trimmed.
-    The gap sum_{k<n} k^j - x^(j+1) F_j(n/x) has n coefficient F_j[1] (1 - x^j),
-    with a plus sign in the scaled form and a minus sign in the unit form.
-    Each form puts its multipliers c_m = -w_{m+1}(x)/(m+1), m < T, over one
-    denominator: integer Horner gives w_r(a/b) = h_r / (e_r b^deg), and likewise
-    u_r for the unit form.  The span of D_x^m t^j / x^m has n coefficient
-    j m! S(j-1, m) x^(j-1-m), and its weight -w_{m+1}(x)/(m+1)! times m! is
-    c_m, so the weights' correction has j E_{j-1}(x) with
-    E_m(x) = sum_k c_k S(m, k) x^(m-k); the unit form reads it at x = b/b = 1.
+    Entry j of a row, over its denominator, is the n coefficient of the
+    residual of t^j, j < T = len(linear), with linear[j] = F_j[1] over den and
+    second the Stirling rows of _faulhaber(T); trailing zeros are trimmed.  One
+    table, _powers(a, b, N) = x^d over b^N, serves the step, N = T unless a
+    weight read has a higher degree.  The gap sum_{k<n} k^j - x^(j+1) F_j(n/x)
+    has n coefficient F_j[1] (1 - x^j), plus in the scaled form, minus in the
+    unit form.  c_m = -w_{m+1}(x)/(m+1), r = m + 1, is over d_r r b^N, w_r (u_r
+    in the unit form) over d_r.  The span of D_x^m t^j / x^m has n coefficient
+    j m! S(j-1, m) x^(j-1-m) and weight c_m / m!, so the correction has
+    j E_{j-1}(x), E_m(x) = sum_k c_k S(m, k) x^(m-k), at x = 1 in the unit form.
+    psi is over den L b^2N, L = lcm of the d_r r.  m <= T - 2 as j < T: w_T and
+    u_T would weigh D_x^(T-1) t^j = 0 and are not read.
     """
-    top = len(linear)  # gaps and psi are over den b^top
-    gaps = [f * (b**top - a**d * b ** (top - d)) for d, f in enumerate(linear)]  # F_d[1] (1 - x^d)
+    top = len(linear)
+    powers = _powers(a, b, max([top, *(w.degree for w in family.weights[1:top] + family.unit_weights[1:top])]))
+    gaps = [f * (powers[0] - p) * powers[0] for f, p in zip(linear, powers)]  # F_d[1] (1 - x^d) over den b^2N
     rows = []
-    for sign, weights, p in ((1, family.weights, a), (-1, family.unit_weights, b)):
-        pairs = []
-        for r in range(1, top + 1):
-            h, b_power = _horner(weights[r]._num, a, b)
-            pairs.append((-h, weights[r]._den * b_power * r))
+    for sign, weights, steps in ((1, family.weights, powers), (-1, family.unit_weights, [powers[0]] * top)):
+        pairs = [(sum(map(mul, weights[r]._num, powers)), weights[r]._den * r) for r in range(1, top)]
         row_den = lcm(*(d for _, d in pairs))
-        row = [h * (row_den // d) for h, d in pairs]
-        powers = [p**d * b ** (top - d) for d in range(top)]  # (p/b)^d over b^top
-        spans = [sum(map(mul, map(mul, row, second[m]), powers[m::-1])) for m in range(top - 1)]
+        row = [-h * (row_den // d) for h, d in pairs]
+        spans = [sum(map(mul, map(mul, row, second[m]), steps[m::-1])) for m in range(top - 1)]
         psi = [sign * row_den * g + den * j * e for j, (g, e) in enumerate(zip(gaps, [0, *spans]))]
         while psi and not psi[-1]:
             psi.pop()
-        rows.append((psi, den * row_den * b**top))
+        rows.append((psi, den * row_den * powers[0] ** 2))
     return rows
 
 

@@ -881,6 +881,26 @@ class TestParsing:
         assert code == 0
         assert "coeffs" in out and "accelerate" in out
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["sum", "--poly", "1,2"], "--n", "-7/3"),
+        (["sum", "--poly", "1,2"], "--n", "-2.5e3"),
+        (["sum", "--poly", "1,2", "--n", "10"], "--downsample-x", "-13/11"),
+        (["sum", "--n", "3"], "--poly", "-1,2"),
+        (["coeffs", "--max-order", "4"], "--eval", "-2/5"),
+        (["coeffs", "--max-order", "4"], "--eval", "-.5"),
+        (["verify", "--degree", "2", "--trials", "1", "--seed", "1"], "--x-grid", "-1/2,2"),
+    ])
+    def test_negative_value_as_its_own_word(self, capsys, argv, flag, value):
+        """A separate word that starts with "-" and a digit is the flag's value,
+        for both readers, as it is when joined with "="."""
+        separate, joined = [*argv, flag, value], [*argv, f"{flag}={value}"]
+        assert _read_argv(separate) is not None
+        assert _read_argv(separate) == _read_argv(joined)
+        assert _parse(build_parser(), separate) == _parse(build_parser(), joined)
+        expected = run(capsys, *joined)
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, *separate) == expected
+
     @pytest.mark.parametrize("argv", [
         ["sum", "--poly", "1", "--n", "{}"],
         ["sum", "--poly", "1,{}", "--n", "2"],
@@ -939,6 +959,8 @@ PARSER_ARGV = [
     ["coeffs", "--max-order", " 7 "],
     ["coeffs", "--max", "2"],
     ["coeffs", "--max-order", "2", "--eval", "-1/2"],
+    ["coeffs", "--max-order", "2", "--eval", "-x"],
+    ["coeffs", "--max-order", "2", "--star", "-1"],
     ["coeffs", "--max-order", "2", "--format"],
     ["coeffs", "--max-order", "2", "-h"],
     ["coeffs", "--", "--max-order", "2"],

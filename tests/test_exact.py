@@ -284,6 +284,9 @@ class TestAgainstFractionOracle:
         assert list((p * int(s)).coeffs) == oracle.trim(c * int(s) for c in a)
 
     @given(coefficient_lists(), WIDE_RATIONAL)
+    @example([], Fr(-3, 7))
+    @example([Fr(-5, 2)], Fr(-3, 7))
+    @example([Fr(k - 12, k + 1) for k in range(26)], Fr(-3, 7))
     def test_shift_and_evaluation(self, a, s):
         p, a = P(a), oracle.trim(a)
         assert list(p.shift(s).coeffs) == oracle.shift(a, s)

@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from downsum import (
@@ -270,11 +270,13 @@ class TestMasterIdentity:
         st.dictionaries(st.integers(1, 13), st.tuples(st.integers(0, 4), WIDE_RATIONAL.filter(bool)), max_size=3),
     )
     @settings(max_examples=15, deadline=None)
+    @example([[Fr(1, 2), 3, Fr(-1, 7)]], [Fr(1, 2), 2, Fr(-3, 5)], {1: (20, Fr(1, 3)), 12: (15, Fr(-2, 5))})
     def test_random_calls_against_the_oracle(self, perturbed_family, fs, grid, bumps):
         """Degrees 0..12 and the zero polynomial in one call, any steps, a bumped family.
 
         The grid repeats its first step, so a repeated step reads the same
-        n rows; every residual is oracle.perturbed_residuals.
+        n rows; every residual is oracle.perturbed_residuals.  The example
+        bumps two weights past degree 13, the size of the tables.
         """
         fs = [*fs, []]
         grid = [*grid, grid[0]]
@@ -367,6 +369,24 @@ class TestMasterIdentity:
         assert next(residuals) == [(P([]), P([]))] * 3
         with pytest.raises(DownsumError, match="^polynomial of degree 9 needs 10 terms, tables hold 9$"):
             next(residuals)
+
+    @given(st.lists(WIDE_RATIONAL, max_size=30), st.lists(WIDE_RATIONAL, max_size=30), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_the_top_weight_never_enters(self, perturbed_family, top, unit_top, bumped):
+        """With tables of size T, w_T and u_T would weigh D_x^(T-1) f, which is zero
+        for deg f < T: any polynomials in their place leave every residual as it was."""
+        size = 6
+        family = correction_family(size)
+        if bumped:  # nonzero residuals at every step but 0
+            family = perturbed_family(family, {2: (1, Fr(1, 3)), 5: (2, Fr(-2, 5))})
+        weights, unit_weights = list(family.weights), list(family.unit_weights)
+        weights[size], unit_weights[size] = P(top), P(unit_top)
+        swapped = CorrectionFamily(tuple(weights), tuple(unit_weights))
+        rng = random.Random(73)
+        fs = [*(random_polynomial(rng, size - 1) for _ in range(3)), P([0] * (size - 1) + [1]), P()]
+        grid = [0, 2, Fr(-3, 2), -1, Fr(5, 7)]
+        expected = list(step_identity_residuals(fs, grid, family, terms=size))
+        assert list(step_identity_residuals(fs, grid, swapped, terms=size)) == expected
 
     @pytest.mark.parametrize("terms", [-1, -7])
     def test_negative_terms_raise_at_the_call(self, family20, terms):

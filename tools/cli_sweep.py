@@ -181,9 +181,12 @@ def argvs():
         ["coeffs", "--max-order", "3", "extra"],
         ["sum", "--poly", "-1,2", "--n", "3"],
         ["sum", "--poly=-1,2", "--n=-3"],
-        # argparse reads a separate negative fraction as a flag (exit 2); joined with = it is a value.
+        # A separate word that starts with "-" and a digit is a value, as it is joined with "=".
         ["sum", "--poly", "1,2", "--n", "-7/3"],
         ["sum", "--poly", "1,2", "--n=-7/3"],
+        ["sum", "--poly", "1,2", "--n", "-2.5e3"],
+        ["coeffs", "--max-order", "4", "--eval", "-2/5"],
+        ["verify", "--degree", "2", "--trials", "1", "--seed", "1", "--x-grid", "-1/2,2"],
         ["sum", "--poly", "1,2", "--n", "10", "--downsample-x", "-13/11"],
         ["sum", "--poly", "1,2", "--n", "10", "--downsample-x=-13/11"],
         ["verify", "--degree", "2", "--trials", "1", "--seed", "1", "--x-grid=-1/2,2"],
